@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .graph import SparseGraph, check_labels, row_normalize
@@ -206,6 +205,9 @@ def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 def hungarian_acc(pred: np.ndarray, truth: np.ndarray) -> float:
     """Clustering accuracy under the optimal cluster-to-class matching."""
+    # imported here: scipy.optimize costs about 0.3 s, and most commands never score
+    from scipy.optimize import linear_sum_assignment
+
     pred, truth = _paired_labels(pred, truth)
     table = _contingency(pred, truth)
     rows, cols = linear_sum_assignment(-table)

@@ -30,6 +30,7 @@ import scipy.sparse as sp
 from .errors import NumericalError, ValidationError
 from .graph import (
     AGGREGATORS,
+    MaxAggregator,
     NormalizedAdjacency,
     SparseGraph,
     check_features,
@@ -379,8 +380,9 @@ class _AggOp:
 
     def __init__(self, kind: str, g: SparseGraph, a_tilde: NormalizedAdjacency):
         self.kind = kind
-        self.g = g
-        if kind == "sum":
+        if kind == "max":
+            self.op = MaxAggregator(g)
+        elif kind == "sum":
             self.op = g.to_scipy()
             self.op_t = self.op  # symmetric
         elif kind == "mean":
@@ -392,40 +394,18 @@ class _AggOp:
         elif kind == "weighted_sum":
             self.op = a_tilde.to_scipy()
             self.op_t = self.op  # symmetric
-        elif kind == "max":
-            self.op = None
         else:
             raise ValidationError(f"unknown aggregator {kind!r}")
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        if self.kind != "max":
-            self._cache = None
-            return self.op @ z
-        n, c = z.shape
-        y = np.zeros_like(z)
-        argmax = np.full((n, c), -1, dtype=np.int64)
-        cols = np.arange(c)
-        for v in range(n):
-            nb = self.g.neighbors(v)
-            if nb.size:
-                block = z[nb]
-                j = block.argmax(axis=0)
-                y[v] = block[j, cols]
-                argmax[v] = nb[j]
-        self._cache = argmax
-        return y
+        if self.kind == "max":
+            return self.op.forward(z)
+        return self.op @ z
 
     def backward(self, g_y: np.ndarray) -> np.ndarray:
-        if self.kind != "max":
-            return self.op_t @ g_y
-        argmax = self._cache
-        g_z = np.zeros_like(g_y)
-        n, c = g_y.shape
-        rows = argmax.ravel()
-        mask = rows >= 0
-        cols = np.tile(np.arange(c), n)
-        np.add.at(g_z, (rows[mask], cols[mask]), g_y.ravel()[mask])
-        return g_z
+        if self.kind == "max":
+            return self.op.backward(g_y)
+        return self.op_t @ g_y
 
 
 def exp1_train(

@@ -3,6 +3,7 @@ import pytest
 
 from amlp.errors import ValidationError
 from amlp.graph import (
+    MaxAggregator,
     SparseGraph,
     aggregate,
     build_graph,
@@ -66,6 +67,25 @@ def test_build_graph_matches_dense_oracle():
 def test_build_graph_rejects_out_of_range_with_position():
     with pytest.raises(ValidationError, match="edge 2"):
         build_graph([(0, 1), (0, 5)], 3)
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, row",
+    [
+        # node 0 isolated, row 1 sorted, rows 2 (descending) and 3
+        # (duplicate) not; row boundaries may step down
+        ([0, 0, 2, 4, 7], [2, 3, 3, 1, 2, 2, 1], 2),
+        ([0, 2, 3, 4], [1, 1, 0, 0], 0),
+        # the only bad step is the last one, after an empty first row
+        ([0, 0, 1, 3], [2, 1, 0], 2),
+    ],
+)
+def test_validate_reports_first_row_not_strictly_increasing(indptr, indices, row):
+    g = SparseGraph(
+        n_nodes=len(indptr) - 1, indptr=np.array(indptr), indices=np.array(indices)
+    )
+    with pytest.raises(ValidationError, match=f"row {row} not strictly increasing"):
+        g.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +286,117 @@ def test_aggregate_requires_a_tilde_for_weighted_sum():
     g = build_graph([(0, 1)], 2)
     with pytest.raises(ValidationError):
         aggregate("weighted_sum", g, np.zeros((2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# MaxAggregator
+# ---------------------------------------------------------------------------
+
+
+def naive_max(g, z):
+    """Per-node reference: values and the winning neighbor of every entry
+    (-1 for isolated nodes), first neighbor on ties."""
+    n, c = z.shape
+    y = np.zeros_like(z)
+    arg = np.full((n, c), -1, dtype=np.int64)
+    cols = np.arange(c)
+    for v in range(n):
+        nb = g.neighbors(v)
+        if nb.size:
+            block = z[nb]
+            j = block.argmax(axis=0)
+            y[v] = block[j, cols]
+            arg[v] = nb[j]
+    return y, arg
+
+
+def naive_max_backward(arg, g_y):
+    n, c = g_y.shape
+    g_z = np.zeros_like(g_y)
+    rows = arg.ravel()
+    mask = rows >= 0
+    cols = np.tile(np.arange(c), n)
+    np.add.at(g_z, (rows[mask], cols[mask]), g_y.ravel()[mask])
+    return g_z
+
+
+def same_bits(a, b):
+    """Equal shapes and bit patterns (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def check_max_against_reference(g, z, seed=0):
+    op = MaxAggregator(g)
+    y = op.forward(z)
+    ref_y, ref_arg = naive_max(g, z)
+    assert same_bits(y, ref_y)
+    c = z.shape[1]
+    winners = op._flat.reshape(-1, c) // c
+    assert np.array_equal(winners, ref_arg[g.degrees() > 0])
+    g_y = np.random.default_rng(seed).standard_normal(z.shape)
+    assert same_bits(op.backward(g_y), naive_max_backward(ref_arg, g_y))
+    return op
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_max_aggregator_matches_per_node_reference(seed):
+    g = random_graph(60, 0.08 * (seed + 1), 30 + seed)
+    z = np.random.default_rng(seed).standard_normal((60, 7))
+    check_max_against_reference(g, z, seed)
+    assert same_bits(aggregate("max", g, z), naive_max(g, z)[0])
+
+
+def test_max_aggregator_ties_pick_first_neighbor():
+    g = random_graph(50, 0.2, 40)
+    rng = np.random.default_rng(41)
+    # duplicated feature rows: whole neighbor rows tie
+    check_max_against_reference(g, rng.standard_normal((4, 5))[rng.integers(0, 4, 50)])
+    # rounded values: single entries tie
+    check_max_against_reference(g, np.round(rng.standard_normal((50, 5)), 1))
+    # +0.0 and -0.0 compare equal; the first neighbor's zero is kept
+    signed_zeros = np.where(rng.random((50, 5)) < 0.5, -0.0, 0.0)
+    check_max_against_reference(g, signed_zeros)
+
+
+def test_max_aggregator_isolated_nodes():
+    g = build_graph([(0, 1), (1, 3), (3, 4)], 6)
+    z = np.random.default_rng(42).standard_normal((6, 3))
+    op = check_max_against_reference(g, z)
+    y = op.forward(z)
+    assert np.array_equal(y[[2, 5]], np.zeros((2, 3)))
+    assert np.array_equal(op.backward(np.ones((6, 3)))[[2, 5]], np.zeros((2, 3)))
+
+
+def test_max_aggregator_no_edges():
+    g = build_graph([], 4)
+    z = np.random.default_rng(43).standard_normal((4, 3))
+    op = check_max_against_reference(g, z)
+    assert np.array_equal(op.forward(z), np.zeros((4, 3)))
+    assert np.array_equal(op.backward(np.ones((4, 3))), np.zeros((4, 3)))
+
+
+def test_max_aggregator_star_uses_hub_path():
+    leaves = 2000
+    g = build_graph([(0, i) for i in range(1, leaves + 1)], leaves + 1)
+    z = np.random.default_rng(44).standard_normal((leaves + 1, 4))
+    op = check_max_against_reference(g, z)
+    # h-index 1: one slot for the leaves, one hub reduced on its own
+    assert len(op.slots) == 1 and len(op.hubs) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_max_aggregator_iterations_bounded_by_h_index(seed):
+    # a few hubs on top of a sparse random graph
+    rng = np.random.default_rng(45 + seed)
+    n = 300
+    edges = [tuple(e) for e in rng.integers(0, n, size=(400, 2))]
+    edges += [(hub, int(v)) for hub in range(3) for v in rng.integers(0, n, 150)]
+    g = build_graph(edges, n)
+    deg = np.sort(g.degrees())[::-1]
+    h = int(np.sum(deg >= np.arange(1, n + 1)))
+    op = check_max_against_reference(g, rng.standard_normal((n, 6)), seed)
+    assert len(op.slots) + len(op.hubs) <= 2 * h
+    assert len(op.slots) + len(op.hubs) < deg[0]
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,16 @@ def test_exp1_all_aggregators_run(agg):
     assert y_hat.shape == (25, 6)
 
 
+def test_exp1_max_dirichlet_energies_pinned():
+    # recorded from the per-node loop implementation of max aggregation
+    g, x = small_instance(seed=82)
+    cfg = AMLPConfig(hidden_dim=6, epochs=20, seed=3)
+    dr0, _ = exp1_train(g, x, "max", use_agg_loss=False, cfg=cfg)
+    dr1, _ = exp1_train(g, x, "max", use_agg_loss=True, cfg=cfg)
+    assert dr0 == 12.628918649492832
+    assert dr1 == 11.477717804277418
+
+
 @pytest.mark.parametrize("agg", ["mean", "sum", "weighted_sum", "max"])
 def test_exp1_gradient_matches_fd(agg):
     """FD check of the full exp1 objective via a 1-epoch probe."""
