@@ -191,11 +191,6 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _train_once(g, x, amlp_cfg, recon_cfg):
-    model, y_hat, report = train(g, x, amlp_cfg, recon_cfg)
-    return model, y_hat, report
-
-
 def _cmd_train(args) -> int:
     t0 = time.perf_counter()
     run_cfg = dataio.RunConfig.from_json(args.config) if args.config else dataio.RunConfig()
@@ -223,7 +218,7 @@ def _cmd_train(args) -> int:
     for combo_idx, (amlp_cfg, recon_cfg) in enumerate(combos):
         for seed_offset in range(run_cfg.n_seeds):
             cfg_s = replace(amlp_cfg, seed=amlp_cfg.seed + seed_offset)
-            model, y_hat, report = _train_once(g, x, cfg_s, recon_cfg)
+            model, y_hat, report = train(g, x, cfg_s, recon_cfg)
             acc = None
             if has_labels:
                 res = evaluate.kmeans(

@@ -17,6 +17,7 @@ round-trip float32 exactly, so save -> load -> save is byte-stable.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,7 +50,42 @@ _RUN_CONFIG_KEYS = {
     "output",
 }
 
-_GRID_KEYS = ("k", "lambda", "learning_rate")
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
+    type(None): "null",
+}
+
+
+def _is_json_type(value, t) -> bool:
+    """A JSON value against a declared scalar type: bool is not an integer,
+    and an integer is accepted where a float is declared."""
+    if isinstance(value, bool):
+        return t is bool
+    if t is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, t)
+
+
+def _check_config_value(source, key: str, value, hint) -> None:
+    """Raise ValidationError unless ``value`` has the type ``hint`` declares.
+    A hint that includes ``list`` also accepts a non-empty list whose
+    elements have one of the hint's other types (the grid keys)."""
+    allowed = typing.get_args(hint) or (hint,)
+    scalars = tuple(t for t in allowed if t is not list)
+    if list in allowed and isinstance(value, list):
+        if value and all(any(_is_json_type(v, t) for t in scalars) for v in value):
+            return
+    elif any(_is_json_type(value, t) for t in scalars):
+        return
+    expected = " or ".join(_TYPE_NAMES[t] for t in scalars)
+    if list in allowed:
+        expected += ", or a non-empty list of them"
+    raise ValidationError(
+        f"{source}: key {key!r} must be {expected}, got {json.dumps(value)}"
+    )
 
 
 @dataclass
@@ -74,10 +110,16 @@ class RunConfig:
     output: str | None = None
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
+    def from_dict(cls, raw: dict, source="config") -> "RunConfig":
+        """Settings from parsed JSON; every value must have its declared type,
+        and ``source`` (the file) prefixes the error naming a bad key."""
         unknown = set(raw) - _RUN_CONFIG_KEYS
         if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+            raise ValidationError(f"{source}: unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for key, value in raw.items():
+            hint = hints["lambda_" if key == "lambda" else key]
+            _check_config_value(source, key, value, hint)
         kwargs = dict(raw)
         if "lambda" in kwargs:
             kwargs["lambda_"] = kwargs.pop("lambda")
@@ -91,7 +133,7 @@ class RunConfig:
             raise ValidationError(f"{path}: invalid JSON ({e})") from e
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, source=path)
 
     def as_dict(self) -> dict:
         return {

@@ -85,22 +85,25 @@ class MetricsRecord:
 # ---------------------------------------------------------------------------
 
 
-def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, N x k."""
+def _sq_dists(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, N x k; ``x_sq`` holds the squared row
+    norms of x, computed once per k-means call."""
     d2 = (
-        np.einsum("ij,ij->i", x, x)[:, None]
+        x_sq[:, None]
         - 2.0 * (x @ centroids.T)
         + np.einsum("ij,ij->i", centroids, centroids)[None, :]
     )
     return np.maximum(d2, 0.0)
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    x: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    closest = _sq_dists(x, centroids[:1]).ravel()
+    closest = _sq_dists(x, x_sq, centroids[:1]).ravel()
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -108,23 +111,28 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[j] = x[idx]
-        closest = np.minimum(closest, _sq_dists(x, centroids[j : j + 1]).ravel())
+        closest = np.minimum(closest, _sq_dists(x, x_sq, centroids[j : j + 1]).ravel())
     return centroids
 
 
 def _lloyd(
-    x: np.ndarray, centroids: np.ndarray, max_iter: int
+    x: np.ndarray,
+    centroids: np.ndarray,
+    max_iter: int,
+    x_sq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd iterations until the assignment reaches a fixpoint.
 
     Returns (assignments, centroids, inertia_history), one history entry per
     iteration (computed from that iteration's assignment).
     """
+    if x_sq is None:
+        x_sq = np.einsum("ij,ij->i", x, x)
     k = centroids.shape[0]
     assign = None
     history: list[float] = []
     for _ in range(max_iter):
-        d2 = _sq_dists(x, centroids)
+        d2 = _sq_dists(x, x_sq, centroids)
         new_assign = d2.argmin(axis=1)
         history.append(float(d2[np.arange(x.shape[0]), new_assign].sum()))
         point_costs = d2[np.arange(x.shape[0]), new_assign].copy()
@@ -163,10 +171,11 @@ def kmeans(
     if k > x.shape[0]:
         raise ValidationError(f"k={k} exceeds number of points {x.shape[0]}")
     rng = np.random.default_rng(seed)
+    x_sq = np.einsum("ij,ij->i", x, x)
     best: ClusterResult | None = None
     for r in range(restarts):
-        init = _kmeanspp_init(x, k, rng)
-        assign, centroids, _ = _lloyd(x, init, max_iter)
+        init = _kmeanspp_init(x, x_sq, k, rng)
+        assign, centroids, _ = _lloyd(x, init, max_iter, x_sq)
         diffs = x - centroids[assign]
         inertia = float(np.einsum("ij,ij->", diffs, diffs))
         if best is None or inertia < best.inertia:

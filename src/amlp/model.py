@@ -169,34 +169,78 @@ def loss_agg(p: np.ndarray, x: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(w * (m @ w)))
 
 
+class _DecoderWorkspace:
+    """Buffers for the decoder loss and gradient, allocated once per training
+    run and overwritten every epoch: Yh, G = dL_rec/dYh, one N x c scratch
+    array that ends as dL_rec/dY, the row norms, row dots and nonzero-row mask,
+    and the c x c Gram with a scratch of its shape."""
+
+    def __init__(self, n: int, c: int):
+        self.y_hat = np.empty((n, c))
+        self.g_yhat = np.empty((n, c))
+        self.scratch = np.empty((n, c))
+        self.norms = np.empty(n)
+        self.dots = np.empty(n)
+        self.nz = np.empty(n, dtype=bool)
+        self.gram = np.empty((c, c))
+        self.gram_sq = np.empty((c, c))
+
+
 def _rec_pieces(
-    y: np.ndarray, a_sp: sp.csr_matrix, a_frob2: float, eps_norm: float
+    y: np.ndarray,
+    a_sp: sp.csr_matrix,
+    a_frob2: float,
+    eps_norm: float,
+    ws: _DecoderWorkspace | None = None,
 ):
-    """Shared decoder-loss computation.
+    """The decoder loss, computed in the buffers of ``ws`` (fresh ones when
+    None); only the sparse product A Yh allocates. ``y`` may be ``ws.y_hat``
+    itself, which is then normalized in place.
 
     Returns (l_rec, y_hat, norms, nz_mask, g_yhat) where g_yhat is the
     gradient of l_rec with respect to the row-normalized embedding.
     """
     n = y.shape[0]
-    norms = np.linalg.norm(y, axis=1)
-    nz = norms >= eps_norm
-    y_hat = np.zeros_like(y)
-    y_hat[nz] = y[nz] / norms[nz, None]
-    gram = y_hat.T @ y_hat
+    if ws is None:
+        ws = _DecoderWorkspace(*y.shape)
+    norms, nz, y_hat, t = ws.norms, ws.nz, ws.y_hat, ws.scratch
+    # the steps np.linalg.norm(y, axis=1) takes for real input
+    np.multiply(y, y, out=t)
+    np.add.reduce(t, axis=1, out=norms)
+    np.sqrt(norms, out=norms)
+    np.greater_equal(norms, eps_norm, out=nz)
+    np.divide(y, norms[:, None], out=y_hat, where=nz[:, None])
+    y_hat[~nz] = 0.0
+    gram = np.matmul(y_hat.T, y_hat, out=ws.gram)
     ay = a_sp @ y_hat
-    cross = float(np.sum(y_hat * ay))
-    l_rec = (float(np.sum(gram * gram)) - 2.0 * cross + a_frob2) / (n * n)
-    g_yhat = (4.0 / (n * n)) * (y_hat @ gram - ay)
+    cross = float(np.multiply(y_hat, ay, out=t).sum())
+    gram_frob2 = float(np.multiply(gram, gram, out=ws.gram_sq).sum())
+    l_rec = (gram_frob2 - 2.0 * cross + a_frob2) / (n * n)
+    g_yhat = np.matmul(y_hat, gram, out=ws.g_yhat)
+    np.subtract(g_yhat, ay, out=g_yhat)
+    np.multiply(4.0 / (n * n), g_yhat, out=g_yhat)
     return l_rec, y_hat, norms, nz, g_yhat
 
 
 def _chain_row_normalize(
-    g_yhat: np.ndarray, y_hat: np.ndarray, norms: np.ndarray, nz: np.ndarray
+    g_yhat: np.ndarray,
+    y_hat: np.ndarray,
+    norms: np.ndarray,
+    nz: np.ndarray,
+    ws: _DecoderWorkspace | None = None,
 ) -> np.ndarray:
-    """Backpropagate through row normalization; zero-norm rows get zero gradient."""
-    g_y = np.zeros_like(g_yhat)
-    dots = np.einsum("ij,ij->i", g_yhat[nz], y_hat[nz])
-    g_y[nz] = (g_yhat[nz] - dots[:, None] * y_hat[nz]) / norms[nz, None]
+    """Backpropagate through row normalization; zero-norm rows get zero gradient.
+
+    The result is written into ``ws.scratch``, which the next ``_rec_pieces``
+    call on the same workspace overwrites.
+    """
+    if ws is None:
+        ws = _DecoderWorkspace(*g_yhat.shape)
+    dots = np.einsum("ij,ij->i", g_yhat, y_hat, out=ws.dots)
+    g_y = np.multiply(dots[:, None], y_hat, out=ws.scratch)
+    np.subtract(g_yhat, g_y, out=g_y)
+    np.divide(g_y, norms[:, None], out=g_y, where=nz[:, None])
+    g_y[~nz] = 0.0
     return g_y
 
 
@@ -242,18 +286,8 @@ def gradient(
     """
     p = np.asarray(p, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    diff = p - x
-    m = diff.T @ diff
-    g = 2.0 * (m @ w)
-    if cfg.lambda_ != 0.0:
-        b = p + x
-        y = b @ w
-        a_sp = a_tilde.to_scipy()
-        a_frob2 = float(np.sum(a_tilde.values**2))
-        _, y_hat, norms, nz, g_yhat = _rec_pieces(y, a_sp, a_frob2, cfg.eps_norm)
-        g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz)
-        g += cfg.lambda_ * (b.T @ g_y)
-    return g
+    kernel = _TrainingKernel(p, x, a_tilde, w.shape[1], cfg.lambda_, cfg.eps_norm)
+    return kernel.loss_and_grad(w)[3]
 
 
 def adam_step(
@@ -263,19 +297,34 @@ def adam_step(
     if grad.shape != w.shape:
         raise ValidationError("gradient shape does not match weights")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    w_new = w - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    # m, v and the returned weights are new arrays; s is the one scratch array.
+    # The expression and its operand order are those of the textbook update
+    #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+    #   w - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    s = np.multiply(1.0 - state.beta1, grad)
+    m = np.multiply(state.beta1, state.m)
+    m += s
+    v = np.multiply(1.0 - state.beta2, grad)
+    v *= grad
+    v += np.multiply(state.beta2, state.v, out=s)
+    np.divide(m, 1.0 - state.beta1**t, out=s)
+    s *= lr
+    w_new = np.divide(v, 1.0 - state.beta2**t)
+    np.sqrt(w_new, out=w_new)
+    w_new += state.eps
+    np.divide(s, w_new, out=s)
+    np.subtract(w, s, out=w_new)
     return w_new, replace(state, m=m, v=v, step=t)
 
 
 class _TrainingKernel:
     """Precomputed quantities for the epoch loop: B = P + X, M = (P-X)^T(P-X),
-    the sparse decoder target and its squared Frobenius norm."""
+    the sparse decoder target and its squared Frobenius norm, plus the
+    buffers every epoch writes into (c = hidden_dim columns): MW, which
+    B^T G_Y reuses, the gradient and the decoder workspace, whose Yh buffer
+    receives Y."""
 
-    def __init__(self, p, x, a_tilde, lambda_, eps_norm, use_agg_loss=True):
+    def __init__(self, p, x, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
         self.b = p + x
         diff = p - x
         self.m = diff.T @ diff
@@ -284,21 +333,29 @@ class _TrainingKernel:
         self.lambda_ = lambda_
         self.eps_norm = eps_norm
         self.use_agg_loss = use_agg_loss
+        n, d = x.shape
+        self.ws = _DecoderWorkspace(n, c)
+        self.mw = np.empty((d, c))
+        self.grad = np.empty((d, c))
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-        mw = self.m @ w
-        la = float(np.sum(w * mw))
+        """(L, L_agg, L_rec, dL/dW); the gradient array is reused by the next call."""
+        mw = np.matmul(self.m, w, out=self.mw)
+        g = self.grad
+        la = float(np.multiply(w, mw, out=g).sum())
         if self.use_agg_loss:
-            g = 2.0 * mw
+            np.multiply(2.0, mw, out=g)
         else:
-            g = np.zeros_like(w)
-        y = self.b @ w
+            g.fill(0.0)
+        y = np.matmul(self.b, w, out=self.ws.y_hat)
         lr_, y_hat, norms, nz, g_yhat = _rec_pieces(
-            y, self.a_sp, self.a_frob2, self.eps_norm
+            y, self.a_sp, self.a_frob2, self.eps_norm, self.ws
         )
         if self.lambda_ != 0.0:
-            g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz)
-            g += self.lambda_ * (self.b.T @ g_y)
+            g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz, self.ws)
+            btg = np.matmul(self.b.T, g_y, out=mw)  # MW is spent by now
+            np.multiply(self.lambda_, btg, out=btg)
+            np.add(g, btg, out=g)
         total = (la if self.use_agg_loss else 0.0) + self.lambda_ * lr_
         return total, la, lr_, g
 
@@ -328,7 +385,7 @@ def train(
     a_tilde = normalize_with_self_loops(g)
     p = propagate(s_tilde, x, cfg.k)
     kernel = _TrainingKernel(
-        p, x, a_tilde, cfg.lambda_, cfg.eps_norm, use_agg_loss=cfg.use_agg_loss
+        p, x, a_tilde, cfg.hidden_dim, cfg.lambda_, cfg.eps_norm, cfg.use_agg_loss
     )
     w = init_weights(x.shape[1], cfg.hidden_dim, cfg.seed)
     state = AdamState.zeros_like(w)
@@ -437,14 +494,17 @@ def exp1_train(
     if use_agg_loss:
         diff = g.to_scipy() @ x - x
         m1 = diff.T @ diff
+    ws = _DecoderWorkspace(g.n_nodes, cfg.hidden_dim)
     w = init_weights(x.shape[1], cfg.hidden_dim, cfg.seed)
     state = AdamState.zeros_like(w)
     for epoch in range(cfg.epochs):
         z = x @ w
         y = agg.forward(z)
-        lr_, y_hat, norms, nz, g_yhat = _rec_pieces(y, a_sp, a_frob2, cfg.eps_norm)
+        lr_, y_hat, norms, nz, g_yhat = _rec_pieces(
+            y, a_sp, a_frob2, cfg.eps_norm, ws
+        )
         total = lr_
-        g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz)
+        g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz, ws)
         g_z = agg.backward(g_y)
         grad = x.T @ g_z
         if use_agg_loss:

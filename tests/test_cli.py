@@ -42,6 +42,22 @@ def test_missing_dataset_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("epochs", "abc"), ("epochs", True), ("lambda", [1, "x"])]
+)
+def test_train_config_with_wrong_type_exits_1(sbm_dir, tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = main(
+        ["train", "--data", str(sbm_dir), "--out", str(tmp_path / "run"), "--config", str(cfg)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(cfg) in err and repr(key) in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_cluster_diagnose_pipeline(sbm_dir, tmp_path):
     run = tmp_path / "run"
     code = main(

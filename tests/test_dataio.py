@@ -145,6 +145,14 @@ def test_run_config_rejects_unknown_keys():
         RunConfig.from_dict({"k": 3, "bogus": 1})
 
 
+def test_run_config_checks_value_types():
+    cfg = RunConfig.from_dict({"epsilon": 1, "lambda": [1, 0.5], "output": None})
+    assert cfg.epsilon == 1 and cfg.lambda_ == [1, 0.5]
+    for raw in ({"k": True}, {"early_stop": 1}, {"hidden_dim": [8, 16]}, {"k": []}):
+        with pytest.raises(ValidationError, match=f"config: key '{next(iter(raw))}' must be"):
+            RunConfig.from_dict(raw)
+
+
 def test_run_config_grid_expansion():
     cfg = RunConfig.from_dict({"k": [1, 2], "lambda": [0.1, 1.0], "learning_rate": 1e-3})
     combos = cfg.grid()

@@ -457,3 +457,187 @@ def test_exp1_gradient_matches_fd(agg):
         numeric[idx] = (objective(wp) - objective(wm_)) / (2 * h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Workspace kernel against the allocating formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_rec_pieces(y, a_sp, a_frob2, eps_norm):
+    n = y.shape[0]
+    norms = np.linalg.norm(y, axis=1)
+    nz = norms >= eps_norm
+    y_hat = np.zeros_like(y)
+    y_hat[nz] = y[nz] / norms[nz, None]
+    gram = y_hat.T @ y_hat
+    ay = a_sp @ y_hat
+    cross = float(np.sum(y_hat * ay))
+    l_rec = (float(np.sum(gram * gram)) - 2.0 * cross + a_frob2) / (n * n)
+    g_yhat = (4.0 / (n * n)) * (y_hat @ gram - ay)
+    return l_rec, y_hat, norms, nz, g_yhat
+
+
+def _ref_chain_row_normalize(g_yhat, y_hat, norms, nz):
+    g_y = np.zeros_like(g_yhat)
+    dots = np.einsum("ij,ij->i", g_yhat[nz], y_hat[nz])
+    g_y[nz] = (g_yhat[nz] - dots[:, None] * y_hat[nz]) / norms[nz, None]
+    return g_y
+
+
+def _ref_adam_step(state, w, grad, lr):
+    t = state.step + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    w_new = w - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return w_new, AdamState(m=m, v=v, step=t)
+
+
+def _ref_loss_and_grad(p, x, at, w, lambda_, use_agg_loss, eps_norm=1e-12):
+    b = p + x
+    diff = p - x
+    m = diff.T @ diff
+    a_sp = at.to_scipy()
+    a_frob2 = float(np.sum(at.values**2))
+    mw = m @ w
+    la = float(np.sum(w * mw))
+    g = 2.0 * mw if use_agg_loss else np.zeros_like(w)
+    y = b @ w
+    lr_, y_hat, norms, nz, g_yhat = _ref_rec_pieces(y, a_sp, a_frob2, eps_norm)
+    if lambda_ != 0.0:
+        g_y = _ref_chain_row_normalize(g_yhat, y_hat, norms, nz)
+        g += lambda_ * (b.T @ g_y)
+    total = (la if use_agg_loss else 0.0) + lambda_ * lr_
+    return total, la, lr_, g
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _isolated_zero_rows_setup():
+    """Random instance whose last five nodes have zero features and no edges
+    in the propagation graph, as hard reconstruction leaves many nodes, but
+    keep their edges in A: their rows of Y and Yh are zero while their rows
+    of dL_rec/dYh are not."""
+    rng = np.random.default_rng(120)
+    n, d, c = 60, 7, 5
+    dense = np.triu(rng.random((n, n)) < 0.15, k=1)
+    u, v = np.nonzero(dense)
+    g = build_graph(np.column_stack([u, v]), n)
+    kept = (u < n - 5) & (v < n - 5)
+    s = build_graph(np.column_stack([u[kept], v[kept]]), n)
+    x = rng.standard_normal((n, d))
+    x[n - 5 :] = 0.0
+    p_mat = propagate(normalize_no_self_loops(s), x, 2)
+    w = rng.standard_normal((d, c)) * 0.3
+    return x, w, p_mat, normalize_with_self_loops(g)
+
+
+def _kernel_setup(zero_rows):
+    if zero_rows:
+        return _isolated_zero_rows_setup()
+    _, x, w, p_mat, at = random_setup(50, 6, 4, seed=110)
+    return x, w, p_mat, at
+
+
+@pytest.mark.parametrize(
+    "lambda_, use_agg_loss", [(0.1, True), (0.0, True), (0.1, False)]
+)
+@pytest.mark.parametrize("zero_rows", [False, True])
+def test_workspace_kernel_matches_reference_bitwise(lambda_, use_agg_loss, zero_rows):
+    from amlp.model import _TrainingKernel
+
+    x, w, p_mat, at = _kernel_setup(zero_rows)
+    if zero_rows:
+        assert not np.linalg.norm((p_mat + x) @ w, axis=1).all()
+    kernel = _TrainingKernel(p_mat, x, at, w.shape[1], lambda_, 1e-12, use_agg_loss)
+    got = kernel.loss_and_grad(w)
+    want = _ref_loss_and_grad(p_mat, x, at, w, lambda_, use_agg_loss)
+    assert got[:3] == want[:3]
+    assert _same_bits(got[3], want[3])
+    if use_agg_loss:
+        cfg = AMLPConfig(lambda_=lambda_, hidden_dim=w.shape[1])
+        assert _same_bits(gradient(p_mat, x, w, at, cfg), want[3])
+        assert loss_rec((p_mat + x) @ w, at) == want[2]
+    # ten epochs of the training loop
+    w_got, w_ref = w.copy(), w.copy()
+    s_got, s_ref = AdamState.zeros_like(w), AdamState.zeros_like(w)
+    for _ in range(10):
+        got = kernel.loss_and_grad(w_got)
+        want = _ref_loss_and_grad(p_mat, x, at, w_ref, lambda_, use_agg_loss)
+        assert got[:3] == want[:3]
+        assert _same_bits(got[3], want[3])
+        w_got, s_got = adam_step(s_got, w_got, got[3], 1e-2)
+        w_ref, s_ref = _ref_adam_step(s_ref, w_ref, want[3], 1e-2)
+        assert _same_bits(w_got, w_ref)
+        assert _same_bits(s_got.m, s_ref.m) and _same_bits(s_got.v, s_ref.v)
+
+
+@pytest.mark.parametrize("zero_rows", [False, True])
+def test_decoder_pieces_without_workspace_match_reference(zero_rows):
+    from amlp.model import _chain_row_normalize, _rec_pieces
+
+    x, w, p_mat, at = _kernel_setup(zero_rows)
+    y = (p_mat + x) @ w
+    if zero_rows:
+        zero = np.linalg.norm(y, axis=1) == 0.0
+        assert zero.any() and (at.to_scipy()[zero] @ (p_mat + x)).any()
+    a_sp = at.to_scipy()
+    a_frob2 = float(np.sum(at.values**2))
+    got = _rec_pieces(y, a_sp, a_frob2, 1e-12)
+    want = _ref_rec_pieces(y, a_sp, a_frob2, 1e-12)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert _same_bits(a, b)
+    assert _same_bits(
+        _chain_row_normalize(got[4], got[1], got[2], got[3]),
+        _ref_chain_row_normalize(want[4], want[1], want[2], want[3]),
+    )
+
+
+def test_epoch_allocates_only_the_sparse_product():
+    import tracemalloc
+
+    from amlp.model import _TrainingKernel
+
+    n, d, c = 2000, 8, 16
+    _, x, w, p_mat, at = random_setup(n, d, c, seed=130, p=0.002)
+    kernel = _TrainingKernel(p_mat, x, at, c, 0.1, 1e-12)
+    state = AdamState.zeros_like(w)
+    _, _, _, grad = kernel.loss_and_grad(w)  # warm-up epoch
+    w, state = adam_step(state, w, grad, 1e-3)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, _, _, grad = kernel.loss_and_grad(w)
+            w, state = adam_step(state, w, grad, 1e-3)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    nc, dc = n * c * 8, d * c * 8
+    # A Yh is the one N x c array an epoch allocates; Adam returns new m, v
+    # and weights and uses one scratch array
+    assert max(peaks) <= 2 * nc + 8 * dc + 16_384, peaks
+
+
+def test_adam_step_leaves_its_inputs_alone():
+    rng = np.random.default_rng(140)
+    w = rng.standard_normal((5, 3))
+    grad = rng.standard_normal((5, 3))
+    _, state = adam_step(AdamState.zeros_like(w), w, grad, 1e-2)
+    grad = rng.standard_normal((5, 3))
+    before = [a.copy() for a in (w, grad, state.m, state.v)]
+    w_new, new_state = adam_step(state, w, grad, 1e-2)
+    for a, b in zip((w, grad, state.m, state.v), before):
+        assert _same_bits(a, b)
+    assert state.step == 1 and new_state.step == 2
+    for out in (w_new, new_state.m, new_state.v):
+        for a in (w, grad, state.m, state.v):
+            assert not np.shares_memory(out, a)
