@@ -116,6 +116,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(**flags) -> None:
+    """Refuse a count flag below 1 before any data is read."""
+    for name, value in flags.items():
+        if value < 1:
+            raise ValidationError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def _cmd_prep(args) -> int:
     edges = dataio.parse_int_lines(args.edges, 2)
     x = dataio.load_float_csv(args.features)
@@ -268,6 +275,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_cluster(args) -> int:
     t0 = time.perf_counter()
+    _check_counts(seeds=args.seeds, restarts=args.restarts)
     g, x, labels, _ = dataio.load_dataset(args.data)
     meta = dataio.load_meta(args.data)
     y_hat = dataio.load_embeddings_csv(args.emb)
@@ -301,6 +309,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_classify(args) -> int:
     t0 = time.perf_counter()
+    _check_counts(n_splits=args.n_splits)
     g, x, labels, saved_splits = dataio.load_dataset(args.data)
     y_hat = dataio.load_embeddings_csv(args.emb)
     if y_hat.shape[0] != g.n_nodes:
@@ -365,6 +374,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_exp1(args) -> int:
+    _check_counts(seeds=args.seeds)
     g, x, labels, _ = dataio.load_dataset(args.data)
     aggs = list(AGGREGATORS) if args.aggregator == "all" else [args.aggregator]
     flags = {"true": [True], "false": [False], "both": [False, True]}[args.with_agg_loss]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import typing
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .reconstruct import ReconstructionConfig
 
 META_FILE = "meta.json"
 FLOAT_FMT = "%.9g"
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 _RUN_CONFIG_KEYS = {
     "k",
@@ -109,6 +111,13 @@ class RunConfig:
     n_seeds: int = 1
     output: str | None = None
 
+    def __post_init__(self):
+        for key in ("n_seeds", "kmeans_restarts"):
+            if getattr(self, key) < 1:
+                raise ValidationError(
+                    f"key {key!r} must be >= 1, got {getattr(self, key)}"
+                )
+
     @classmethod
     def from_dict(cls, raw: dict, source="config") -> "RunConfig":
         """Settings from parsed JSON; every value must have its declared type,
@@ -123,7 +132,10 @@ class RunConfig:
         kwargs = dict(raw)
         if "lambda" in kwargs:
             kwargs["lambda_"] = kwargs.pop("lambda")
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValidationError as e:
+            raise ValidationError(f"{source}: {e}") from e
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -239,8 +251,18 @@ def save_dataset(
 
 def parse_int_lines(path, n_cols: int) -> np.ndarray:
     """Whitespace-separated integer rows; errors carry file and line number."""
-    rows = []
     path = Path(path)
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns instead of raising
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
+        if rows.shape[1] == n_cols:
+            return rows
+    except (ValueError, Warning):
+        pass
+    # slow path: the judge of what is accepted, and of what the error says
+    rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -252,9 +274,12 @@ def parse_int_lines(path, n_cols: int) -> np.ndarray:
                     f"{path}:{lineno}: expected {n_cols} fields, got {len(parts)}"
                 )
             try:
-                rows.append([int(p) for p in parts])
+                row = [int(p) for p in parts]
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: not an integer: {line!r}")
+            if not all(_INT64_MIN <= i <= _INT64_MAX for i in row):
+                raise ValidationError(f"{path}:{lineno}: integer out of range: {line!r}")
+            rows.append(row)
     return np.asarray(rows, dtype=np.int64).reshape(-1, n_cols)
 
 

@@ -170,6 +170,8 @@ def kmeans(
         raise ValidationError("k must be >= 1")
     if k > x.shape[0]:
         raise ValidationError(f"k={k} exceeds number of points {x.shape[0]}")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     x_sq = np.einsum("ij,ij->i", x, x)
     best: ClusterResult | None = None

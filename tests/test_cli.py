@@ -58,6 +58,35 @@ def test_train_config_with_wrong_type_exits_1(sbm_dir, tmp_path, capsys, key, va
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, flags, named",
+    [
+        ("train", {"n_seeds": 0}, [], "'n_seeds'"),
+        ("train", {"kmeans_restarts": 0}, [], "'kmeans_restarts'"),
+        ("cluster", None, ["--restarts", "0"], "--restarts"),
+        ("cluster", None, ["--seeds", "0"], "--seeds"),
+        ("classify", None, ["--n-splits", "0"], "--n-splits"),
+        ("exp1", None, ["--seeds", "0"], "--seeds"),
+    ],
+)
+def test_zero_counts_exit_1(sbm_dir, tmp_path, capsys, command, config, flags, named):
+    argv = [command, "--data", str(sbm_dir)]
+    if command == "train":
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--out", str(tmp_path / "run"), "--config", str(cfg)]
+    elif command == "exp1":
+        argv += ["--out", str(tmp_path / "run")]
+    else:
+        # the embeddings file does not exist: the count is refused first
+        argv += ["--emb", str(tmp_path / "missing.csv")]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err and "must be >= 1" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_cluster_diagnose_pipeline(sbm_dir, tmp_path):
     run = tmp_path / "run"
     code = main(

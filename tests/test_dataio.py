@@ -9,6 +9,7 @@ from amlp.dataio import (
     load_dataset,
     load_embeddings_csv,
     make_report,
+    parse_int_lines,
     save_checkpoint,
     save_dataset,
     save_embeddings_csv,
@@ -89,6 +90,42 @@ def test_load_reports_malformed_edge_line(tmp_path):
     (tmp_path / "d" / "edges.tsv").write_text("0\t1\n0\tx\n")
     with pytest.raises(ValidationError, match="edges.tsv:2"):
         load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize(
+    "text, n_cols, expected",
+    [
+        ("0\t1\n2\t3\n", 2, [[0, 1], [2, 3]]),
+        ("\n0 1\n\n  \n2 3\n\n", 2, [[0, 1], [2, 3]]),
+        ("0 1\r\n2 3\r\n", 2, [[0, 1], [2, 3]]),
+        ("0\t \t1\n", 2, [[0, 1]]),
+        ("+1 -2\n", 2, [[1, -2]]),
+        ("1_0 2\n", 2, [[10, 2]]),
+        ("5\n-1\n", 1, [[5], [-1]]),
+        ("", 2, np.zeros((0, 2), dtype=np.int64)),
+        ("\n\n", 1, np.zeros((0, 1), dtype=np.int64)),
+        ("9223372036854775807 0\n", 2, [[2**63 - 1, 0]]),
+        ("0 1\n# 2\n", 2, ":2: not an integer: '# 2'"),
+        ("0 1 # edge\n", 2, ":1: expected 2 fields, got 4"),
+        ("1.0 2\n", 2, ":1: not an integer: '1.0 2'"),
+        ("0 1\n0 1 2\n", 2, ":2: expected 2 fields, got 3"),
+        ("0 1 2\n3 4 5\n", 2, ":1: expected 2 fields, got 3"),
+        ("0 1\n", 1, ":1: expected 1 fields, got 2"),
+        ("0\t99999999999999999999\n", 2, ":1: integer out of range: '0\\t99999999999999999999'"),
+        ("-9223372036854775809 0\n", 2, ":1: integer out of range: '-9223372036854775809 0'"),
+    ],
+)
+def test_parse_int_lines_table(tmp_path, text, n_cols, expected):
+    path = tmp_path / "rows.txt"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as info:
+            parse_int_lines(path, n_cols)
+        assert str(info.value) == f"{path}{expected}"
+    else:
+        rows = parse_int_lines(path, n_cols)
+        assert rows.dtype == np.int64 and rows.shape == (len(expected), n_cols)
+        assert np.array_equal(rows, np.asarray(expected, dtype=np.int64).reshape(-1, n_cols))
 
 
 def test_load_rejects_unknown_features_file(tmp_path):

@@ -89,6 +89,11 @@ def test_kmeans_rejects_k_over_n():
         kmeans(np.zeros((3, 2)), 4)
 
 
+def test_kmeans_rejects_zero_restarts():
+    with pytest.raises(ValidationError, match="restarts must be >= 1, got 0"):
+        kmeans(np.zeros((3, 2)), 2, restarts=0)
+
+
 # ---------------------------------------------------------------------------
 # hungarian_acc
 # ---------------------------------------------------------------------------

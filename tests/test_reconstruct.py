@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from amlp import reconstruct
 from amlp.errors import ValidationError
 from amlp.graph import build_graph
 from amlp.reconstruct import (
     ReconstructionConfig,
+    _common_neighbors,
+    _score_edge_candidates,
     pair_score,
     reconstruct_hard,
     reconstruct_soft,
@@ -208,3 +213,80 @@ def test_soft_stats_consistent_with_hard():
     assert hard_stats.candidates_scored == soft_stats.candidates_scored
     assert hard_stats.edges_kept == soft_stats.edges_kept
     assert np.isclose(hard_stats.mean_score, soft_stats.mean_score)
+
+
+# ---------------------------------------------------------------------------
+# common-neighbour counts
+# ---------------------------------------------------------------------------
+
+
+def square_oracle(g, u, v):
+    """Common-neighbour counts read off the whole sparse square A·A."""
+    a = g.to_scipy()
+    return np.asarray((a @ a).tocsr()[u, v]).ravel()
+
+
+def star(leaves):
+    return build_graph([(0, i) for i in range(1, leaves + 1)], leaves + 1)
+
+
+def hub_instance(seed):
+    # a sparse random graph plus three hubs, two of them adjacent
+    g, _ = random_instance(120, 0.03, 1, seed)
+    rng = np.random.default_rng(seed)
+    edges = [tuple(e) for e in g.edge_array()] + [(0, 1)]
+    for hub in (0, 1, 2):
+        edges += [(hub, int(w)) for w in rng.choice(np.arange(3, 120), 80, replace=False)]
+    return build_graph(edges, 120)
+
+
+def test_common_neighbors_match_square_on_edges():
+    graphs = [random_instance(60, p, 1, seed)[0] for p, seed in ((0.05, 0), (0.3, 1))]
+    graphs += [hub_instance(2), hub_instance(3), star(2000)]
+    # isolated nodes: a few edges among the first nodes of a large range
+    graphs.append(build_graph([(0, 1), (1, 2), (0, 2), (2, 3), (5, 7)], 50))
+    for g in graphs:
+        e = g.edge_array()
+        got = _common_neighbors(g, e[:, 0], e[:, 1])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, square_oracle(g, e[:, 0], e[:, 1]))
+
+
+def test_common_neighbors_match_square_on_any_pairs():
+    # non-edges, self-pairs and isolated endpoints, in both orders
+    g = hub_instance(4)
+    u, v = np.nonzero(np.ones((120, 120), dtype=bool))
+    assert np.array_equal(_common_neighbors(g, u, v), square_oracle(g, u, v))
+    empty = build_graph([], 6)
+    u, v = np.nonzero(np.ones((6, 6), dtype=bool))
+    assert np.array_equal(_common_neighbors(empty, u, v), np.zeros(36, dtype=np.int64))
+    none = np.zeros(0, dtype=np.int64)
+    assert _common_neighbors(g, none, none).size == 0
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 50])
+def test_common_neighbors_chunking(monkeypatch, chunk):
+    # chunks far smaller than one hub's row, so an edge straddles many
+    monkeypatch.setattr(reconstruct, "_LOOKUP_CHUNK", chunk)
+    g = hub_instance(5)
+    e = g.edge_array()
+    assert np.array_equal(
+        _common_neighbors(g, e[:, 0], e[:, 1]), square_oracle(g, e[:, 0], e[:, 1])
+    )
+
+
+def test_edge_scoring_memory_on_large_star():
+    # A·A of a 20,000-leaf star holds 4e8 entries; the lookup needs O(m)
+    leaves = 20_000
+    g = star(leaves)
+    x = np.random.default_rng(0).standard_normal((leaves + 1, 2))
+    edges = g.edge_array()
+    tracemalloc.start()
+    try:
+        scores = _score_edge_candidates(g, x, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the hub and every leaf share no neighbour, so every score is 0
+    assert np.array_equal(scores, np.zeros(leaves))
+    assert peak < 8 * (32 * edges.shape[0] + 12 * reconstruct._LOOKUP_CHUNK)
