@@ -173,9 +173,10 @@ def _cmd_reconstruct(args) -> int:
         mask = rows < s.indices
         support = graph_from_edges(s.n_nodes, rows[mask], s.indices[mask])
         dataio.save_dataset(args.out, support, x, labels, name="reconstructed")
+        # float64 table: %d prints the integral endpoints exactly
+        table = np.column_stack([rows[mask], s.indices[mask], s.values[mask]])
         with open(os.path.join(args.out, "edge_weights.tsv"), "w") as f:
-            for u, v, w in zip(rows[mask], s.indices[mask], s.values[mask]):
-                f.write(f"{u}\t{v}\t{w:.9g}\n")
+            dataio.write_rows(f, "%d\t%d\t%.9g\n", table)
     else:
         s, stats = reconstruct_hard(g, x, cfg)
         dataio.save_dataset(args.out, s, x, labels, name="reconstructed")

@@ -32,6 +32,9 @@ from .reconstruct import ReconstructionConfig
 
 META_FILE = "meta.json"
 FLOAT_FMT = "%.9g"
+# values formatted per % operation in write_rows: bounds the Python objects
+# a chunk creates (about 2^16 edges)
+_FORMAT_CELLS = 1 << 17
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 _RUN_CONFIG_KEYS = {
@@ -231,22 +234,36 @@ def save_dataset(
         "features_file": features_file,
     }
     (path / META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
-    edges = graph.edge_array()
     with open(path / "edges.tsv", "w") as f:
-        for u, v in edges:
-            f.write(f"{u}\t{v}\n")
+        write_rows(f, "%d\t%d\n", graph.edge_array())
     x32 = x.astype(np.float32)
     if features_file == "features.csv":
         with open(path / "features.csv", "w") as f:
-            for row in x32:
-                f.write(",".join(FLOAT_FMT % val for val in row) + "\n")
+            write_rows(f, _row_format(FLOAT_FMT, x32.shape[1]), x32)
     else:
         (path / "features.f32").write_bytes(x32.astype("<f4").tobytes(order="C"))
     with open(path / "labels.csv", "w") as f:
-        for lab in labels:
-            f.write(f"{lab}\n")
+        write_rows(f, "%d\n", labels[:, None])
     if splits is not None:
         (path / "splits.json").write_text(json.dumps(splits.as_dict()) + "\n")
+
+
+def _row_format(fmt: str, width: int) -> str:
+    """A CSV line of ``width`` values, each formatted by ``fmt``."""
+    return ",".join([fmt] * width) + "\n"
+
+
+def write_rows(f, line_fmt: str, table: np.ndarray) -> None:
+    """Write one line per row of the 2-D ``table``, ``line_fmt % tuple(row)``.
+
+    A chunk of rows is formatted by one ``%`` operation, which gives the same
+    text as formatting each value on its own; chunks hold about
+    _FORMAT_CELLS values.
+    """
+    rows = max(1, _FORMAT_CELLS // max(1, table.shape[1]))
+    for lo in range(0, table.shape[0], rows):
+        chunk = table[lo : lo + rows]
+        f.write((line_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def parse_int_lines(path, n_cols: int) -> np.ndarray:
@@ -397,9 +414,9 @@ def load_meta(path) -> dict:
 
 def save_embeddings_csv(path, y_hat: np.ndarray) -> None:
     """N x c CSV at 9 significant digits (float32 at rest, like features)."""
+    y32 = np.asarray(y_hat, dtype=np.float32)
     with open(path, "w") as f:
-        for row in np.asarray(y_hat, dtype=np.float32):
-            f.write(",".join(FLOAT_FMT % val for val in row) + "\n")
+        write_rows(f, _row_format(FLOAT_FMT, y32.shape[1]), y32)
 
 
 def load_embeddings_csv(path) -> np.ndarray:
@@ -428,8 +445,7 @@ def save_checkpoint(dir_path, model: AMLPModel) -> None:
     }
     (dir_path / "checkpoint.json").write_text(json.dumps(header, indent=2) + "\n")
     with open(dir_path / "weights.csv", "w") as f:
-        for row in model.W:
-            f.write(",".join("%.17g" % val for val in row) + "\n")
+        write_rows(f, _row_format("%.17g", c), model.W)
 
 
 def load_checkpoint(dir_path) -> AMLPModel:

@@ -354,7 +354,12 @@ def _balance_global(per_class_counts, global_target, ratios, labels, labeled):
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    # the row max as a chain of np.maximum over the few class columns: exact
+    # like logits.max(axis=1), without numpy's slow short-axis reduction
+    row_max = logits[:, :1].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, j : j + 1], out=row_max)
+    z = logits - row_max
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 

@@ -207,7 +207,9 @@ def build_graph(edge_list, n_nodes: int) -> SparseGraph:
     """
     if n_nodes < 0:
         raise ValidationError("n_nodes must be non-negative")
-    edges = np.asarray(list(edge_list), dtype=np.int64)
+    if not isinstance(edge_list, np.ndarray):
+        edge_list = list(edge_list)
+    edges = np.asarray(edge_list, dtype=np.int64)
     if edges.size == 0:
         edges = edges.reshape(0, 2)
     if edges.ndim != 2 or edges.shape[1] != 2:

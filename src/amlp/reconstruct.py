@@ -10,7 +10,7 @@ adjustable steepness, which converges to the hard decision as steepness grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +29,8 @@ MODES = ("hard", "soft")
 
 DEFAULT_ALL_PAIRS_CAP = 20_000
 _BLOCK = 512
+# rows per sub-block of the all-pairs loop, whose buffers hold _SUB_BLOCK x N
+_SUB_BLOCK = 64
 # (edge, neighbour) lookups per chunk of _common_neighbors
 _LOOKUP_CHUNK = 1 << 16
 
@@ -97,35 +99,107 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# ``pairs(mask)``: the endpoints (u, v), u < v, of a block's candidates
+# selected by a boolean mask over its scores, or of all of them for None
+Pairs = Callable[[np.ndarray | None], tuple[np.ndarray, np.ndarray]]
+
+
 def _iter_candidate_scores(
     g: SparseGraph, x: np.ndarray, cfg: ReconstructionConfig
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (u, v, score) blocks over the candidate set, u < v."""
+) -> Iterator[tuple[Pairs, np.ndarray]]:
+    """Yield (pairs, score) blocks over the candidate set.
+
+    ``score`` may be a view of a buffer that the next block overwrites, so a
+    consumer reads it, and calls ``pairs``, before asking for the next block.
+    """
     if cfg.candidate_policy == "original_edges":
         edges = g.edge_array()
-        yield edges[:, 0], edges[:, 1], _score_edge_candidates(g, x, edges)
+        u, v = edges[:, 0], edges[:, 1]
+        scores = _score_edge_candidates(g, x, edges)
+        yield (lambda mask: (u, v) if mask is None else (u[mask], v[mask])), scores
         return
     if g.n_nodes > cfg.all_pairs_cap:
         raise ValidationError(
             f"all_pairs policy refused for {g.n_nodes} nodes "
             f"(cap {cfg.all_pairs_cap}); raise all_pairs_cap to override"
         )
+    yield from _iter_all_pairs(g, x)
+
+
+def _block_pairs(n: int, start: int, stop: int) -> Pairs:
+    """``pairs`` of the block of rows start..stop-1, whose scores list each
+    row i's columns i+1..n-1 in turn."""
+    lengths = n - 1 - np.arange(start, stop)
+    offsets = np.cumsum(lengths) - lengths
+    total = int(lengths.sum())
+
+    def pairs(mask):
+        pos = np.arange(total) if mask is None else np.flatnonzero(mask)
+        r = np.searchsorted(offsets, pos, side="right") - 1
+        u = r + start
+        return u, pos - offsets[r] + u + 1
+
+    return pairs
+
+
+def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.ndarray]]:
+    """Score all N(N-1)/2 pairs i < j in blocks of _BLOCK rows, row-major.
+
+    The dense buffers, O(_BLOCK·N), are allocated once per call; a sub-block
+    allocates only its sparse common-neighbour product. The feature product of
+    a block is computed at full width: BLAS rounding depends on the operand
+    shape, and the full width keeps every score equal to one computed from
+    ``x[block] @ x.T``. Every other step runs in sub-blocks of _SUB_BLOCK
+    rows on the columns right of the sub-block's first row, so the pair
+    work is N(N-1)/2 plus O(N·_SUB_BLOCK). The sum of each block's scores
+    enters ``mean_score``, so its last bits depend on _BLOCK.
+    """
     n = g.n_nodes
+    if n < 2:
+        return
     sq = np.einsum("ij,ij->i", x, x)
     deg = g.degrees().astype(np.float64)
     a = g.to_scipy()
-    for start in range(0, n, _BLOCK):
+    height = min(_BLOCK, n)
+    dx = np.empty((height, n))
+    # the first block has the most pairs
+    scores = np.empty(height * (n - 1) - height * (height - 1) // 2)
+    # flat, so that each (rows, cols) sub-block view is C-contiguous, which
+    # toarray(out=) requires
+    size = min(_SUB_BLOCK, height) * n
+    common, denom, cos_x = np.empty(size), np.empty(size), np.empty(size)
+    positive = np.empty(size, dtype=bool)
+    for start in range(0, n - 1, _BLOCK):
         stop = min(start + _BLOCK, n)
-        dx = x[start:stop] @ x.T
-        common = (a[start:stop] @ a.T).toarray()
-        denom_x = np.sqrt(np.outer(sq[start:stop], sq))
-        denom_a = np.sqrt(np.outer(deg[start:stop], deg))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cx = np.where(denom_x > 0, dx / denom_x, 0.0)
-            ca = np.where(denom_a > 0, common / denom_a, 0.0)
-        blk = np.clip((cx * ca) ** 2, 0.0, 1.0)
-        rows, cols = np.nonzero(np.arange(n)[None, :] > np.arange(start, stop)[:, None])
-        yield rows + start, cols, blk[rows, cols]
+        np.matmul(x[start:stop], x.T, out=dx[: stop - start])
+        k = 0
+        for s0 in range(start, min(stop, n - 1), _SUB_BLOCK):
+            s1 = min(s0 + _SUB_BLOCK, stop)
+            shape = (s1 - s0, n - s0 - 1)
+            cells = shape[0] * shape[1]
+            den = denom[:cells].reshape(shape)
+            pos = positive[:cells].reshape(shape)
+            cx = cos_x[:cells].reshape(shape)
+            np.multiply(sq[s0:s1, None], sq[None, s0 + 1 :], out=den)
+            np.sqrt(den, out=den)
+            np.greater(den, 0.0, out=pos)
+            cx.fill(0.0)
+            np.divide(dx[s0 - start : s1 - start, s0 + 1 :], den, out=cx, where=pos)
+            ca = common[:cells].reshape(shape)
+            (a[s0:s1] @ a[s0 + 1 :].T).toarray(out=ca)
+            np.multiply(deg[s0:s1, None], deg[None, s0 + 1 :], out=den)
+            np.sqrt(den, out=den)
+            np.greater(den, 0.0, out=pos)
+            # in place: where a degree is 0 the count is already 0
+            np.divide(ca, den, out=ca, where=pos)
+            np.multiply(cx, ca, out=cx)
+            np.square(cx, out=cx)
+            np.clip(cx, 0.0, 1.0, out=cx)
+            for r in range(shape[0]):
+                w = shape[1] - r
+                scores[k : k + w] = cx[r, r:]
+                k += w
+        yield _block_pairs(n, start, stop), scores[:k]
 
 
 def _common_neighbors(g: SparseGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -213,11 +287,12 @@ def reconstruct_hard(
     x = check_features(x, g.n_nodes)
     acc = _StatsAccumulator()
     us, vs = [], []
-    for u, v, scores in _iter_candidate_scores(g, x, cfg):
+    for pairs, scores in _iter_candidate_scores(g, x, cfg):
         keep = scores >= cfg.epsilon
         acc.add(scores, int(keep.sum()))
-        us.append(u[keep])
-        vs.append(v[keep])
+        u, v = pairs(keep)
+        us.append(u)
+        vs.append(v)
     u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
     return graph_from_edges(g.n_nodes, u, v), acc.finish()
@@ -237,8 +312,9 @@ def reconstruct_soft(
     x = check_features(x, g.n_nodes)
     acc = _StatsAccumulator()
     us, vs, ws = [], [], []
-    for u, v, scores in _iter_candidate_scores(g, x, cfg):
+    for pairs, scores in _iter_candidate_scores(g, x, cfg):
         acc.add(scores, int((scores >= cfg.epsilon).sum()))
+        u, v = pairs(None)
         us.append(u)
         vs.append(v)
         ws.append(_sigmoid(cfg.steepness * (scores - cfg.epsilon)))

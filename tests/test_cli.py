@@ -225,6 +225,22 @@ def test_reconstruct_soft_writes_weights(sbm_dir, tmp_path):
     assert np.all((w > 0) & (w < 1))
 
 
+def test_reconstruct_soft_weights_match_per_value_loop(sbm_dir, tmp_path):
+    from amlp.reconstruct import ReconstructionConfig, reconstruct_soft
+
+    out = tmp_path / "soft"
+    assert main(["reconstruct", "--data", str(sbm_dir), "--out", str(out), "--soft"]) == 0
+    g, x, _, _ = load_dataset(sbm_dir)
+    s, _ = reconstruct_soft(g, x, ReconstructionConfig(mode="soft"))
+    rows = np.repeat(np.arange(s.n_nodes), np.diff(s.indptr))
+    mask = rows < s.indices
+    want = "".join(
+        f"{u}\t{v}\t{w:.9g}\n"
+        for u, v, w in zip(rows[mask], s.indices[mask], s.values[mask])
+    )
+    assert (out / "edge_weights.tsv").read_text() == want
+
+
 def test_classify_runs(sbm_dir, tmp_path):
     run = tmp_path / "probe_run"
     main(["train", "--data", str(sbm_dir), "--out", str(run), "--epochs", "20"])

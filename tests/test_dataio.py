@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from amlp import dataio
 from amlp.dataio import (
+    FLOAT_FMT,
     RunConfig,
     load_checkpoint,
     load_dataset,
@@ -14,6 +16,7 @@ from amlp.dataio import (
     save_dataset,
     save_embeddings_csv,
     write_report,
+    write_rows,
 )
 from amlp.errors import ValidationError
 from amlp.evaluate import SplitSet, make_splits
@@ -220,3 +223,76 @@ def test_report_schema_enforced(tmp_path):
         assert key in parsed
     with pytest.raises(ValidationError):
         write_report(tmp_path / "bad.json", {"config": {}})
+
+
+# ---------------------------------------------------------------------------
+# Writers: the chunked writers give the bytes of the per-value loops
+# ---------------------------------------------------------------------------
+
+# -0.0, tiny and huge magnitudes, float32 subnormals and integral floats
+SPECIAL_VALUES = [
+    -0.0, 0.0, 1e-30, -1e-30, 3.4e38, -3.4e38, 1e-40, 1.4e-45, -1e-45,
+    1.0, -2.0, 16777216.0, 123456.0, 0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308,
+]
+
+
+def reference_dataset_files(graph, x, labels):
+    """edges.tsv, features.csv and labels.csv as the per-value loops wrote them."""
+    edges = "".join(f"{u}\t{v}\n" for u, v in graph.edge_array())
+    features = "".join(
+        ",".join(FLOAT_FMT % val for val in row) + "\n" for row in x.astype(np.float32)
+    )
+    lines = "".join(f"{lab}\n" for lab in labels)
+    return {"edges.tsv": edges, "features.csv": features, "labels.csv": lines}
+
+
+def special_matrix(n, d, seed, float32):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    pool = np.array([v for v in SPECIAL_VALUES if not float32 or abs(v) < 3.5e38])
+    x.flat[rng.choice(x.size, min(x.size, 3 * pool.size), replace=False)] = np.resize(
+        pool, min(x.size, 3 * pool.size)
+    )
+    return x
+
+
+@pytest.mark.parametrize("cells", [1, 5, 1 << 17])
+@pytest.mark.parametrize("n_edges", [0, 1, 40])
+def test_save_dataset_bytes_match_per_value_loops(tmp_path, monkeypatch, cells, n_edges):
+    monkeypatch.setattr(dataio, "_FORMAT_CELLS", cells)
+    rng = np.random.default_rng(n_edges)
+    n = 30
+    edges = rng.integers(0, n, size=(n_edges, 2))
+    g = build_graph(edges, n)
+    x = special_matrix(n, 7, seed=cells, float32=True)
+    labels = rng.integers(-1, 4, size=n)
+    save_dataset(tmp_path / "d", g, x, labels)
+    for name, text in reference_dataset_files(g, x, labels).items():
+        assert (tmp_path / "d" / name).read_text() == text, name
+
+
+@pytest.mark.parametrize("cells", [1, 5, 1 << 17])
+def test_embedding_and_weight_bytes_match_per_value_loops(tmp_path, monkeypatch, cells):
+    monkeypatch.setattr(dataio, "_FORMAT_CELLS", cells)
+    y = special_matrix(12, 5, seed=1, float32=True)
+    save_embeddings_csv(tmp_path / "emb.csv", y)
+    want = "".join(
+        ",".join(FLOAT_FMT % val for val in row) + "\n" for row in y.astype(np.float32)
+    )
+    assert (tmp_path / "emb.csv").read_text() == want
+    w = special_matrix(6, 4, seed=2, float32=False)
+    save_checkpoint(tmp_path / "ckpt", AMLPModel(W=w, config=AMLPConfig(hidden_dim=4)))
+    want = "".join(",".join("%.17g" % val for val in row) + "\n" for row in w)
+    assert (tmp_path / "ckpt" / "weights.csv").read_text() == want
+
+
+def test_edge_weight_rows_match_per_value_loop(tmp_path):
+    # the layout amlp reconstruct --soft writes: integral endpoints, float weight
+    rng = np.random.default_rng(3)
+    u = np.array([0, 1, 2, 5, 70_000, 2**31 + 7] * 3)
+    v = u + rng.integers(1, 100, size=u.size)
+    w = np.resize(np.array(SPECIAL_VALUES), u.size)
+    with open(tmp_path / "w.tsv", "w") as f:
+        write_rows(f, "%d\t%d\t%.9g\n", np.column_stack([u, v, w]))
+    want = "".join(f"{a}\t{b}\t{c:.9g}\n" for a, b, c in zip(u, v, w))
+    assert (tmp_path / "w.tsv").read_text() == want

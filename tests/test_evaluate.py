@@ -7,6 +7,7 @@ from amlp.errors import ValidationError
 from amlp.evaluate import (
     MetricsRecord,
     _lloyd,
+    _softmax,
     high_order_dissimilarity,
     hungarian_acc,
     kmeans,
@@ -381,3 +382,19 @@ def test_metrics_record_summary():
     assert np.isclose(rec.nmi_mean, 0.3)
     d = rec.as_dict()
     assert d["acc"]["per_seed"] == [0.5, 0.7]
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+def test_softmax_matches_reduction_formula(n_classes):
+    rng = np.random.default_rng(n_classes)
+    logits = rng.standard_normal((300, n_classes)) * 5
+    logits[:100] = np.round(logits[:100])  # ties, including the row max
+    logits[100:110] = logits[100:110, :1]  # every class tied
+    logits[110:120, 0] = -0.0
+    logits[110:120, 1:] = 0.0
+    logits[120:130] = -logits[120:130, ::-1]
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    want = e / e.sum(axis=1, keepdims=True)
+    got = _softmax(logits)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -69,6 +69,25 @@ def test_build_graph_rejects_out_of_range_with_position():
         build_graph([(0, 1), (0, 5)], 3)
 
 
+def test_build_graph_takes_arrays_lists_and_generators_alike():
+    edges = np.array([[0, 1], [3, 2], [1, 0], [2, 2], [4, 1]])
+    want = build_graph([tuple(e) for e in edges.tolist()], 5)
+    for given in (edges, edges.astype(np.int32), (tuple(e) for e in edges)):
+        g = build_graph(given, 5)
+        assert np.array_equal(g.indptr, want.indptr)
+        assert np.array_equal(g.indices, want.indices)
+    for empty in (np.zeros((0, 2), dtype=np.int64), [], iter([])):
+        assert build_graph(empty, 3).indices.size == 0
+    bad = np.array([[0, 1], [0, 5]])
+    for given in (bad, bad.tolist(), (tuple(e) for e in bad)):
+        with pytest.raises(ValidationError) as err:
+            build_graph(given, 3)
+        assert str(err.value) == "edge 2: index pair (0, 5) out of range for 3 nodes"
+    for given in (np.arange(3), [1, 2, 3], np.zeros((2, 3), dtype=np.int64)):
+        with pytest.raises(ValidationError, match="edge list must be pairs"):
+            build_graph(given, 3)
+
+
 @pytest.mark.parametrize(
     "indptr, indices, row",
     [

@@ -599,28 +599,22 @@ def test_decoder_pieces_without_workspace_match_reference(zero_rows):
     )
 
 
-def test_epoch_allocates_only_the_sparse_product():
-    import tracemalloc
-
+def test_epoch_allocates_only_the_sparse_product(traced_peak):
     from amlp.model import _TrainingKernel
 
     n, d, c = 2000, 8, 16
     _, x, w, p_mat, at = random_setup(n, d, c, seed=130, p=0.002)
     kernel = _TrainingKernel(p_mat, x, at, c, 0.1, 1e-12)
-    state = AdamState.zeros_like(w)
-    _, _, _, grad = kernel.loss_and_grad(w)  # warm-up epoch
-    w, state = adam_step(state, w, grad, 1e-3)
+
+    def epoch(w, state):
+        _, _, _, grad = kernel.loss_and_grad(w)
+        return adam_step(state, w, grad, 1e-3)
+
+    w, state = epoch(w, AdamState.zeros_like(w))  # warm-up epoch
     peaks = []
-    tracemalloc.start()
-    try:
-        for _ in range(5):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            _, _, _, grad = kernel.loss_and_grad(w)
-            w, state = adam_step(state, w, grad, 1e-3)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-    finally:
-        tracemalloc.stop()
+    for _ in range(5):
+        (w, state), peak = traced_peak(lambda: epoch(w, state))
+        peaks.append(peak)
     nc, dc = n * c * 8, d * c * 8
     # A Yh is the one N x c array an epoch allocates; Adam returns new m, v
     # and weights and uses one scratch array

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -275,18 +273,143 @@ def test_common_neighbors_chunking(monkeypatch, chunk):
     )
 
 
-def test_edge_scoring_memory_on_large_star():
+def test_edge_scoring_memory_on_large_star(traced_peak):
     # A·A of a 20,000-leaf star holds 4e8 entries; the lookup needs O(m)
     leaves = 20_000
     g = star(leaves)
     x = np.random.default_rng(0).standard_normal((leaves + 1, 2))
     edges = g.edge_array()
-    tracemalloc.start()
-    try:
-        scores = _score_edge_candidates(g, x, edges)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    scores, peak = traced_peak(lambda: _score_edge_candidates(g, x, edges))
     # the hub and every leaf share no neighbour, so every score is 0
     assert np.array_equal(scores, np.zeros(leaves))
     assert peak < 8 * (32 * edges.shape[0] + 12 * reconstruct._LOOKUP_CHUNK)
+
+
+# ---------------------------------------------------------------------------
+# all-pairs block loop
+# ---------------------------------------------------------------------------
+
+
+def reference_all_pairs(g, x):
+    """The all-pairs loop as it was before its per-call workspace: full
+    (_BLOCK x N) blocks, each yielding (u, v, score) for the pairs u < v."""
+    n = g.n_nodes
+    sq = np.einsum("ij,ij->i", x, x)
+    deg = g.degrees().astype(np.float64)
+    a = g.to_scipy()
+    for start in range(0, n, reconstruct._BLOCK):
+        stop = min(start + reconstruct._BLOCK, n)
+        dx = x[start:stop] @ x.T
+        common = (a[start:stop] @ a.T).toarray()
+        denom_x = np.sqrt(np.outer(sq[start:stop], sq))
+        denom_a = np.sqrt(np.outer(deg[start:stop], deg))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cx = np.where(denom_x > 0, dx / denom_x, 0.0)
+            ca = np.where(denom_a > 0, common / denom_a, 0.0)
+        blk = np.clip((cx * ca) ** 2, 0.0, 1.0)
+        rows, cols = np.nonzero(np.arange(n)[None, :] > np.arange(start, stop)[:, None])
+        yield rows + start, cols, blk[rows, cols]
+
+
+def reference_hard(g, cfg, blocks):
+    acc = reconstruct._StatsAccumulator()
+    us, vs = [], []
+    for u, v, scores in blocks:
+        keep = scores >= cfg.epsilon
+        acc.add(scores, int(keep.sum()))
+        us.append(u[keep])
+        vs.append(v[keep])
+    u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
+    v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
+    return reconstruct.graph_from_edges(g.n_nodes, u, v), acc.finish()
+
+
+def reference_soft(g, cfg, blocks):
+    acc = reconstruct._StatsAccumulator()
+    us, vs, ws = [], [], []
+    for u, v, scores in blocks:
+        acc.add(scores, int((scores >= cfg.epsilon).sum()))
+        us.append(u)
+        vs.append(v)
+        ws.append(reconstruct._sigmoid(cfg.steepness * (scores - cfg.epsilon)))
+    u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
+    v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
+    w = np.concatenate(ws) if ws else np.zeros(0, dtype=np.float64)
+    wg = reconstruct._csr_from_directed_pairs(
+        g.n_nodes, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
+    )
+    return wg, acc.finish()
+
+
+def all_pairs_instance(n, seed):
+    """Two feature classes over a sparse graph, with a hub, isolated nodes
+    and zero feature rows."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, n)
+    x = rng.standard_normal((n, 6)) + 2.0 * labels[:, None]
+    p = np.where(labels[:, None] == labels[None, :], 6.0, 1.0) / max(n, 1)
+    dense = np.triu(rng.random((n, n)) < p, k=1)
+    if n > 8:
+        dense[0, 1 : n // 2] = True  # a hub
+        dense[:, -2:] = dense[-2:, :] = False  # isolated nodes
+        x[[1, -1]] = 0.0  # zero-norm rows, one of them isolated
+    u, v = np.nonzero(dense)
+    return build_graph(np.column_stack([u, v]), n), x
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# 512 = 73·7 + 1: with 7-row sub-blocks each block ends in a one-row one
+@pytest.mark.parametrize("sub_block", [1, 7, reconstruct._SUB_BLOCK])
+@pytest.mark.parametrize("n", [2, 3, 130, 511, 512, 513, 514, 1030])
+def test_all_pairs_blocks_match_reference(monkeypatch, sub_block, n):
+    monkeypatch.setattr(reconstruct, "_SUB_BLOCK", sub_block)
+    g, x = all_pairs_instance(n, seed=n)
+    cfg = ReconstructionConfig(candidate_policy="all_pairs", epsilon=0.01)
+    # the reference ends N = 513 with an empty block, which adds nothing
+    want = [b for b in reference_all_pairs(g, x) if b[2].size]
+    got = []
+    for pairs, scores in reconstruct._iter_candidate_scores(g, x, cfg):
+        keep = scores >= cfg.epsilon
+        u, v = pairs(None)
+        kept_u, kept_v = pairs(keep)
+        assert_same_array(kept_u, u[keep])
+        assert_same_array(kept_v, v[keep])
+        got.append((u, v, scores.copy()))
+    assert len(got) == len(want)
+    for blocks in zip(got, want):
+        for got_arr, want_arr in zip(*blocks):
+            assert_same_array(got_arr, want_arr)
+
+
+@pytest.mark.parametrize("n", [2, 3, 130, 513, 1030])
+def test_all_pairs_reconstructions_match_reference(n):
+    g, x = all_pairs_instance(n, seed=100 + n)
+    hard = ReconstructionConfig(candidate_policy="all_pairs", epsilon=0.01)
+    soft = ReconstructionConfig(candidate_policy="all_pairs", epsilon=0.01, mode="soft")
+    for run, reference, cfg, fields in (
+        (reconstruct_hard, reference_hard, hard, ("indptr", "indices")),
+        (reconstruct_soft, reference_soft, soft, ("indptr", "indices", "values")),
+    ):
+        s, stats = run(g, x, cfg)
+        s_ref, stats_ref = reference(g, cfg, reference_all_pairs(g, x))
+        assert stats.as_dict() == stats_ref.as_dict()
+        for field in fields:
+            assert_same_array(getattr(s, field), getattr(s_ref, field))
+
+
+def test_all_pairs_memory_is_the_workspace(traced_peak):
+    # the reference loop holds about ten (_BLOCK x N) temporaries per block
+    n = 2000
+    g, x = all_pairs_instance(n, seed=7)
+    # an epsilon that keeps about 2% of the pairs, so the workspace dominates
+    cfg = ReconstructionConfig(candidate_policy="all_pairs", epsilon=0.1)
+    (_, stats), peak = traced_peak(lambda: reconstruct_hard(g, x, cfg))
+    block, sub = reconstruct._BLOCK, reconstruct._SUB_BLOCK
+    # the (_BLOCK x N) feature product and scores, four (_SUB_BLOCK x N)
+    # buffers, the kept mask of a block, and the refined graph's assembly
+    workspace = 8 * (2 * block * n + 4 * sub * n) + block * n
+    assert peak < workspace + 200 * stats.edges_kept + (1 << 20)
