@@ -16,6 +16,7 @@ round-trip float32 exactly, so save -> load -> save is byte-stable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import typing
 import warnings
@@ -346,13 +347,10 @@ def load_dataset(path):
     meta_path = path / META_FILE
     if not meta_path.is_file():
         raise ValidationError(f"{meta_path}: missing")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{meta_path}: invalid JSON ({e})") from e
-    for key in ("name", "num_nodes", "num_features", "num_classes", "features_file"):
-        if key not in meta:
-            raise ValidationError(f"{meta_path}: missing key {key!r}")
+    meta = _read_json_object(meta_path)
+    _require_keys(
+        meta_path, meta, ("name", "num_nodes", "num_features", "num_classes", "features_file")
+    )
     n = int(meta["num_nodes"])
     d = int(meta["num_features"])
     edges = parse_int_lines(path / "edges.tsv", 2)
@@ -385,19 +383,59 @@ def load_dataset(path):
     splits = None
     splits_path = path / "splits.json"
     if splits_path.is_file():
-        raw = json.loads(splits_path.read_text())
-        splits = SplitSet(
-            splits=[
-                (
-                    np.asarray(s["train"], dtype=np.int64),
-                    np.asarray(s["val"], dtype=np.int64),
-                    np.asarray(s["test"], dtype=np.int64),
-                )
-                for s in raw["splits"]
-            ],
-            ratios=tuple(raw["ratios"]),
-        )
+        splits = _load_splits(splits_path, n)
     return graph, x, labels, splits
+
+
+def _read_json_object(path: Path) -> dict:
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path}: invalid JSON ({e})") from e
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: must be a JSON object")
+    return raw
+
+
+def _require_keys(path: Path, raw: dict, keys, where: str = "") -> None:
+    for key in keys:
+        if key not in raw:
+            raise ValidationError(f"{path}: {where}missing key {key!r}")
+
+
+def _load_splits(path: Path, n_nodes: int) -> SplitSet:
+    """splits.json: three ratios, and splits whose train/val/test lists hold
+    node indices in [0, n_nodes)."""
+    raw = _read_json_object(path)
+    _require_keys(path, raw, ("ratios", "splits"))
+    ratios = raw["ratios"]
+    if not (
+        isinstance(ratios, list)
+        and len(ratios) == 3
+        and all(_is_json_type(r, float) for r in ratios)
+    ):
+        raise ValidationError(f"{path}: key 'ratios' must be a list of three numbers")
+    if not isinstance(raw["splits"], list):
+        raise ValidationError(f"{path}: key 'splits' must be a list")
+    splits = []
+    for i, split in enumerate(raw["splits"]):
+        if not isinstance(split, dict):
+            raise ValidationError(f"{path}: splits[{i}] must be a JSON object")
+        _require_keys(path, split, ("train", "val", "test"), f"splits[{i}]: ")
+        for key in ("train", "val", "test"):
+            idx = split[key]
+            if not (
+                isinstance(idx, list)
+                and all(type(j) is int and 0 <= j < n_nodes for j in idx)
+            ):
+                raise ValidationError(
+                    f"{path}: splits[{i}] key {key!r} must be a list of node "
+                    f"indices in [0, {n_nodes})"
+                )
+        splits.append(
+            tuple(np.asarray(split[key], dtype=np.int64) for key in ("train", "val", "test"))
+        )
+    return SplitSet(splits=splits, ratios=tuple(float(r) for r in ratios))
 
 
 def load_meta(path) -> dict:
@@ -420,11 +458,33 @@ def save_embeddings_csv(path, y_hat: np.ndarray) -> None:
 
 
 def load_embeddings_csv(path) -> np.ndarray:
+    """N x c embeddings, float32 at rest; NaN, infinity and values beyond
+    the float32 range are refused at their line."""
     try:
         x = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as e:
         raise ValidationError(f"{path}: malformed embeddings CSV ({e})") from e
-    return x.astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):  # beyond float32 becomes inf, refused below
+        x = x.astype(np.float32).astype(np.float64)
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"{path}:{_data_line(path, int(bad.argmax()))}: non-finite value "
+            "(NaN, inf, or beyond the float32 range)"
+        )
+    return x
+
+
+def _data_line(path, row: int) -> int:
+    """1-based line number of data row ``row`` (0-based) as np.loadtxt reads
+    the file: a line that is empty before any '#' holds no row."""
+    with open(path) as f:
+        data_lines = (
+            lineno
+            for lineno, line in enumerate(f, start=1)
+            if line.rstrip("\r\n").split("#", 1)[0]
+        )
+        return next(itertools.islice(data_lines, row, None))
 
 
 def save_checkpoint(dir_path, model: AMLPModel) -> None:
@@ -450,7 +510,12 @@ def save_checkpoint(dir_path, model: AMLPModel) -> None:
 
 def load_checkpoint(dir_path) -> AMLPModel:
     dir_path = Path(dir_path)
-    header = json.loads((dir_path / "checkpoint.json").read_text())
+    header_path = dir_path / "checkpoint.json"
+    header = _read_json_object(header_path)
+    _require_keys(header_path, header, ("d", "c", "config", "weights_file"))
+    if not isinstance(header["config"], dict):
+        raise ValidationError(f"{header_path}: key 'config' must be a JSON object")
+    _require_keys(header_path, header["config"], ("lambda",), "config: ")
     w = np.loadtxt(dir_path / header["weights_file"], delimiter=",", ndmin=2)
     if w.shape != (header["d"], header["c"]):
         raise ValidationError(
@@ -458,7 +523,11 @@ def load_checkpoint(dir_path) -> AMLPModel:
         )
     cfg_raw = dict(header["config"])
     cfg_raw["lambda_"] = cfg_raw.pop("lambda")
-    return AMLPModel(W=w, config=AMLPConfig(**cfg_raw))
+    try:
+        cfg = AMLPConfig(**cfg_raw)
+    except TypeError as e:  # an unknown config key
+        raise ValidationError(f"{header_path}: key 'config': {e}") from e
+    return AMLPModel(W=w, config=cfg)
 
 
 def make_report(config: dict, seed, metrics: dict, wall_clock_seconds: float, **extra) -> dict:

@@ -86,14 +86,35 @@ class MetricsRecord:
 
 
 def _sq_dists(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, N x k; ``x_sq`` holds the squared row
-    norms of x, computed once per k-means call."""
-    d2 = (
-        x_sq[:, None]
-        - 2.0 * (x @ centroids.T)
-        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    """Squared Euclidean distances from the rows of x to a stack of centroid
+    sets (A x k x c), as an A x k x N block; ``x_sq`` holds the squared row
+    norms of x, computed once per k-means call.
+
+    np.matmul runs one (N x c)(c x k) GEMM per set, so each set's products
+    round exactly as ``x @ centroids[a].T`` does; one wide product over all
+    sets rounds differently on some shapes. ``-2p + |x|^2`` equals
+    ``|x|^2 - 2p`` bit for bit, and the k x N layout keeps the elementwise
+    passes and the argmin chain on rows of length N.
+    """
+    prod = np.matmul(x, centroids.transpose(0, 2, 1))
+    d2 = np.multiply(prod.transpose(0, 2, 1), -2.0, order="C")
+    d2 += x_sq
+    d2 += np.einsum("aij,aij->ai", centroids, centroids)[:, :, None]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and value of each point's nearest centroid in an A x k x N
+    distance block, as two A x N arrays. Strict ``<`` over increasing j keeps
+    the first minimum, as ``argmin`` does on finite distances."""
+    assign = np.zeros(d2[:, 0].shape, dtype=np.intp)
+    cost = d2[:, 0].copy()
+    for j in range(1, d2.shape[1]):
+        closer = d2[:, j] < cost
+        np.minimum(cost, d2[:, j], out=cost)
+        # j exceeds every index set so far, so max() writes j where closer
+        np.maximum(assign, closer * j, out=assign)
+    return assign, cost
 
 
 def _kmeanspp_init(
@@ -103,7 +124,7 @@ def _kmeanspp_init(
     centroids = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = x[first]
-    closest = _sq_dists(x, x_sq, centroids[:1]).ravel()
+    closest = _sq_dists(x, x_sq, centroids[None, :1])[0, 0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -111,7 +132,7 @@ def _kmeanspp_init(
         else:
             idx = int(rng.choice(n, p=closest / total))
         centroids[j] = x[idx]
-        closest = np.minimum(closest, _sq_dists(x, x_sq, centroids[j : j + 1]).ravel())
+        closest = np.minimum(closest, _sq_dists(x, x_sq, centroids[None, j : j + 1])[0, 0])
     return centroids
 
 
@@ -120,36 +141,45 @@ def _lloyd(
     centroids: np.ndarray,
     max_iter: int,
     x_sq: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Lloyd iterations until the assignment reaches a fixpoint.
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Lloyd iterations for a stack of restarts, each until its assignment
+    reaches a fixpoint.
 
-    Returns (assignments, centroids, inertia_history), one history entry per
-    iteration (computed from that iteration's assignment).
+    ``centroids`` (R x k x c) holds each restart's initial centroids and is
+    updated in place. The restarts advance together, one distance block per
+    iteration, and a restart drops out at its fixpoint. Returns (assignments
+    R x N, centroids, inertia_history), one history list per restart with one
+    entry per iteration (computed from that iteration's assignment).
     """
     if x_sq is None:
         x_sq = np.einsum("ij,ij->i", x, x)
-    k = centroids.shape[0]
-    assign = None
-    history: list[float] = []
-    for _ in range(max_iter):
-        d2 = _sq_dists(x, x_sq, centroids)
-        new_assign = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(x.shape[0]), new_assign].sum()))
-        point_costs = d2[np.arange(x.shape[0]), new_assign].copy()
-        for j in range(k):
-            members = new_assign == j
-            if members.any():
-                centroids[j] = x[members].mean(axis=0)
-            else:
-                # deterministically seize the costliest point; zeroing its
-                # cost keeps a later empty cluster from seizing it again
-                far = int(point_costs.argmax())
-                centroids[j] = x[far]
-                new_assign[far] = j
-                point_costs[far] = 0.0
-        if assign is not None and np.array_equal(assign, new_assign):
+    restarts, k, _ = centroids.shape
+    assign = np.empty((restarts, x.shape[0]), dtype=np.intp)
+    history: list[list[float]] = [[] for _ in range(restarts)]
+    active = list(range(restarts))
+    for it in range(max_iter):
+        new_assign, costs = _nearest(_sq_dists(x, x_sq, centroids[active]))
+        still = []
+        for new, point_costs, r in zip(new_assign, costs, active):
+            history[r].append(float(point_costs.sum()))
+            for j in range(k):
+                members = np.flatnonzero(new == j)
+                if members.size:
+                    # np.mean's arithmetic (row sum, then / count) without its overhead
+                    centroids[r, j] = x.take(members, axis=0).sum(axis=0) / members.size
+                else:
+                    # deterministically seize the costliest point; zeroing its
+                    # cost keeps a later empty cluster from seizing it again
+                    far = int(point_costs.argmax())
+                    centroids[r, j] = x[far]
+                    new[far] = j
+                    point_costs[far] = 0.0
+            if it == 0 or not np.array_equal(assign[r], new):
+                assign[r] = new
+                still.append(r)
+        active = still
+        if not active:
             break
-        assign = new_assign
     return assign, centroids, history
 
 
@@ -162,8 +192,11 @@ def kmeans(
 ) -> ClusterResult:
     """K-means with k-means++ seeding; best inertia over restarts.
 
-    All randomness flows from one generator seeded with ``seed``, so results
-    are deterministic; ties between restarts keep the earlier one.
+    All randomness flows from one generator seeded with ``seed``: every
+    restart's seeding is drawn first, then the restarts run together in
+    groups of max(1, c // k), so a group's distance block and assignments
+    take O(N * (c + k)) memory however many restarts there are. Results are
+    deterministic; ties between restarts keep the earlier one.
     """
     x = np.asarray(x, dtype=np.float64)
     if k < 1:
@@ -172,21 +205,30 @@ def kmeans(
         raise ValidationError(f"k={k} exceeds number of points {x.shape[0]}")
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    rng = np.random.default_rng(seed)
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     x_sq = np.einsum("ij,ij->i", x, x)
+    if not np.isfinite(x_sq).all():
+        raise ValidationError(
+            "k-means input must be finite: a row holds NaN or inf, or its "
+            "squared norm overflows"
+        )
+    rng = np.random.default_rng(seed)
+    inits = np.stack([_kmeanspp_init(x, x_sq, k, rng) for _ in range(restarts)])
+    group = max(1, x.shape[1] // k)
     best: ClusterResult | None = None
-    for r in range(restarts):
-        init = _kmeanspp_init(x, x_sq, k, rng)
-        assign, centroids, _ = _lloyd(x, init, max_iter, x_sq)
-        diffs = x - centroids[assign]
-        inertia = float(np.einsum("ij,ij->", diffs, diffs))
-        if best is None or inertia < best.inertia:
-            best = ClusterResult(
-                assignments=assign,
-                centroids=centroids,
-                inertia=inertia,
-                restarts_used=restarts,
-            )
+    for start in range(0, restarts, group):
+        assign, centroids, _ = _lloyd(x, inits[start : start + group], max_iter, x_sq)
+        for labels, cents in zip(assign, centroids):
+            diffs = x - cents[labels]
+            inertia = float(np.einsum("ij,ij->", diffs, diffs))
+            if best is None or inertia < best.inertia:
+                best = ClusterResult(
+                    assignments=labels.copy(),
+                    centroids=cents.copy(),
+                    inertia=inertia,
+                    restarts_used=restarts,
+                )
     return best
 
 
@@ -214,15 +256,55 @@ def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return table
 
 
+def _max_matching_total(table: np.ndarray) -> int:
+    """Largest total of a one-to-one matching between the rows and columns
+    of a non-negative integer table: Kuhn-Munkres with potentials, O(n^3) for
+    n = max(table.shape), exact in int64. The table is padded with zeros to
+    n x n, which leaves the largest total unchanged."""
+    n = max(table.shape)
+    # 1-based square cost matrix; row and column 0 are the algorithm's sentinel
+    cost = np.zeros((n + 1, n + 1), dtype=np.int64)
+    cost[1 : table.shape[0] + 1, 1 : table.shape[1] + 1] = -table
+    inf = np.iinfo(np.int64).max // 2
+    u = np.zeros(n + 1, dtype=np.int64)  # row potentials
+    v = np.zeros(n + 1, dtype=np.int64)  # column potentials
+    match = np.zeros(n + 1, dtype=np.int64)  # match[j]: row matched to column j
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        # grow a shortest augmenting path from row i, Dijkstra-style over columns
+        match[0] = i
+        j0 = 0
+        minv = np.full(n + 1, inf, dtype=np.int64)
+        used = np.zeros(n + 1, dtype=bool)
+        while match[j0] != 0:
+            used[j0] = True
+            i0 = match[j0]
+            free = ~used
+            reduced = cost[i0] - u[i0] - v
+            better = free & (reduced < minv)
+            minv[better] = reduced[better]
+            way[better] = j0
+            slack = np.where(free, minv, inf)
+            j1 = int(slack.argmin())
+            delta = slack[j1]
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
+            j0 = j1
+        while j0 != 0:  # augment along the path
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    rows = match[1:] - 1
+    cols = np.arange(n)
+    real = (rows < table.shape[0]) & (cols < table.shape[1])
+    return int(table[rows[real], cols[real]].sum())
+
+
 def hungarian_acc(pred: np.ndarray, truth: np.ndarray) -> float:
     """Clustering accuracy under the optimal cluster-to-class matching."""
-    # imported here: scipy.optimize costs about 0.3 s, and most commands never score
-    from scipy.optimize import linear_sum_assignment
-
     pred, truth = _paired_labels(pred, truth)
-    table = _contingency(pred, truth)
-    rows, cols = linear_sum_assignment(-table)
-    return float(table[rows, cols].sum()) / pred.size
+    return _max_matching_total(_contingency(pred, truth)) / pred.size
 
 
 def _entropy(counts: np.ndarray) -> float:

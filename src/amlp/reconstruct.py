@@ -33,6 +33,8 @@ _BLOCK = 512
 _SUB_BLOCK = 64
 # (edge, neighbour) lookups per chunk of _common_neighbors
 _LOOKUP_CHUNK = 1 << 16
+# bytes in each of the two edge-endpoint feature buffers of _score_edge_candidates
+_GATHER_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -244,11 +246,21 @@ def _score_edge_candidates(
     u, v = edges[:, 0], edges[:, 1]
     sq = np.einsum("ij,ij->i", x, x)
     deg = g.degrees().astype(np.float64)
-    # chunked so the x[u]/x[v] gather copies stay small
+    # the x[u]/x[v] rows are gathered chunk by chunk into two buffers made
+    # once per call: fresh temporaries for every chunk page-faulted or not
+    # depending on where the allocator had placed earlier arrays (0 to 18,000
+    # faults, 0.2 to 0.3 s, per call at N=3000, d=1500)
+    rows = min(u.size, max(1, _GATHER_BYTES // (8 * max(1, x.shape[1]))))
+    xu = np.empty((rows, x.shape[1]))
+    xv = np.empty_like(xu)
     dot_x = np.empty(u.size, dtype=np.float64)
-    for i in range(0, u.size, 2048):
-        sl = slice(i, i + 2048)
-        dot_x[sl] = np.einsum("ij,ij->i", x[u[sl]], x[v[sl]])
+    for i in range(0, u.size, rows):
+        m = min(rows, u.size - i)
+        # mode="clip" (the indices are valid nodes) lets take write into out
+        # directly instead of through a temporary
+        np.take(x, u[i : i + m], axis=0, out=xu[:m], mode="clip")
+        np.take(x, v[i : i + m], axis=0, out=xv[:m], mode="clip")
+        dot_x[i : i + m] = np.einsum("ij,ij->i", xu[:m], xv[:m])
     common = _common_neighbors(g, u, v)
     denom_x = np.sqrt(sq[u] * sq[v])
     denom_a = np.sqrt(deg[u] * deg[v])
@@ -321,7 +333,9 @@ def reconstruct_soft(
     u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
     w = np.concatenate(ws) if ws else np.zeros(0, dtype=np.float64)
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((cols, rows))
     wg = _csr_from_directed_pairs(
-        g.n_nodes, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
+        g.n_nodes, rows[order], cols[order], np.concatenate([w, w])[order]
     )
     return wg, acc.finish()

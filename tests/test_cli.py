@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amlp
 from amlp.cli import main
 from amlp.dataio import load_dataset, save_dataset
 from amlp.synth import generate_dataset, homophilic_preset
@@ -389,3 +392,82 @@ def test_cli_subprocess_entry(tmp_path):
         [sys.executable, "-m", "amlp", "nope"], capture_output=True, text=True
     )
     assert proc.returncode == 1
+
+
+def test_cluster_and_train_leave_scipy_optimize_unimported(sbm_dir, tmp_path):
+    """Scoring matches clusters to classes without scipy.optimize, whose
+    import costs each scoring command about 0.4 s."""
+    run = tmp_path / "run"
+    script = (
+        "import sys\n"
+        "from amlp.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(amlp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (
+        ["train", "--data", str(sbm_dir), "--out", str(run), "--epochs", "5"],
+        ["cluster", "--data", str(sbm_dir), "--emb", str(run / "embeddings.csv"), "--restarts", "2"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+
+def _assert_one_error_line(capsys, *named):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    for part in named:
+        assert part in err, err
+
+
+@pytest.mark.parametrize("command", ["cluster", "classify", "diagnose"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+def test_non_finite_embeddings_exit_1(sbm_dir, tmp_path, capsys, command, value):
+    """A NaN, an infinity or a value beyond float32 is refused at its line;
+    blank and comment lines count toward the line number."""
+    rows = ["0.5,0.25"] * 400
+    rows[6] = f"0.5,{value}"
+    emb = tmp_path / "emb.csv"
+    emb.write_text("# embeddings\n\n" + "\n".join(rows) + "\n")
+    assert main([command, "--data", str(sbm_dir), "--emb", str(emb)]) == 1
+    _assert_one_error_line(capsys, f"{emb}:9:", "non-finite")
+
+
+def _dataset_with_splits(tmp_path, text):
+    data = tmp_path / "data"
+    g, x, labels = generate_dataset(homophilic_preset(seed=0, n_nodes=60))
+    save_dataset(data, g, x, labels)
+    (data / "splits.json").write_text(text)
+    return data
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"ratios": [0.5, 0.25, 0.25], "splits": [', "invalid JSON"),
+        ("[]", "must be a JSON object"),
+        ('{"splits": []}', "missing key 'ratios'"),
+        ('{"ratios": [0.5, 0.25, 0.25]}', "missing key 'splits'"),
+        ('{"ratios": [0.5, 0.5], "splits": []}', "key 'ratios'"),
+        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [0], "test": [1]}]}',
+         "splits[0]: missing key 'val'"),
+        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [0], "val": [1.0], "test": [2]}]}',
+         "splits[0] key 'val'"),
+        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [0], "val": [true], "test": [2]}]}',
+         "splits[0] key 'val'"),
+        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [0], "val": [1], "test": [60]}]}',
+         "splits[0] key 'test'"),
+        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [-1], "val": [1], "test": [2]}]}',
+         "splits[0] key 'train'"),
+    ],
+)
+def test_malformed_splits_json_exits_1(tmp_path, capsys, text, named):
+    data = _dataset_with_splits(tmp_path, text)
+    emb = tmp_path / "emb.csv"
+    emb.write_text("0.5,0.25\n" * 60)
+    assert main(["classify", "--data", str(data), "--emb", str(emb)]) == 1
+    _assert_one_error_line(capsys, str(data / "splits.json"), named)

@@ -180,6 +180,29 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert loaded.config == model.config
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda h: "{not json", "invalid JSON"),
+        (lambda h: "[1, 2]", "must be a JSON object"),
+        (lambda h: {k: v for k, v in h.items() if k != "weights_file"}, "missing key 'weights_file'"),
+        (lambda h: {k: v for k, v in h.items() if k != "d"}, "missing key 'd'"),
+        (lambda h: {**h, "config": 3}, "key 'config' must be a JSON object"),
+        (lambda h: {**h, "config": {"k": 2}}, "config: missing key 'lambda'"),
+        (lambda h: {**h, "config": {**h["config"], "bogus": 1}}, "key 'config'"),
+    ],
+)
+def test_checkpoint_header_errors_name_file_and_key(tmp_path, edit, named):
+    model = AMLPModel(W=np.ones((2, 3)), config=AMLPConfig(hidden_dim=3))
+    save_checkpoint(tmp_path / "ckpt", model)
+    header_path = tmp_path / "ckpt" / "checkpoint.json"
+    header = edit(json.loads(header_path.read_text()))
+    header_path.write_text(header if isinstance(header, str) else json.dumps(header))
+    with pytest.raises(ValidationError) as info:
+        load_checkpoint(tmp_path / "ckpt")
+    assert str(header_path) in str(info.value) and named in str(info.value)
+
+
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(ValidationError, match="unknown config keys"):
         RunConfig.from_dict({"k": 3, "bogus": 1})

@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from amlp.errors import ValidationError
 from amlp.evaluate import (
+    ClusterResult,
     MetricsRecord,
     _lloyd,
+    _max_matching_total,
     _softmax,
+    _sq_dists,
     high_order_dissimilarity,
     hungarian_acc,
     kmeans,
@@ -81,7 +85,7 @@ def test_kmeans_lloyd_inertia_nonincreasing():
     for trial in range(5):
         x = rng.standard_normal((50, 4))
         init = x[rng.choice(50, size=3, replace=False)].copy()
-        _, _, history = _lloyd(x, init, max_iter=100)
+        _, _, (history,) = _lloyd(x, init[None], max_iter=100)
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
 
@@ -93,6 +97,166 @@ def test_kmeans_rejects_k_over_n():
 def test_kmeans_rejects_zero_restarts():
     with pytest.raises(ValidationError, match="restarts must be >= 1, got 0"):
         kmeans(np.zeros((3, 2)), 2, restarts=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_kmeans_rejects_non_finite_input(bad):
+    x = np.random.default_rng(8).standard_normal((20, 3))
+    x[7, 1] = bad  # 1e200 is finite, but its square overflows
+    with pytest.raises(ValidationError, match="must be finite"):
+        kmeans(x, 2)
+
+
+# Reference: k-means as it ran one restart at a time, one (N x c)(c x k)
+# product and a boolean-mask mean per cluster; the batched kmeans must
+# reproduce its assignments, centroids and inertia bit for bit.
+
+
+def _reference_sq_dists(x, x_sq, centroids):
+    d2 = (
+        x_sq[:, None]
+        - 2.0 * (x @ centroids.T)
+        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _reference_kmeanspp_init(x, x_sq, k, rng):
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    first = int(rng.integers(n))
+    centroids[0] = x[first]
+    closest = _reference_sq_dists(x, x_sq, centroids[:1]).ravel()
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=closest / total))
+        centroids[j] = x[idx]
+        closest = np.minimum(
+            closest, _reference_sq_dists(x, x_sq, centroids[j : j + 1]).ravel()
+        )
+    return centroids
+
+
+def _reference_lloyd(x, centroids, max_iter, x_sq):
+    k = centroids.shape[0]
+    assign = None
+    for _ in range(max_iter):
+        d2 = _reference_sq_dists(x, x_sq, centroids)
+        new_assign = d2.argmin(axis=1)
+        point_costs = d2[np.arange(x.shape[0]), new_assign].copy()
+        for j in range(k):
+            members = new_assign == j
+            if members.any():
+                centroids[j] = x[members].mean(axis=0)
+            else:
+                far = int(point_costs.argmax())
+                centroids[j] = x[far]
+                new_assign[far] = j
+                point_costs[far] = 0.0
+        if assign is not None and np.array_equal(assign, new_assign):
+            break
+        assign = new_assign
+    return assign, centroids
+
+
+def _reference_kmeans(x, k, seed, restarts, max_iter=300):
+    rng = np.random.default_rng(seed)
+    x_sq = np.einsum("ij,ij->i", x, x)
+    best = None
+    for _ in range(restarts):
+        init = _reference_kmeanspp_init(x, x_sq, k, rng)
+        assign, centroids = _reference_lloyd(x, init, max_iter, x_sq)
+        diffs = x - centroids[assign]
+        inertia = float(np.einsum("ij,ij->", diffs, diffs))
+        if best is None or inertia < best.inertia:
+            best = ClusterResult(assign, centroids, inertia, restarts)
+    return best
+
+
+@pytest.mark.parametrize(
+    "n, c, k, sets",
+    [(7, 3, 2, 1), (50, 16, 3, 5), (400, 64, 4, 16), (1000, 100, 1, 10), (4000, 64, 4, 10)],
+)
+def test_sq_dists_round_like_one_product_per_set(n, c, k, sets):
+    """Each centroid set's block equals its own (N x c)(c x k) product chain
+    bit for bit; a single wide product over all sets rounds differently on
+    some of these shapes."""
+    rng = np.random.default_rng(n + c)
+    x = rng.standard_normal((n, c))
+    x_sq = np.einsum("ij,ij->i", x, x)
+    centroids = rng.standard_normal((sets, k, c))
+    got = _sq_dists(x, x_sq, centroids)
+    for a in range(sets):
+        assert np.array_equal(got[a], _reference_sq_dists(x, x_sq, centroids[a]).T)
+
+
+def assert_same_clustering(got, want):
+    assert got.assignments.dtype == want.assignments.dtype
+    assert np.array_equal(got.assignments, want.assignments)
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.inertia == want.inertia
+
+
+def _kmeans_cases():
+    rng = np.random.default_rng(40)
+    cases = []
+    for i in range(36):
+        n = int(rng.integers(1, 120))
+        c = int(rng.integers(1, 24))
+        k = [1, n, min(n, int(rng.integers(2, 9)))][i % 3]
+        x = rng.standard_normal((n, c)) * [0.01, 1.0, 100.0][i % 3]
+        if i % 4 == 1:
+            x = np.round(x, 1)  # exact ties between distances
+        cases.append((f"random{i}", x, k, [1, 3, 10][i % 3], 300))
+    # three distinct rows and k = 5: duplicate centroids leave clusters
+    # empty, so every restart takes the seizure path
+    base = rng.standard_normal((3, 4))
+    cases.append(("seizure", base[rng.integers(0, 3, 60)], 5, 10, 300))
+    dup = rng.standard_normal((50, 6))
+    cases.append(("duplicated", np.vstack([dup, dup[:25], dup[:5]]), 12, 3, 300))
+    cases.append(("rounded", np.round(rng.standard_normal((200, 3)), 1), 6, 10, 300))
+    for max_iter in (1, 2, 4):  # stops before the fixpoint
+        cases.append((f"max_iter{max_iter}", rng.standard_normal((300, 5)), 7, 10, max_iter))
+    return cases
+
+
+_KMEANS_CASES = _kmeans_cases()
+
+
+@pytest.mark.parametrize(
+    "x, k, restarts, max_iter",
+    [case[1:] for case in _KMEANS_CASES],
+    ids=[case[0] for case in _KMEANS_CASES],
+)
+def test_kmeans_matches_one_restart_at_a_time(x, k, restarts, max_iter):
+    for seed in (0, 5):
+        assert_same_clustering(
+            kmeans(x, k, seed=seed, restarts=restarts, max_iter=max_iter),
+            _reference_kmeans(x, k, seed, restarts, max_iter),
+        )
+
+
+def test_kmeans_matches_reference_on_embedding_shape():
+    """An N=4000, c=64, k=4 embedding: the CLI's clustering shape, where the
+    restarts advance in one group."""
+    rng = np.random.default_rng(41)
+    labels = rng.integers(0, 4, 4000)
+    y = rng.standard_normal((4000, 64)) * 2.0 + rng.standard_normal((4, 64))[labels]
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    assert_same_clustering(kmeans(y, 4, seed=3), _reference_kmeans(y, 4, 3, 10))
+
+
+@pytest.mark.parametrize("n, c, k, restarts", [(4000, 64, 4, 10), (2000, 8, 4, 60), (1000, 2, 9, 5)])
+def test_kmeans_memory_is_linear_in_x(traced_peak, n, c, k, restarts):
+    """Restarts run in groups of c // k, so the traced peak stays within a
+    constant times N * (c + k) however many restarts there are."""
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((n, c)) + rng.integers(0, k, n)[:, None]
+    _, peak = traced_peak(lambda: kmeans(x, k, restarts=restarts, max_iter=20))
+    assert peak <= 5 * 8 * n * (c + k)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +278,31 @@ def brute_force_acc(pred, truth):
             lookup = dict(zip(truth_ids, mapping))
             best = max(best, sum(lookup[t] == p for p, t in zip(pred, truth)))
     return best / len(pred)
+
+
+def test_max_matching_total_matches_linear_sum_assignment():
+    rng = np.random.default_rng(15)
+    for i in range(400):
+        shape = rng.integers(1, 9, 2) if i % 2 else np.repeat(rng.integers(1, 9), 2)
+        table = rng.integers(0, [3, 50, 10**6][i % 3], shape)
+        if i % 5 == 0:
+            table[:, -1] = table[:, 0]  # tied columns
+        rows, cols = linear_sum_assignment(-table)
+        assert _max_matching_total(table) == table[rows, cols].sum()
+
+
+def test_acc_matches_linear_sum_assignment():
+    rng = np.random.default_rng(16)
+    for i in range(100):
+        n = int(rng.integers(5, 400))
+        pred = rng.integers(0, int(rng.integers(1, 12)), n)
+        truth = rng.integers(0, int(rng.integers(1, 12)), n)
+        _, pi = np.unique(pred, return_inverse=True)
+        _, ti = np.unique(truth, return_inverse=True)
+        table = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
+        np.add.at(table, (pi, ti), 1)
+        rows, cols = linear_sum_assignment(-table)
+        assert hungarian_acc(pred, truth) == float(table[rows, cols].sum()) / n
 
 
 def test_acc_identical():

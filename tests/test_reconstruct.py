@@ -273,6 +273,17 @@ def test_common_neighbors_chunking(monkeypatch, chunk):
     )
 
 
+@pytest.mark.parametrize("rows", [1, 3, 50])
+def test_edge_scoring_gather_chunking(monkeypatch, rows):
+    # buffers of a few rows give the same dots as one gather of every edge
+    g = hub_instance(5)
+    x = np.random.default_rng(5).standard_normal((g.n_nodes, 7))
+    edges = g.edge_array()
+    want = _score_edge_candidates(g, x, edges)
+    monkeypatch.setattr(reconstruct, "_GATHER_BYTES", 8 * 7 * rows)
+    assert np.array_equal(_score_edge_candidates(g, x, edges), want)
+
+
 def test_edge_scoring_memory_on_large_star(traced_peak):
     # A·A of a 20,000-leaf star holds 4e8 entries; the lookup needs O(m)
     leaves = 20_000
@@ -335,8 +346,10 @@ def reference_soft(g, cfg, blocks):
     u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
     w = np.concatenate(ws) if ws else np.zeros(0, dtype=np.float64)
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((cols, rows))
     wg = reconstruct._csr_from_directed_pairs(
-        g.n_nodes, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w])
+        g.n_nodes, rows[order], cols[order], np.concatenate([w, w])[order]
     )
     return wg, acc.finish()
 
