@@ -56,6 +56,14 @@ _RUN_CONFIG_KEYS = {
     "output",
 }
 
+_META_TYPES = {
+    "name": str,
+    "num_nodes": int,
+    "num_features": int,
+    "num_classes": int,
+    "features_file": str,
+}
+
 _TYPE_NAMES = {
     int: "an integer",
     float: "a number",
@@ -345,14 +353,20 @@ def load_dataset(path):
     """
     path = Path(path)
     meta_path = path / META_FILE
-    if not meta_path.is_file():
-        raise ValidationError(f"{meta_path}: missing")
-    meta = _read_json_object(meta_path)
-    _require_keys(
-        meta_path, meta, ("name", "num_nodes", "num_features", "num_classes", "features_file")
-    )
-    n = int(meta["num_nodes"])
-    d = int(meta["num_features"])
+    meta = _read_meta(meta_path)
+    n = meta["num_nodes"]
+    d = meta["num_features"]
+    # the label count bounds num_nodes before anything is sized by it
+    labels = parse_int_lines(path / "labels.csv", 1).ravel()
+    if labels.size != n:
+        raise ValidationError(
+            f"{path / 'labels.csv'}: {labels.size} labels, expected {n}"
+        )
+    if (labels >= 0).any() and labels.max() >= max(meta["num_classes"], 1):
+        raise ValidationError(
+            f"{path / 'labels.csv'}: label {labels.max()} exceeds num_classes "
+            f"{meta['num_classes']}"
+        )
     edges = parse_int_lines(path / "edges.tsv", 2)
     try:
         graph = build_graph(edges, n)
@@ -370,16 +384,6 @@ def load_dataset(path):
         x = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
     else:
         raise ValidationError(f"{meta_path}: unknown features_file {feat_file!r}")
-    labels = parse_int_lines(path / "labels.csv", 1).ravel()
-    if labels.size != n:
-        raise ValidationError(
-            f"{path / 'labels.csv'}: {labels.size} labels, expected {n}"
-        )
-    if (labels >= 0).any() and labels.max() >= max(int(meta["num_classes"]), 1):
-        raise ValidationError(
-            f"{path / 'labels.csv'}: label {labels.max()} exceeds num_classes "
-            f"{meta['num_classes']}"
-        )
     splits = None
     splits_path = path / "splits.json"
     if splits_path.is_file():
@@ -439,10 +443,24 @@ def _load_splits(path: Path, n_nodes: int) -> SplitSet:
 
 
 def load_meta(path) -> dict:
-    meta_path = Path(path) / META_FILE
-    if not meta_path.is_file():
-        raise ValidationError(f"{meta_path}: missing")
-    return json.loads(meta_path.read_text())
+    return _read_meta(Path(path) / META_FILE)
+
+
+def _read_meta(path: Path) -> dict:
+    """meta.json: every key of _META_TYPES present, with a value of its type;
+    the counts are JSON integers >= 0 (not bools, floats or strings)."""
+    if not path.is_file():
+        raise ValidationError(f"{path}: missing")
+    meta = _read_json_object(path)
+    _require_keys(path, meta, _META_TYPES)
+    for key, t in _META_TYPES.items():
+        value = meta[key]
+        if not _is_json_type(value, t) or (t is int and value < 0):
+            expected = "an integer >= 0" if t is int else _TYPE_NAMES[t]
+            raise ValidationError(
+                f"{path}: key {key!r} must be {expected}, got {json.dumps(value)}"
+            )
+    return meta
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 from .graph import SparseGraph, check_labels, row_normalize
@@ -436,14 +435,28 @@ def _balance_global(per_class_counts, global_target, ratios, labels, labeled):
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    # the row max as a chain of np.maximum over the few class columns: exact
-    # like logits.max(axis=1), without numpy's slow short-axis reduction
-    row_max = logits[:, :1].copy()
-    for j in range(1, logits.shape[1]):
-        np.maximum(row_max, logits[:, j : j + 1], out=row_max)
-    z = logits - row_max
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of an n x C logit array, bit for bit
+    ``e / e.sum(axis=1, keepdims=True)`` with ``e = exp(logits - row max)``.
+
+    The work runs class-major, on a C x n copy, so every numpy call runs
+    over rows of length n instead of inner loops of length C; the last
+    division writes the n x C, C-contiguous result.
+    """
+    n, c = logits.shape
+    t = logits.T.copy()
+    # reductions over axis 0 combine the class rows in order, elementwise
+    row = np.maximum.reduce(t, axis=0)
+    t -= row
+    np.exp(t, out=t)
+    if c < 8:
+        # numpy adds fewer than 8 terms of a row in order, as this does
+        row = np.add.reduce(t, axis=0)
+    else:
+        # from 8 terms on it adds a row's terms over 8 lanes pairwise
+        row = np.add.reduce(t.T.copy(), axis=1)
+    out = np.empty((n, c))
+    np.divide(t, row, out=out.T)
+    return out
 
 
 def _fit_probe(
@@ -458,11 +471,15 @@ def _fit_probe(
 ) -> np.ndarray:
     """Multinomial logistic regression, full-batch Adam, best-val checkpoint.
 
-    Features are augmented with a constant column for the bias. Returns the
-    (d+1) x C weight matrix at the epoch with the best validation accuracy.
+    Features are augmented with a constant column for the bias; an empty
+    validation split falls back to training accuracy. Returns the (d+1) x C
+    weight matrix at the epoch with the best validation accuracy.
     """
     xa = np.column_stack([x, np.ones(x.shape[0])])
-    xva = np.column_stack([x_val, np.ones(x_val.shape[0])])
+    if y_val.size:
+        xva = np.column_stack([x_val, np.ones(x_val.shape[0])])
+    else:
+        xva, y_val = xa, y
     w = np.zeros((xa.shape[1], n_classes))
     state = AdamState.zeros_like(w)
     onehot = np.zeros((y.size, n_classes))
@@ -471,13 +488,12 @@ def _fit_probe(
     best_acc = -1.0
     since_best = 0
     for _ in range(max_epochs):
-        probs = _softmax(xa @ w)
-        grad = xa.T @ (probs - onehot) / y.size
+        resid = _softmax(xa @ w)
+        resid -= onehot
+        grad = xa.T @ resid / y.size
         w, state = adam_step(state, w, grad, lr)
-        if y_val.size:
-            val_acc = float(((xva @ w).argmax(axis=1) == y_val).mean())
-        else:  # degenerate split: fall back to training accuracy
-            val_acc = float(((xa @ w).argmax(axis=1) == y).mean())
+        hits = np.count_nonzero((xva @ w).argmax(axis=1) == y_val)
+        val_acc = hits / y_val.size
         if val_acc > best_acc:
             best_acc = val_acc
             best_w = w.copy()
@@ -498,6 +514,9 @@ def linear_probe(
 ) -> float:
     """Frozen-embedding linear classifier; returns test accuracy at the
     best-validation checkpoint."""
+    y_hat = np.asarray(y_hat)
+    if not np.isfinite(y_hat).all():
+        raise ValidationError("linear-probe input must be finite: y_hat holds NaN or inf")
     labels = check_labels(labels)
     train_idx, val_idx, test_idx = (np.asarray(s) for s in split)
     classes = np.unique(labels[labels >= 0])
@@ -543,6 +562,8 @@ def high_order_dissimilarity(
         raise ValidationError("feature rows do not match graph size")
     if i == j:
         return 0.0, 0.0
+    import scipy.sparse as sp
+
     xh = row_normalize(x)
     deg = g.degrees().astype(np.float64)
     inv = np.zeros(n)

@@ -10,11 +10,17 @@ D^{-1/2}SD^{-1/2} used after graph reconstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
+
+# scipy.sparse is imported where a CSR matrix is first built, so that commands
+# which never multiply by one (cluster, classify, reconstruct on the original
+# edges) do not pay its import, about a quarter of a second per process
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 AGGREGATORS = ("mean", "max", "sum", "weighted_sum")
 
@@ -55,6 +61,8 @@ class SparseGraph:
 
     def to_scipy(self) -> sp.csr_matrix:
         """Binary adjacency as a scipy CSR matrix (float64 ones)."""
+        import scipy.sparse as sp
+
         data = np.ones(self.indices.size, dtype=np.float64)
         return sp.csr_matrix(
             (data, self.indices, self.indptr), shape=(self.n_nodes, self.n_nodes)
@@ -116,6 +124,8 @@ class WeightedGraph:
         return out
 
     def to_scipy(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.csr_matrix(
             (self.values, self.indices, self.indptr),
             shape=(self.n_nodes, self.n_nodes),
@@ -142,6 +152,8 @@ class NormalizedAdjacency:
         _freeze(self.indptr, self.indices, self.values)
 
     def to_scipy(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.csr_matrix(
             (self.values, self.indices, self.indptr),
             shape=(self.n_nodes, self.n_nodes),
@@ -261,6 +273,8 @@ def normalize_with_self_loops(g: SparseGraph) -> NormalizedAdjacency:
     position; an isolated node gets diagonal entry 1. Values are exactly
     symmetric because each side evaluates the same product.
     """
+    import scipy.sparse as sp
+
     deg = g.degrees().astype(np.float64)
     rows = np.concatenate(
         [np.repeat(np.arange(g.n_nodes), g.degrees()), np.arange(g.n_nodes)]

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError, ValidationError
 from .graph import (
@@ -46,6 +46,9 @@ from .reconstruct import (
     reconstruct_hard,
     reconstruct_soft,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Early-stop rule for "train until convergence": relative total-loss change
 # below EARLY_STOP_REL_TOL for EARLY_STOP_PATIENCE consecutive epochs.
@@ -443,6 +446,8 @@ class _AggOp:
             self.op = g.to_scipy()
             self.op_t = self.op  # symmetric
         elif kind == "mean":
+            import scipy.sparse as sp
+
             deg = g.degrees().astype(np.float64)
             inv = np.zeros_like(deg)
             inv[deg > 0] = 1.0 / deg[deg > 0]

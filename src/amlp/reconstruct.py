@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 from .graph import (

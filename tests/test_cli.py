@@ -374,12 +374,18 @@ def test_byte_identical_reruns(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _child_env(**extra) -> dict:
+    """The environment for a child interpreter, with this package's source
+    directory on its path (pytest's pythonpath setting is not inherited)."""
+    src = str(Path(amlp.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_cli_subprocess_entry(tmp_path):
     """The module entry point works as a subprocess (console-script path)."""
-    import os
-
     out = tmp_path / "d"
-    env = dict(os.environ, AMLP_THREADS="1")
+    env = _child_env(AMLP_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "amlp", "sbm", "--preset", "heterophilic", "--out", str(out)],
         capture_output=True,
@@ -389,32 +395,58 @@ def test_cli_subprocess_entry(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "meta.json").is_file()
     proc = subprocess.run(
-        [sys.executable, "-m", "amlp", "nope"], capture_output=True, text=True
+        [sys.executable, "-m", "amlp", "nope"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 1
+
+
+_SCIPY_PARTS = ("scipy.optimize", "scipy.sparse")
+
+
+def _scipy_loaded_by(argv) -> list[str]:
+    """Import amlp.cli in a fresh interpreter, run ``argv`` through main when
+    it is not empty, and return which of _SCIPY_PARTS were loaded."""
+    script = (
+        "import json, sys\n"
+        "import amlp.cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert amlp.cli.main(sys.argv[1:]) == 0\n"
+        f"print(json.dumps([m for m in {_SCIPY_PARTS!r} if m in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_cluster_and_train_leave_scipy_optimize_unimported(sbm_dir, tmp_path):
     """Scoring matches clusters to classes without scipy.optimize, whose
     import costs each scoring command about 0.4 s."""
     run = tmp_path / "run"
-    script = (
-        "import sys\n"
-        "from amlp.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
-    )
-    src = str(Path(amlp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     for argv in (
         ["train", "--data", str(sbm_dir), "--out", str(run), "--epochs", "5"],
         ["cluster", "--data", str(sbm_dir), "--emb", str(run / "embeddings.csv"), "--restarts", "2"],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert "scipy.optimize" not in _scipy_loaded_by(argv)
+
+
+def test_commands_without_sparse_products_leave_scipy_sparse_unimported(sbm_dir, tmp_path):
+    """Importing the CLI, scoring embeddings and reconstructing on the
+    original edges never load scipy.sparse, whose import and teardown cost
+    each process about a quarter of a second; train still runs, and needs it."""
+    run, data = tmp_path / "run", str(sbm_dir)
+    emb = str(run / "embeddings.csv")
+    # train multiplies by sparse matrices; it only has to succeed
+    _scipy_loaded_by(["train", "--data", data, "--out", str(run), "--epochs", "5"])
+    for argv in (
+        [],
+        ["cluster", "--data", data, "--emb", emb, "--restarts", "2"],
+        ["classify", "--data", data, "--emb", emb, "--n-splits", "2"],
+        ["reconstruct", "--data", data, "--out", str(tmp_path / "hard")],
+        ["reconstruct", "--data", data, "--out", str(tmp_path / "soft"), "--soft"],
+    ):
+        assert _scipy_loaded_by(argv) == [], argv
 
 
 def _assert_one_error_line(capsys, *named):
@@ -471,3 +503,50 @@ def test_malformed_splits_json_exits_1(tmp_path, capsys, text, named):
     emb.write_text("0.5,0.25\n" * 60)
     assert main(["classify", "--data", str(data), "--emb", str(emb)]) == 1
     _assert_one_error_line(capsys, str(data / "splits.json"), named)
+
+
+def _dataset_with_meta_value(tmp_path, key, value):
+    data = tmp_path / "data"
+    g, x, labels = generate_dataset(homophilic_preset(seed=0, n_nodes=60))
+    save_dataset(data, g, x, labels)
+    meta = json.loads((data / "meta.json").read_text())
+    meta[key] = value
+    (data / "meta.json").write_text(json.dumps(meta))
+    return data
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("num_nodes", "abc", 'key \'num_nodes\' must be an integer >= 0, got "abc"'),
+        ("num_nodes", "60", 'key \'num_nodes\' must be an integer >= 0, got "60"'),
+        ("num_nodes", 60.5, "key 'num_nodes' must be an integer >= 0, got 60.5"),
+        ("num_nodes", 60.0, "key 'num_nodes' must be an integer >= 0, got 60.0"),
+        ("num_nodes", -1, "key 'num_nodes' must be an integer >= 0, got -1"),
+        ("num_nodes", None, "key 'num_nodes' must be an integer >= 0, got null"),
+        ("num_features", True, "key 'num_features' must be an integer >= 0, got true"),
+        ("num_features", [3], "key 'num_features' must be an integer >= 0, got [3]"),
+        ("num_classes", 2.0, "key 'num_classes' must be an integer >= 0, got 2.0"),
+        ("num_classes", "2", 'key \'num_classes\' must be an integer >= 0, got "2"'),
+        ("name", 7, "key 'name' must be a string, got 7"),
+        ("features_file", None, "key 'features_file' must be a string, got null"),
+        ("features_file", ["features.csv"],
+         'key \'features_file\' must be a string, got ["features.csv"]'),
+    ],
+)
+def test_meta_json_value_types_exit_1(tmp_path, capsys, key, value, expected):
+    """Each meta.json value of the wrong type ends diagnose in one error line
+    naming the file and the key."""
+    data = _dataset_with_meta_value(tmp_path, key, value)
+    meta_path = data / "meta.json"
+    assert main(["diagnose", "--data", str(data)]) == 1
+    assert capsys.readouterr().err == f"error: {meta_path}: {expected}\n"
+
+
+def test_meta_json_node_count_checked_against_labels_first(tmp_path, capsys):
+    """A well-typed num_nodes is compared with the label count before any
+    array is sized by it, so one beyond int64 is an error line too."""
+    data = _dataset_with_meta_value(tmp_path, "num_nodes", 2**63)
+    assert main(["diagnose", "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data / 'labels.csv'}: 60 labels, expected {2**63}\n"

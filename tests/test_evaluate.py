@@ -20,6 +20,7 @@ from amlp.evaluate import (
     nmi,
 )
 from amlp.graph import build_graph
+from amlp.model import AdamState, adam_step
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +480,116 @@ def test_probe_duplication_leaves_decision_unchanged():
     w2 = _fit_probe(np.vstack([x, x]), np.concatenate([y, y]), xv, yv, 2)
     xa = np.column_stack([x, np.ones(n)])
     assert np.array_equal((xa @ w1).argmax(axis=1), (xa @ w2).argmax(axis=1))
+
+
+def _reference_softmax(logits):
+    row_max = logits[:, :1].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, j : j + 1], out=row_max)
+    z = logits - row_max
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_fit_probe(x, y, x_val, y_val, n_classes, max_epochs=500, lr=1e-2, patience=100):
+    """The row-major probe fit that the class-major softmax replaced."""
+    xa = np.column_stack([x, np.ones(x.shape[0])])
+    xva = np.column_stack([x_val, np.ones(x_val.shape[0])])
+    w = np.zeros((xa.shape[1], n_classes))
+    state = AdamState.zeros_like(w)
+    onehot = np.zeros((y.size, n_classes))
+    onehot[np.arange(y.size), y] = 1.0
+    best_w = w.copy()
+    best_acc = -1.0
+    since_best = 0
+    for _ in range(max_epochs):
+        probs = _reference_softmax(xa @ w)
+        grad = xa.T @ (probs - onehot) / y.size
+        w, state = adam_step(state, w, grad, lr)
+        if y_val.size:
+            val_acc = float(((xva @ w).argmax(axis=1) == y_val).mean())
+        else:  # degenerate split: fall back to training accuracy
+            val_acc = float(((xa @ w).argmax(axis=1) == y).mean())
+        if val_acc > best_acc:
+            best_acc = val_acc
+            best_w = w.copy()
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
+    return best_w
+
+
+def _probe_case(n, d, n_classes, seed, n_val, n_test, rounded=False):
+    """Embeddings with a class signal, and a random (train, val, test) split
+    in which every class has a training node."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % n_classes
+    y_hat = rng.standard_normal((n, d)) + 0.5 * rng.standard_normal((n_classes, d))[labels]
+    if rounded:  # few distinct values: tied logits, tied validation accuracies
+        y_hat = np.round(y_hat)
+    order = rng.permutation(np.arange(n_classes, n))
+    val, test = order[:n_val], order[n_val : n_val + n_test]
+    train = np.concatenate([np.arange(n_classes), order[n_val + n_test :]])
+    return y_hat, labels, tuple(np.sort(s) for s in (train, val, test))
+
+
+def _probe_cases():
+    for c in range(2, 13):
+        yield f"classes{c}", _probe_case(30 * c, 6, c, c, 9 * c, 6 * c), {"max_epochs": 150}
+    yield "empty_val", _probe_case(120, 5, 3, 20, 0, 30), {"max_epochs": 150}
+    yield "rounded", _probe_case(160, 4, 4, 21, 50, 30, rounded=True), {"max_epochs": 200}
+    yield "rounded_classes9", _probe_case(180, 3, 9, 22, 50, 30, rounded=True), {
+        "max_epochs": 200
+    }
+    yield "patience", _probe_case(200, 8, 3, 23, 60, 40), {"max_epochs": 500, "patience": 5}
+    # the split of the benchmark's classify command: 1920 train, 1280 val
+    yield "shape_1920x64_classes4", _probe_case(4000, 64, 4, 24, 1280, 800), {}
+
+
+@pytest.mark.parametrize(
+    "case, kwargs", [(c, k) for _, c, k in _probe_cases()], ids=[i for i, _, _ in _probe_cases()]
+)
+def test_fit_probe_matches_row_major_reference(monkeypatch, case, kwargs):
+    """The class-major probe returns the reference's weights byte for byte,
+    after the same number of epochs, and linear_probe its test accuracy."""
+    import amlp.evaluate
+    from amlp import model
+
+    y_hat, labels, (train, val, test) = case
+    steps = []
+
+    def counting_step(*args):
+        steps.append(None)
+        return model.adam_step(*args)
+
+    monkeypatch.setattr(amlp.evaluate, "adam_step", counting_step)
+    monkeypatch.setitem(globals(), "adam_step", counting_step)
+    n_classes = int(labels.max()) + 1
+    fit_args = (y_hat[train], labels[train], y_hat[val], labels[val], n_classes)
+    want = _reference_fit_probe(*fit_args, **kwargs)
+    epochs = len(steps)
+    got = amlp.evaluate._fit_probe(*fit_args, **kwargs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(steps) == 2 * epochs
+    if "patience" in kwargs:
+        assert epochs < kwargs["max_epochs"]
+    # linear_probe takes no patience: it fits with the default
+    probe_kwargs = {k: v for k, v in kwargs.items() if k != "patience"}
+    if probe_kwargs != kwargs:
+        want = _reference_fit_probe(*fit_args, **probe_kwargs)
+    xt = np.column_stack([y_hat[test], np.ones(test.size)])
+    acc = float(((xt @ want).argmax(axis=1) == labels[test]).mean())
+    assert linear_probe(y_hat, labels, (train, val, test), **probe_kwargs) == acc
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probe_rejects_non_finite_input(bad):
+    y_hat, labels, split = _probe_case(60, 3, 2, 0, 20, 10)
+    y_hat[7, 1] = bad
+    with pytest.raises(ValidationError, match="linear-probe input must be finite"):
+        linear_probe(y_hat, labels, split)
 
 
 def test_probe_missing_class_in_train():
