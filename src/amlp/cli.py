@@ -34,7 +34,6 @@ from .graph import (
     AGGREGATORS,
     build_graph,
     dirichlet_energy,
-    graph_from_edges,
     homophily_ratio,
     normalize_with_self_loops,
     row_normalize,
@@ -123,6 +122,14 @@ def _check_counts(**flags) -> None:
             raise ValidationError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
+def _load_embeddings(path, n_nodes: int) -> np.ndarray:
+    """The embeddings CSV at ``path``, which must hold one row per node."""
+    y_hat = dataio.load_embeddings_csv(path)
+    if y_hat.shape[0] != n_nodes:
+        raise ValidationError(f"{path}: {y_hat.shape[0]} rows, dataset has {n_nodes} nodes")
+    return y_hat
+
+
 def _cmd_prep(args) -> int:
     edges = dataio.parse_int_lines(args.edges, 2)
     x = dataio.load_float_csv(args.features)
@@ -165,21 +172,18 @@ def _cmd_reconstruct(args) -> int:
         mode="soft" if args.soft else "hard",
         steepness=args.steepness,
     )
+    reconstruct = reconstruct_soft if args.soft else reconstruct_hard
+    s, stats = reconstruct(g, x, cfg)
+    # in soft mode the dataset dir carries the full candidate support, and the
+    # sigmoid weights go in a sidecar edge_weights.tsv (u, v, weight; u < v)
+    dataio.save_dataset(args.out, s, x, labels, name="reconstructed")
     if args.soft:
-        s, stats = reconstruct_soft(g, x, cfg)
-        # dataset dir carries the full candidate support; sigmoid weights go
-        # in a sidecar edge_weights.tsv (u, v, weight; u < v)
         rows = np.repeat(np.arange(s.n_nodes), np.diff(s.indptr))
         mask = rows < s.indices
-        support = graph_from_edges(s.n_nodes, rows[mask], s.indices[mask])
-        dataio.save_dataset(args.out, support, x, labels, name="reconstructed")
         # float64 table: %d prints the integral endpoints exactly
         table = np.column_stack([rows[mask], s.indices[mask], s.values[mask]])
         with open(os.path.join(args.out, "edge_weights.tsv"), "w") as f:
             dataio.write_rows(f, "%d\t%d\t%.9g\n", table)
-    else:
-        s, stats = reconstruct_hard(g, x, cfg)
-        dataio.save_dataset(args.out, s, x, labels, name="reconstructed")
     report = dataio.make_report(
         config={
             "epsilon": cfg.epsilon,
@@ -277,13 +281,8 @@ def _cmd_train(args) -> int:
 def _cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     _check_counts(seeds=args.seeds, restarts=args.restarts)
-    g, x, labels, _ = dataio.load_dataset(args.data)
-    meta = dataio.load_meta(args.data)
-    y_hat = dataio.load_embeddings_csv(args.emb)
-    if y_hat.shape[0] != g.n_nodes:
-        raise ValidationError(
-            f"{args.emb}: {y_hat.shape[0]} rows, dataset has {g.n_nodes} nodes"
-        )
+    meta, labels, _ = dataio.load_labels(args.data)
+    y_hat = _load_embeddings(args.emb, labels.size)
     k = args.k if args.k is not None else int(meta["num_classes"])
     if k < 1:
         raise ValidationError("cluster count must be >= 1 (set --k or meta num_classes)")
@@ -311,12 +310,8 @@ def _cmd_cluster(args) -> int:
 def _cmd_classify(args) -> int:
     t0 = time.perf_counter()
     _check_counts(n_splits=args.n_splits)
-    g, x, labels, saved_splits = dataio.load_dataset(args.data)
-    y_hat = dataio.load_embeddings_csv(args.emb)
-    if y_hat.shape[0] != g.n_nodes:
-        raise ValidationError(
-            f"{args.emb}: {y_hat.shape[0]} rows, dataset has {g.n_nodes} nodes"
-        )
+    _, labels, _ = dataio.load_labels(args.data)
+    y_hat = _load_embeddings(args.emb, labels.size)
     ratios = tuple(float(r) for r in args.ratios.split(","))
     if len(ratios) != 3:
         raise ValidationError("--ratios must be three comma-separated fractions")
@@ -352,11 +347,7 @@ def _cmd_diagnose(args) -> int:
     if (labels >= 0).any() and (g.degrees() > 0).any():
         metrics["homophily_ratio"] = homophily_ratio(g, labels)
     if args.emb:
-        y_hat = dataio.load_embeddings_csv(args.emb)
-        if y_hat.shape[0] != g.n_nodes:
-            raise ValidationError(
-                f"{args.emb}: {y_hat.shape[0]} rows, dataset has {g.n_nodes} nodes"
-            )
+        y_hat = _load_embeddings(args.emb, g.n_nodes)
         a_tilde = normalize_with_self_loops(g)
         metrics["dirichlet_energy"] = dirichlet_energy(
             a_tilde, row_normalize(y_hat)

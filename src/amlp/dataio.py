@@ -20,7 +20,7 @@ import itertools
 import json
 import typing
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .evaluate import SplitSet
 from .graph import SparseGraph, build_graph, check_features, check_labels
-from .model import AMLPConfig, AMLPModel
+from .model import AMLPConfig, AMLPModel, config_as_dict, config_keys
 from .reconstruct import ReconstructionConfig
 
 META_FILE = "meta.json"
@@ -37,24 +37,6 @@ FLOAT_FMT = "%.9g"
 # a chunk creates (about 2^16 edges)
 _FORMAT_CELLS = 1 << 17
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
-_RUN_CONFIG_KEYS = {
-    "k",
-    "lambda",
-    "hidden_dim",
-    "learning_rate",
-    "epochs",
-    "seed",
-    "eps_norm",
-    "early_stop",
-    "epsilon",
-    "candidate_policy",
-    "mode",
-    "steepness",
-    "kmeans_restarts",
-    "n_seeds",
-    "output",
-}
 
 _META_TYPES = {
     "name": str,
@@ -134,18 +116,15 @@ class RunConfig:
     def from_dict(cls, raw: dict, source="config") -> "RunConfig":
         """Settings from parsed JSON; every value must have its declared type,
         and ``source`` (the file) prefixes the error naming a bad key."""
-        unknown = set(raw) - _RUN_CONFIG_KEYS
+        names = config_keys(cls)
+        unknown = set(raw) - set(names)
         if unknown:
             raise ValidationError(f"{source}: unknown config keys: {sorted(unknown)}")
         hints = typing.get_type_hints(cls)
         for key, value in raw.items():
-            hint = hints["lambda_" if key == "lambda" else key]
-            _check_config_value(source, key, value, hint)
-        kwargs = dict(raw)
-        if "lambda" in kwargs:
-            kwargs["lambda_"] = kwargs.pop("lambda")
+            _check_config_value(source, key, value, hints[names[key]])
         try:
-            return cls(**kwargs)
+            return cls(**{names[key]: value for key, value in raw.items()})
         except ValidationError as e:
             raise ValidationError(f"{source}: {e}") from e
 
@@ -160,54 +139,33 @@ class RunConfig:
         return cls.from_dict(raw, source=path)
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "lambda": self.lambda_,
-            "hidden_dim": self.hidden_dim,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "eps_norm": self.eps_norm,
-            "early_stop": self.early_stop,
-            "epsilon": self.epsilon,
-            "candidate_policy": self.candidate_policy,
-            "mode": self.mode,
-            "steepness": self.steepness,
-            "kmeans_restarts": self.kmeans_restarts,
-            "n_seeds": self.n_seeds,
-            "output": self.output,
-        }
+        return config_as_dict(self)
+
+    def _shared(self, cls) -> dict:
+        """This config's values of the fields that ``cls`` also declares."""
+        mine = {f.name for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in mine}
 
     def grid(self) -> list[tuple["AMLPConfig", "ReconstructionConfig"]]:
         """Expand list-valued keys into the cartesian product of settings."""
         def as_list(v):
             return list(v) if isinstance(v, (list, tuple)) else [v]
 
-        combos = []
-        for k in as_list(self.k):
-            for lam in as_list(self.lambda_):
-                for lr in as_list(self.learning_rate):
-                    combos.append(
-                        (
-                            AMLPConfig(
-                                k=int(k),
-                                lambda_=float(lam),
-                                hidden_dim=self.hidden_dim,
-                                learning_rate=float(lr),
-                                epochs=self.epochs,
-                                seed=self.seed,
-                                eps_norm=self.eps_norm,
-                                early_stop=self.early_stop,
-                            ),
-                            ReconstructionConfig(
-                                epsilon=self.epsilon,
-                                candidate_policy=self.candidate_policy,
-                                mode=self.mode,
-                                steepness=self.steepness,
-                            ),
-                        )
-                    )
-        return combos
+        # the casts keep an integer learning rate in JSON a float (1.0) in
+        # checkpoint.json
+        amlp = self._shared(AMLPConfig)
+        recon = self._shared(ReconstructionConfig)
+        return [
+            (
+                AMLPConfig(
+                    **{**amlp, "k": int(k), "lambda_": float(lam), "learning_rate": float(lr)}
+                ),
+                ReconstructionConfig(**recon),
+            )
+            for k, lam, lr in itertools.product(
+                as_list(self.k), as_list(self.lambda_), as_list(self.learning_rate)
+            )
+        ]
 
     def is_grid(self) -> bool:
         return any(isinstance(getattr(self, a), (list, tuple)) for a in ("k", "lambda_", "learning_rate"))
@@ -344,18 +302,15 @@ def _load_features_csv(path: Path, n_nodes: int, n_features: int) -> np.ndarray:
     return x.astype(np.float32).astype(np.float64)
 
 
-def load_dataset(path):
-    """Load and validate a dataset directory.
+def load_labels(path):
+    """Read the labels of a dataset directory without its graph or features.
 
-    Returns (SparseGraph, features, labels, SplitSet | None). Counts are
-    checked against meta.json; malformed lines are reported with file and
-    line number.
+    Returns (meta, labels, SplitSet | None), checked as ``load_dataset``
+    checks them.
     """
     path = Path(path)
-    meta_path = path / META_FILE
-    meta = _read_meta(meta_path)
+    meta = _read_meta(path / META_FILE)
     n = meta["num_nodes"]
-    d = meta["num_features"]
     # the label count bounds num_nodes before anything is sized by it
     labels = parse_int_lines(path / "labels.csv", 1).ravel()
     if labels.size != n:
@@ -367,6 +322,24 @@ def load_dataset(path):
             f"{path / 'labels.csv'}: label {labels.max()} exceeds num_classes "
             f"{meta['num_classes']}"
         )
+    splits = None
+    splits_path = path / "splits.json"
+    if splits_path.is_file():
+        splits = _load_splits(splits_path, n)
+    return meta, labels, splits
+
+
+def load_dataset(path):
+    """Load and validate a dataset directory.
+
+    Returns (SparseGraph, features, labels, SplitSet | None). Counts are
+    checked against meta.json; malformed lines are reported with file and
+    line number.
+    """
+    path = Path(path)
+    meta, labels, splits = load_labels(path)
+    n = meta["num_nodes"]
+    d = meta["num_features"]
     edges = parse_int_lines(path / "edges.tsv", 2)
     try:
         graph = build_graph(edges, n)
@@ -383,11 +356,7 @@ def load_dataset(path):
             )
         x = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
     else:
-        raise ValidationError(f"{meta_path}: unknown features_file {feat_file!r}")
-    splits = None
-    splits_path = path / "splits.json"
-    if splits_path.is_file():
-        splits = _load_splits(splits_path, n)
+        raise ValidationError(f"{path / META_FILE}: unknown features_file {feat_file!r}")
     return graph, x, labels, splits
 
 
@@ -539,10 +508,11 @@ def load_checkpoint(dir_path) -> AMLPModel:
         raise ValidationError(
             f"{dir_path}: weight shape {w.shape} does not match header"
         )
-    cfg_raw = dict(header["config"])
-    cfg_raw["lambda_"] = cfg_raw.pop("lambda")
+    names = config_keys(AMLPConfig)
     try:
-        cfg = AMLPConfig(**cfg_raw)
+        cfg = AMLPConfig(
+            **{names.get(key, key): value for key, value in header["config"].items()}
+        )
     except TypeError as e:  # an unknown config key
         raise ValidationError(f"{header_path}: key 'config': {e}") from e
     return AMLPModel(W=w, config=cfg)

@@ -1,15 +1,17 @@
 """Sparse graph storage, adjacency normalizations, propagation and aggregation.
 
-Graphs are undirected, unweighted and self-loop-free, stored in CSR form.
-Normalized adjacencies are weighted CSR matrices that are symmetric in both
-structure and values; the ``self_loops`` flag distinguishes the GCN-style
-normalization (D+I)^{-1/2}(A+I)(D+I)^{-1/2} from the self-loop-free
-D^{-1/2}SD^{-1/2} used after graph reconstruction.
+Graphs, weighted graphs and normalized adjacencies are one CSR type,
+``SparseGraph``, symmetric in structure and values. A graph read from edges
+is binary and self-loop-free; soft reconstruction adds weights; the
+``self_loops`` flag distinguishes the GCN-style normalization
+(D+I)^{-1/2}(A+I)(D+I)^{-1/2} from the self-loop-free D^{-1/2}SD^{-1/2} used
+after graph reconstruction. Either normalization has all its eigenvalues in
+[-1, 1] (up to roundoff).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,55 +29,69 @@ AGGREGATORS = ("mean", "max", "sum", "weighted_sum")
 DEFAULT_EPS_NORM = 1e-12
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class SparseGraph:
-    """Undirected self-loop-free graph in CSR layout.
+    """Symmetric graph or adjacency matrix in CSR layout.
 
     ``indptr`` has length ``n_nodes + 1``; ``indices[indptr[v]:indptr[v+1]]``
     are the (strictly increasing) neighbors of node ``v``. Structure is
-    symmetric: (i, j) present iff (j, i) present.
+    symmetric: (i, j) present iff (j, i) present. ``values`` is None for a
+    binary adjacency; otherwise it holds one weight per stored entry, such as
+    the sigmoid scores of soft reconstruction or the entries of a normalized
+    adjacency. With ``self_loops`` every diagonal entry is stored (the
+    GCN-style normalization); without, none is.
     """
 
     n_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
+    values: np.ndarray | None = None
+    self_loops: bool = False
 
     def __post_init__(self):
-        _freeze(self.indptr, self.indices)
+        for a in (self.indptr, self.indices, self.values):
+            if a is not None:
+                a.setflags(write=False)
 
     @property
     def n_edges(self) -> int:
-        """Number of undirected edges (each stored twice internally)."""
-        return self.indices.size // 2
+        """Number of undirected edges (each stored twice internally); the
+        diagonal of a ``self_loops`` matrix is not counted."""
+        return (self.indices.size - self.n_nodes * self.self_loops) // 2
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        """Neighbor counts, or the weighted row sums when ``values`` is set."""
+        counts = np.diff(self.indptr)
+        if self.values is None:
+            return counts
+        out = np.zeros(self.n_nodes, dtype=np.float64)
+        np.add.at(out, np.repeat(np.arange(self.n_nodes), counts), self.values)
+        return out
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def to_scipy(self) -> sp.csr_matrix:
-        """Binary adjacency as a scipy CSR matrix (float64 ones)."""
+        """The matrix as a scipy CSR matrix (float64 ones when ``values`` is None)."""
         import scipy.sparse as sp
 
-        data = np.ones(self.indices.size, dtype=np.float64)
+        data = np.ones(self.indices.size) if self.values is None else self.values
         return sp.csr_matrix(
             (data, self.indices, self.indptr), shape=(self.n_nodes, self.n_nodes)
         )
 
+    def to_dense(self) -> np.ndarray:
+        return self.to_scipy().toarray()
+
     def edge_array(self) -> np.ndarray:
         """Unordered edges as an (m, 2) array with u < v, lexicographically sorted."""
-        rows = np.repeat(np.arange(self.n_nodes), self.degrees())
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
         mask = rows < self.indices
         return np.column_stack([rows[mask], self.indices[mask]])
 
     def validate(self) -> None:
-        """Raise ValidationError if any structural invariant is broken."""
+        """Raise ValidationError if any structural invariant is broken, or a
+        weight is non-finite or differs from its transpose's."""
         if self.indptr.shape != (self.n_nodes + 1,):
             raise ValidationError("indptr length must be n_nodes + 1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
@@ -85,8 +101,12 @@ class SparseGraph:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.n_nodes:
                 raise ValidationError("column index out of range")
-        rows = np.repeat(np.arange(self.n_nodes), self.degrees())
-        if np.any(rows == self.indices):
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+        on_diagonal = rows[rows == self.indices]
+        if self.self_loops:
+            if np.unique(on_diagonal).size != self.n_nodes:
+                raise ValidationError("self_loops=True but a diagonal entry is missing")
+        elif on_diagonal.size:
             raise ValidationError("self-loop present")
         # a step that ends at a row start compares two different rows
         bad = np.diff(self.indices) <= 0
@@ -95,102 +115,32 @@ class SparseGraph:
         if bad.any():
             v = int(np.searchsorted(self.indptr, np.argmax(bad), side="right")) - 1
             raise ValidationError(f"row {v} not strictly increasing")
-        a = self.to_scipy()
+        a = replace(self, values=None).to_scipy()
         if (a != a.T).nnz != 0:
             raise ValidationError("adjacency structure not symmetric")
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Symmetric weighted self-loop-free graph (CSR); weights in (0, 1].
-
-    Produced by soft graph reconstruction, where entries are sigmoid scores
-    rather than hard 0/1 decisions.
-    """
-
-    n_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self.indptr, self.indices, self.values)
-
-    def degrees(self) -> np.ndarray:
-        """Weighted degrees (row sums)."""
-        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
-        out = np.zeros(self.n_nodes, dtype=np.float64)
-        np.add.at(out, rows, self.values)
-        return out
-
-    def to_scipy(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(
-            (self.values, self.indices, self.indptr),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-
-
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """Symmetrically degree-normalized adjacency in CSR form.
-
-    With ``self_loops`` the matrix is (D+I)^{-1/2}(A+I)(D+I)^{-1/2} and every
-    diagonal entry is present; without, it is D^{-1/2}SD^{-1/2} with no
-    diagonal entries and all-zero rows for isolated nodes. Either way all
-    eigenvalues lie in [-1, 1] (up to roundoff).
-    """
-
-    n_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    self_loops: bool
-
-    def __post_init__(self):
-        _freeze(self.indptr, self.indices, self.values)
-
-    def to_scipy(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(
-            (self.values, self.indices, self.indptr),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    def validate(self) -> None:
+        if self.values is None:
+            return
+        if not np.all(np.isfinite(self.values)):
+            raise ValidationError("non-finite weight")
         a = self.to_scipy()
         if (a != a.T).nnz != 0:
             raise ValidationError("normalized adjacency not symmetric")
-        diag = a.diagonal()
-        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
-        has_diag_entry = np.zeros(self.n_nodes, dtype=bool)
-        has_diag_entry[rows[rows == self.indices]] = True
-        if self.self_loops and not has_diag_entry.all():
-            raise ValidationError("self_loops=True but a diagonal entry is missing")
-        if not self.self_loops and np.any(diag != 0.0):
-            raise ValidationError("self_loops=False but a diagonal entry is present")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("non-finite weight")
+
+
+# the weighted graph of soft reconstruction is a SparseGraph with values
+WeightedGraph = SparseGraph
 
 
 def _csr_from_directed_pairs(
     n_nodes: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray | None = None
-) -> SparseGraph | WeightedGraph:
+) -> SparseGraph:
     """Build a SparseGraph from directed pairs that already contain both
     orientations of every edge (no duplicates, no self-loops) and come sorted
-    by (row, col), which makes ``cols`` the CSR indices as they stand; with
-    ``values`` (one per pair), a WeightedGraph carrying them."""
+    by (row, col), which makes ``cols`` the CSR indices as they stand;
+    ``values``, if given, holds one weight per pair."""
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
-    indices = cols.astype(np.int64)
-    if values is None:
-        return SparseGraph(n_nodes=n_nodes, indptr=indptr, indices=indices)
-    return WeightedGraph(n_nodes=n_nodes, indptr=indptr, indices=indices, values=values)
+    return SparseGraph(n_nodes, indptr, cols.astype(np.int64), values)
 
 
 def graph_from_edges(n_nodes: int, u: np.ndarray, v: np.ndarray) -> SparseGraph:
@@ -266,7 +216,7 @@ def check_labels(labels: np.ndarray, n_nodes: int | None = None) -> np.ndarray:
     return labels
 
 
-def normalize_with_self_loops(g: SparseGraph) -> NormalizedAdjacency:
+def normalize_with_self_loops(g: SparseGraph) -> SparseGraph:
     """GCN-style normalization (D+I)^{-1/2}(A+I)(D+I)^{-1/2}.
 
     Entry (i, j) is 1/sqrt((d_i+1)(d_j+1)) for every edge and every diagonal
@@ -284,7 +234,7 @@ def normalize_with_self_loops(g: SparseGraph) -> NormalizedAdjacency:
     coo = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes))
     csr = coo.tocsr()
     csr.sort_indices()
-    return NormalizedAdjacency(
+    return SparseGraph(
         n_nodes=g.n_nodes,
         indptr=csr.indptr.astype(np.int64),
         indices=csr.indices.astype(np.int64),
@@ -293,35 +243,30 @@ def normalize_with_self_loops(g: SparseGraph) -> NormalizedAdjacency:
     )
 
 
-def normalize_no_self_loops(g: SparseGraph | WeightedGraph) -> NormalizedAdjacency:
+def normalize_no_self_loops(g: SparseGraph) -> SparseGraph:
     """Self-loop-free normalization D^{-1/2}SD^{-1/2}.
 
     Degrees are taken from ``g`` itself (row sums of its weights); rows of
     degree-0 nodes come out all-zero, which downstream code treats as "no
     aggregation" for those nodes.
     """
-    if isinstance(g, WeightedGraph):
-        vals_in = g.values
-    else:
-        vals_in = np.ones(g.indices.size, dtype=np.float64)
-    counts = np.diff(g.indptr)
-    rows = np.repeat(np.arange(g.n_nodes), counts)
-    strength = np.zeros(g.n_nodes, dtype=np.float64)
-    np.add.at(strength, rows, vals_in)
+    rows = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+    strength = g.degrees().astype(np.float64)
     inv_sqrt = np.zeros(g.n_nodes, dtype=np.float64)
     nz = strength > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(strength[nz])
-    vals = vals_in * (inv_sqrt[rows] * inv_sqrt[g.indices])
-    return NormalizedAdjacency(
+    vals = inv_sqrt[rows] * inv_sqrt[g.indices]
+    if g.values is not None:
+        vals *= g.values
+    return SparseGraph(
         n_nodes=g.n_nodes,
         indptr=g.indptr.astype(np.int64),
         indices=g.indices.astype(np.int64),
         values=vals,
-        self_loops=False,
     )
 
 
-def spmm(adj: NormalizedAdjacency, m: np.ndarray) -> np.ndarray:
+def spmm(adj: SparseGraph, m: np.ndarray) -> np.ndarray:
     """Sparse-dense product adj @ m."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape[0] != adj.n_nodes:
@@ -331,7 +276,7 @@ def spmm(adj: NormalizedAdjacency, m: np.ndarray) -> np.ndarray:
     return adj.to_scipy() @ m
 
 
-def propagate(adj: NormalizedAdjacency, x: np.ndarray, k: int) -> np.ndarray:
+def propagate(adj: SparseGraph, x: np.ndarray, k: int) -> np.ndarray:
     """k-hop propagation: compute adj^k @ x by k successive products.
 
     The matrix power is never materialized. k must be >= 1; the model adds
@@ -355,7 +300,7 @@ def aggregate(
     kind: str,
     g: SparseGraph,
     x: np.ndarray,
-    a_tilde: NormalizedAdjacency | None = None,
+    a_tilde: SparseGraph | None = None,
 ) -> np.ndarray:
     """Classical neighborhood aggregation over a node's neighbors.
 
@@ -363,23 +308,57 @@ def aggregate(
     zero row to isolated nodes; weighted_sum is the GCN-style a_tilde @ x,
     which includes the node itself through the diagonal.
     """
+    op = aggregator(kind, g, a_tilde)
+    return op.forward(check_features(x, g.n_nodes))
+
+
+def aggregator(
+    kind: str, g: SparseGraph, a_tilde: SparseGraph | None = None
+) -> MaxAggregator | LinearAggregator:
+    """The operator of one classical aggregator over ``g``: ``forward(z)``
+    aggregates the neighbor rows of z, ``backward(G)`` maps a gradient with
+    respect to the result back to z. weighted_sum needs the self-loop
+    normalization ``a_tilde`` of ``g``."""
     if kind not in AGGREGATORS:
         raise ValidationError(f"unknown aggregator {kind!r}; expected one of {AGGREGATORS}")
-    x = check_features(x, g.n_nodes)
+    if kind == "max":
+        return MaxAggregator(g)
     if kind == "weighted_sum":
         if a_tilde is None:
             raise ValidationError("weighted_sum aggregation requires a_tilde")
-        return spmm(a_tilde, x)
-    if kind == "max":
-        return MaxAggregator(g).forward(x)
-    summed = g.to_scipy() @ x
-    if kind == "sum":
-        return summed
-    deg = g.degrees().astype(np.float64)
-    out = np.zeros_like(summed)
-    nz = deg > 0
-    out[nz] = summed[nz] / deg[nz, None]
-    return out
+        return LinearAggregator(a_tilde.to_scipy())
+    return LinearAggregator(g.to_scipy(), g.degrees() if kind == "mean" else None)
+
+
+class LinearAggregator:
+    """z -> M z for a symmetric sparse M, or with ``deg`` the mean
+    (M z) / max(deg, 1): the sum is divided row by row, so the mean of a row
+    is exactly its sum divided by the degree.
+
+    The adjoint of the mean, G -> M D^{-1} G, is one CSR matrix built here,
+    so a backward pass is a single sparse product.
+    """
+
+    def __init__(self, m: sp.csr_matrix, deg: np.ndarray | None = None):
+        self.m = m
+        self.m_t = m
+        self.div = None
+        if deg is not None:
+            import scipy.sparse as sp
+
+            self.div = np.maximum(deg, 1).astype(np.float64)[:, None]
+            self.m_t = (sp.diags(1.0 / self.div[:, 0]) @ m).T.tocsr()
+
+    def forward(self, z: np.ndarray) -> np.ndarray:
+        out = self.m @ z
+        if self.div is not None:
+            out /= self.div
+        return out
+
+    def backward(self, g_y: np.ndarray) -> np.ndarray:
+        """Gradient with respect to z, given the gradient with respect to
+        forward(z)."""
+        return self.m_t @ g_y
 
 
 class MaxAggregator:
@@ -471,7 +450,7 @@ def row_normalize(m: np.ndarray, eps_norm: float = DEFAULT_EPS_NORM) -> np.ndarr
     return out
 
 
-def dirichlet_energy(a_tilde: NormalizedAdjacency, y_hat: np.ndarray) -> float:
+def dirichlet_energy(a_tilde: SparseGraph, y_hat: np.ndarray) -> float:
     """Adjacency-weighted smoothness sum_{ij} w_ij ||Y_i - Y_j||^2.
 
     The sum runs over all ordered nonzero pairs of the normalized adjacency

@@ -22,17 +22,15 @@ where L_agg uses the raw self-loop-free adjacency.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graph import (
-    AGGREGATORS,
-    MaxAggregator,
-    NormalizedAdjacency,
     SparseGraph,
+    aggregator as aggregator_op,  # exp1_train's argument is named aggregator
     check_features,
     dirichlet_energy,
     normalize_no_self_loops,
@@ -82,17 +80,22 @@ class AMLPConfig:
             raise ValidationError("epochs must be >= 1")
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "lambda": self.lambda_,
-            "hidden_dim": self.hidden_dim,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "eps_norm": self.eps_norm,
-            "early_stop": self.early_stop,
-            "use_agg_loss": self.use_agg_loss,
-        }
+        return config_as_dict(self)
+
+
+# JSON keys of the config fields whose Python names differ
+CONFIG_ALIASES = {"lambda_": "lambda"}
+
+
+def config_keys(cls) -> dict:
+    """JSON key -> field name of each field of the config dataclass ``cls``,
+    in declaration order."""
+    return {CONFIG_ALIASES.get(f.name, f.name): f.name for f in fields(cls)}
+
+
+def config_as_dict(cfg) -> dict:
+    """The fields of the config dataclass ``cfg`` under their JSON keys."""
+    return {key: getattr(cfg, name) for key, name in config_keys(type(cfg)).items()}
 
 
 @dataclass
@@ -248,7 +251,7 @@ def _chain_row_normalize(
 
 
 def loss_rec(
-    y: np.ndarray, a_tilde: NormalizedAdjacency, eps_norm: float = 1e-12
+    y: np.ndarray, a_tilde: SparseGraph, eps_norm: float = 1e-12
 ) -> float:
     """Inner-product decoder loss ||Yh Yh^T - A||_F^2 / N^2, never forming N x N."""
     y = np.asarray(y, dtype=np.float64)
@@ -266,7 +269,7 @@ def total_loss(
     p: np.ndarray,
     x: np.ndarray,
     w: np.ndarray,
-    a_tilde: NormalizedAdjacency,
+    a_tilde: SparseGraph,
     cfg: AMLPConfig,
 ) -> tuple[float, float, float]:
     """(L, L_agg, L_rec) with L = L_agg + lambda * L_rec."""
@@ -279,7 +282,7 @@ def gradient(
     p: np.ndarray,
     x: np.ndarray,
     w: np.ndarray,
-    a_tilde: NormalizedAdjacency,
+    a_tilde: SparseGraph,
     cfg: AMLPConfig,
 ) -> np.ndarray:
     """Analytic dL/dW for L = L_agg + lambda * L_rec.
@@ -380,10 +383,8 @@ def train(
         raise ValidationError("training needs at least 2 nodes")
     x = check_features(x, g.n_nodes)
     t0 = time.perf_counter()
-    if recon_cfg.mode == "hard":
-        s, stats = reconstruct_hard(g, x, recon_cfg)
-    else:
-        s, stats = reconstruct_soft(g, x, recon_cfg)
+    reconstruct = reconstruct_hard if recon_cfg.mode == "hard" else reconstruct_soft
+    s, stats = reconstruct(g, x, recon_cfg)
     s_tilde = normalize_no_self_loops(s)
     a_tilde = normalize_with_self_loops(g)
     p = propagate(s_tilde, x, cfg.k)
@@ -435,41 +436,6 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-class _AggOp:
-    """Forward/backward pair for one classical aggregator acting on Z = X W."""
-
-    def __init__(self, kind: str, g: SparseGraph, a_tilde: NormalizedAdjacency):
-        self.kind = kind
-        if kind == "max":
-            self.op = MaxAggregator(g)
-        elif kind == "sum":
-            self.op = g.to_scipy()
-            self.op_t = self.op  # symmetric
-        elif kind == "mean":
-            import scipy.sparse as sp
-
-            deg = g.degrees().astype(np.float64)
-            inv = np.zeros_like(deg)
-            inv[deg > 0] = 1.0 / deg[deg > 0]
-            self.op = sp.diags(inv) @ g.to_scipy()
-            self.op_t = self.op.T.tocsr()
-        elif kind == "weighted_sum":
-            self.op = a_tilde.to_scipy()
-            self.op_t = self.op  # symmetric
-        else:
-            raise ValidationError(f"unknown aggregator {kind!r}")
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        if self.kind == "max":
-            return self.op.forward(z)
-        return self.op @ z
-
-    def backward(self, g_y: np.ndarray) -> np.ndarray:
-        if self.kind == "max":
-            return self.op.backward(g_y)
-        return self.op_t @ g_y
-
-
 def exp1_train(
     g: SparseGraph,
     x: np.ndarray,
@@ -485,14 +451,10 @@ def exp1_train(
     Returns (Dr, Yh) where Dr is measured against the self-loop normalized
     adjacency of g.
     """
-    if aggregator not in AGGREGATORS:
-        raise ValidationError(
-            f"unknown aggregator {aggregator!r}; expected one of {AGGREGATORS}"
-        )
     cfg = cfg or AMLPConfig()
     x = check_features(x, g.n_nodes)
     a_tilde = normalize_with_self_loops(g)
-    agg = _AggOp(aggregator, g, a_tilde)
+    agg = aggregator_op(aggregator, g, a_tilde)
     a_sp = a_tilde.to_scipy()
     a_frob2 = float(np.sum(a_tilde.values**2))
     m1 = None

@@ -9,7 +9,7 @@ adjustable steepness, which converges to the hard decision as steepness grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ValidationError
 from .graph import (
     SparseGraph,
-    WeightedGraph,
     _csr_from_directed_pairs,
     check_features,
     graph_from_edges,
@@ -63,12 +62,7 @@ class ReconstructionStats:
     mean_score: float
 
     def as_dict(self) -> dict:
-        return {
-            "candidates_scored": self.candidates_scored,
-            "edges_kept": self.edges_kept,
-            "edges_removed": self.edges_removed,
-            "mean_score": self.mean_score,
-        }
+        return asdict(self)
 
 
 def pair_score(x_i, x_j, a_i, a_j) -> float:
@@ -311,7 +305,7 @@ def reconstruct_hard(
 
 def reconstruct_soft(
     g: SparseGraph, x: np.ndarray, cfg: ReconstructionConfig
-) -> tuple[WeightedGraph, ReconstructionStats]:
+) -> tuple[SparseGraph, ReconstructionStats]:
     """Sigmoid-relaxed refinement: weight = sigmoid(steepness * (score - epsilon)).
 
     Same candidate set as hard mode; as steepness grows the weights converge

@@ -469,6 +469,14 @@ def test_non_finite_embeddings_exit_1(sbm_dir, tmp_path, capsys, command, value)
     _assert_one_error_line(capsys, f"{emb}:9:", "non-finite")
 
 
+@pytest.mark.parametrize("command", ["cluster", "classify", "diagnose"])
+def test_embeddings_row_count_checked(sbm_dir, tmp_path, capsys, command):
+    emb = tmp_path / "emb.csv"
+    emb.write_text("0.5,0.25\n" * 5)
+    assert main([command, "--data", str(sbm_dir), "--emb", str(emb)]) == 1
+    _assert_one_error_line(capsys, f"{emb}: 5 rows, dataset has 400 nodes")
+
+
 def _dataset_with_splits(tmp_path, text):
     data = tmp_path / "data"
     g, x, labels = generate_dataset(homophilic_preset(seed=0, n_nodes=60))
@@ -550,3 +558,19 @@ def test_meta_json_node_count_checked_against_labels_first(tmp_path, capsys):
     assert main(["diagnose", "--data", str(data)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {data / 'labels.csv'}: 60 labels, expected {2**63}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("cluster", ["--seeds", "1"]), ("classify", ["--n-splits", "2"])]
+)
+def test_cluster_and_classify_read_neither_features_nor_edges(tmp_path, command, flags):
+    """Neither command uses the graph or the features, so neither parses
+    them: both run on a dataset whose features.csv and edges.tsv are garbage."""
+    data = tmp_path / "data"
+    g, x, labels = generate_dataset(homophilic_preset(seed=0, n_nodes=60))
+    save_dataset(data, g, x, labels)
+    (data / "features.csv").write_text("not,a,number\n")
+    (data / "edges.tsv").write_text("x y\n")
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{np.sin(i):.6f},{np.cos(i):.6f}\n" for i in range(60)))
+    assert main([command, "--data", str(data), "--emb", str(emb), *flags]) == 0

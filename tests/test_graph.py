@@ -3,9 +3,11 @@ import pytest
 
 from amlp.errors import ValidationError
 from amlp.graph import (
+    AGGREGATORS,
     MaxAggregator,
     SparseGraph,
     aggregate,
+    aggregator,
     build_graph,
     dirichlet_energy,
     homophily_ratio,
@@ -107,6 +109,55 @@ def test_validate_reports_first_row_not_strictly_increasing(indptr, indices, row
         g.validate()
 
 
+def _edge01(values=None, self_loops=False):
+    """The single edge (0, 1), optionally with weights or the self_loops flag."""
+    g = build_graph([(0, 1)], 2)
+    return SparseGraph(2, g.indptr, g.indices, values, self_loops)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: _edge01(self_loops=True), "diagonal entry is missing"),
+        (
+            lambda: SparseGraph(
+                2,
+                np.array([0, 2, 4]),
+                np.array([0, 1, 0, 1]),
+                np.full(4, 0.5),
+                self_loops=False,
+            ),
+            "self-loop present",
+        ),
+        (lambda: _edge01(np.array([0.5, np.nan])), "non-finite weight"),
+        (lambda: _edge01(np.array([0.5, 0.25])), "normalized adjacency not symmetric"),
+        (
+            lambda: SparseGraph(2, np.array([0, 1, 1]), np.array([1])),
+            "adjacency structure not symmetric",
+        ),
+    ],
+)
+def test_validate_refuses(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make().validate()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_normalizations_and_soft_graphs_validate(seed):
+    from amlp.reconstruct import ReconstructionConfig, reconstruct_soft
+
+    g = random_graph(30, 0.1, seed + 500)
+    x = np.random.default_rng(seed + 500).standard_normal((30, 4))
+    wg, _ = reconstruct_soft(g, x, ReconstructionConfig(mode="soft", steepness=20.0))
+    for adj in (
+        normalize_with_self_loops(g),
+        normalize_no_self_loops(g),
+        wg,
+        normalize_no_self_loops(wg),
+    ):
+        adj.validate()
+
+
 # ---------------------------------------------------------------------------
 # normalizations
 # ---------------------------------------------------------------------------
@@ -116,6 +167,7 @@ def test_normalize_with_self_loops_single_edge():
     at = normalize_with_self_loops(build_graph([(0, 1)], 2))
     assert np.allclose(at.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
     assert at.self_loops
+    assert at.n_edges == 1
     at.validate()
 
 
@@ -305,6 +357,47 @@ def test_aggregate_requires_a_tilde_for_weighted_sum():
     g = build_graph([(0, 1)], 2)
     with pytest.raises(ValidationError):
         aggregate("weighted_sum", g, np.zeros((2, 1)))
+
+
+def _adjoint_graph(name):
+    if name == "star":
+        return build_graph([(0, i) for i in range(1, 25)], 25)
+    # random edges among the first 30 nodes; the last 5 are isolated
+    seed = int(name[-1])
+    rng = np.random.default_rng(seed + 600)
+    u, v = np.nonzero(np.triu(rng.random((30, 30)) < 0.12, k=1))
+    return build_graph(np.column_stack([u, v]), 35)
+
+
+@pytest.mark.parametrize("kind", AGGREGATORS)
+@pytest.mark.parametrize("name", ["random0", "random1", "star"])
+def test_aggregator_backward_is_adjoint_of_forward(kind, name):
+    g = _adjoint_graph(name)
+    at = normalize_with_self_loops(g)
+    rng = np.random.default_rng(601)
+    z = rng.standard_normal((g.n_nodes, 5))
+    g_y = rng.standard_normal((g.n_nodes, 5))
+    op = aggregator(kind, g, at)
+    y = op.forward(z)
+    assert np.array_equal(aggregate(kind, g, z, at), y)
+    lhs = float(np.sum(y * g_y))
+    rhs = float(np.sum(z * op.backward(g_y)))
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+
+def test_mean_aggregator_backward_matches_precomputed_transpose():
+    """The mean's backward keeps the bits of the transposed CSR of D^-1 A."""
+    import scipy.sparse as sp
+
+    from amlp.synth import generate_dataset, heterophilic_preset
+
+    g, x, _ = generate_dataset(heterophilic_preset(seed=0))
+    deg = g.degrees().astype(np.float64)
+    inv = np.zeros_like(deg)
+    inv[deg > 0] = 1.0 / deg[deg > 0]
+    ref_t = (sp.diags(inv) @ g.to_scipy()).T.tocsr()
+    g_y = np.random.default_rng(602).standard_normal((g.n_nodes, 7))
+    assert np.array_equal(aggregator("mean", g).backward(g_y), ref_t @ g_y)
 
 
 # ---------------------------------------------------------------------------

@@ -421,7 +421,8 @@ def test_exp1_max_dirichlet_energies_pinned():
 @pytest.mark.parametrize("agg", ["mean", "sum", "weighted_sum", "max"])
 def test_exp1_gradient_matches_fd(agg):
     """FD check of the full exp1 objective via a 1-epoch probe."""
-    from amlp.model import _AggOp, _rec_pieces, _chain_row_normalize
+    from amlp.graph import aggregator
+    from amlp.model import _rec_pieces, _chain_row_normalize
 
     rng = np.random.default_rng(90)
     g, x = small_instance(seed=90, n=12)
@@ -436,12 +437,12 @@ def test_exp1_gradient_matches_fd(agg):
     m1 = diff.T @ diff
 
     def objective(wm):
-        op = _AggOp(agg, g, at)
+        op = aggregator(agg, g, at)
         y = op.forward(x @ wm)
         lr_, *_ = _rec_pieces(y, a_sp, a_frob2, 1e-12)
         return lr_ + lam * float(np.sum(wm * (m1 @ wm)))
 
-    op = _AggOp(agg, g, at)
+    op = aggregator(agg, g, at)
     z = x @ w
     y = op.forward(z)
     lr_, y_hat, norms, nz, g_yhat = _rec_pieces(y, a_sp, a_frob2, 1e-12)
