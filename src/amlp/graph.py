@@ -335,8 +335,10 @@ class LinearAggregator:
     (M z) / max(deg, 1): the sum is divided row by row, so the mean of a row
     is exactly its sum divided by the degree.
 
-    The adjoint of the mean, G -> M D^{-1} G, is one CSR matrix built here,
-    so a backward pass is a single sparse product.
+    The adjoint of the mean, G -> M D^{-1} G, is one CSR matrix, so a
+    backward pass is a single sparse product. It is built on the first
+    ``backward`` call (``m_t`` is None until then), since a forward-only
+    caller never needs it.
     """
 
     def __init__(self, m: sp.csr_matrix, deg: np.ndarray | None = None):
@@ -344,10 +346,8 @@ class LinearAggregator:
         self.m_t = m
         self.div = None
         if deg is not None:
-            import scipy.sparse as sp
-
             self.div = np.maximum(deg, 1).astype(np.float64)[:, None]
-            self.m_t = (sp.diags(1.0 / self.div[:, 0]) @ m).T.tocsr()
+            self.m_t = None
 
     def forward(self, z: np.ndarray) -> np.ndarray:
         out = self.m @ z
@@ -358,6 +358,10 @@ class LinearAggregator:
     def backward(self, g_y: np.ndarray) -> np.ndarray:
         """Gradient with respect to z, given the gradient with respect to
         forward(z)."""
+        if self.m_t is None:
+            import scipy.sparse as sp
+
+            self.m_t = (sp.diags(1.0 / self.div[:, 0]) @ self.m).T.tocsr()
         return self.m_t @ g_y
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graph import (
+    LinearAggregator,
     SparseGraph,
     aggregator as aggregator_op,  # exp1_train's argument is named aggregator
     check_features,
@@ -450,36 +451,56 @@ def exp1_train(
     aggregation loss ||A X W - X W||_F^2 over the raw self-loop-free adjacency.
     Returns (Dr, Yh) where Dr is measured against the self-loop normalized
     adjacency of g.
+
+    Mean, sum and weighted_sum are linear maps M, so agg(X W) = (M X) W:
+    F = M X is computed once and an epoch runs Y = F W and dL/dW = F^T G_Y,
+    leaving the decoder's A Yh as its one sparse product. Max keeps F = X and
+    runs its forward on X W and its backward every epoch.
     """
     cfg = cfg or AMLPConfig()
     x = check_features(x, g.n_nodes)
     a_tilde = normalize_with_self_loops(g)
     agg = aggregator_op(aggregator, g, a_tilde)
+    linear = isinstance(agg, LinearAggregator)
+    f = agg.forward(x) if linear else x
     a_sp = a_tilde.to_scipy()
     a_frob2 = float(np.sum(a_tilde.values**2))
+    n, d = x.shape
+    c = cfg.hidden_dim
     m1 = None
     if use_agg_loss:
-        diff = g.to_scipy() @ x - x
+        # the sum aggregator's F is this same product A X
+        ax = f if aggregator == "sum" else g.to_scipy() @ x
+        diff = ax - x
         m1 = diff.T @ diff
-    ws = _DecoderWorkspace(g.n_nodes, cfg.hidden_dim)
-    w = init_weights(x.shape[1], cfg.hidden_dim, cfg.seed)
+        m1w = np.empty((d, c))
+    ws = _DecoderWorkspace(n, c)
+    xw = None if linear else np.empty((n, c))
+    grad = np.empty((d, c))
+    w = init_weights(d, c, cfg.seed)
     state = AdamState.zeros_like(w)
     for epoch in range(cfg.epochs):
-        z = x @ w
-        y = agg.forward(z)
+        y = np.matmul(f, w, out=ws.y_hat if linear else xw)
+        if not linear:
+            y = agg.forward(y)
         lr_, y_hat, norms, nz, g_yhat = _rec_pieces(
             y, a_sp, a_frob2, cfg.eps_norm, ws
         )
         total = lr_
         g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz, ws)
-        g_z = agg.backward(g_y)
-        grad = x.T @ g_z
+        if not linear:
+            g_y = agg.backward(g_y)
+        np.matmul(f.T, g_y, out=grad)
         if use_agg_loss:
-            m1w = m1 @ w
+            np.matmul(m1, w, out=m1w)
             total = total + lambda_ * float(np.sum(w * m1w))
-            grad = grad + lambda_ * 2.0 * m1w
+            np.multiply(lambda_ * 2.0, m1w, out=m1w)
+            np.add(grad, m1w, out=grad)
         if not np.isfinite(total):
             raise NumericalError(f"non-finite loss at epoch {epoch}: total={total}")
         w, state = adam_step(state, w, grad, cfg.learning_rate)
-    y_hat = row_normalize(agg.forward(x @ w), cfg.eps_norm)
+    y = f @ w
+    if not linear:
+        y = agg.forward(y)
+    y_hat = row_normalize(y, cfg.eps_norm)
     return dirichlet_energy(a_tilde, y_hat), y_hat

@@ -46,3 +46,19 @@ def test_marks_record_every_epoch_of_train_and_exp1():
         marks.uninstall()
     assert len(marks.init_weights) == 2
     assert [len(ends) for ends in marks.epoch_ends] == [4, 6]
+
+
+def test_marks_record_every_epoch_of_each_exp1_aggregator():
+    tracing = _tracing()
+    rng = np.random.default_rng(1)
+    g = build_graph([(i, (i + 1) % 10) for i in range(10)] + [(2, 7)], 10)
+    x = rng.standard_normal((10, 4))
+    cfg = amlp.model.AMLPConfig(hidden_dim=3, epochs=5)
+    for kind in ("mean", "max", "sum", "weighted_sum"):
+        marks = tracing.Marks().install()
+        try:
+            amlp.model.exp1_train(g, x, kind, True, cfg=cfg)
+        finally:
+            marks.uninstall()
+        assert len(marks.init_weights) == 1, kind
+        assert [len(ends) for ends in marks.epoch_ends] == [cfg.epochs], kind

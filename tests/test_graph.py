@@ -400,6 +400,32 @@ def test_mean_aggregator_backward_matches_precomputed_transpose():
     assert np.array_equal(aggregator("mean", g).backward(g_y), ref_t @ g_y)
 
 
+def test_mean_aggregator_builds_its_transpose_on_first_backward(monkeypatch):
+    from amlp import graph
+
+    g = _adjoint_graph("random0")
+    z = np.random.default_rng(603).standard_normal((g.n_nodes, 3))
+    built = []
+    init = graph.LinearAggregator.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(graph.LinearAggregator, "__init__", record)
+    aggregate("mean", g, z)
+    assert len(built) == 1 and built[0].m_t is None
+
+    op = aggregator("mean", g)
+    op.forward(z)
+    assert op.m_t is None
+    op.backward(z)
+    m_t = op.m_t
+    assert m_t is not None
+    op.backward(z)
+    assert op.m_t is m_t
+
+
 # ---------------------------------------------------------------------------
 # MaxAggregator
 # ---------------------------------------------------------------------------

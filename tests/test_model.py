@@ -460,6 +460,125 @@ def test_exp1_gradient_matches_fd(agg):
     assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
 
 
+@pytest.mark.parametrize("agg", ["mean", "sum", "weighted_sum"])
+def test_exp1_precomputed_gradient_matches_fd(agg):
+    """FD check of the gradient exp1_train takes for a linear aggregator M:
+    with F = M X, dL/dW = F^T G_Y + lambda * 2 M1 W."""
+    from amlp.graph import aggregator
+    from amlp.model import _rec_pieces, _chain_row_normalize
+
+    rng = np.random.default_rng(91)
+    g, x = small_instance(seed=91, n=12)
+    x = x[:, :4]
+    at = normalize_with_self_loops(g)
+    a_sp = at.to_scipy()
+    a_frob2 = float(np.sum(at.values**2))
+    w = rng.standard_normal((4, 3)) * 0.4
+    lam = 0.1
+    diff = g.to_scipy() @ x - x
+    m1 = diff.T @ diff
+
+    def objective(wm):
+        y = aggregator(agg, g, at).forward(x @ wm)
+        lr_, *_ = _rec_pieces(y, a_sp, a_frob2, 1e-12)
+        return lr_ + lam * float(np.sum(wm * (m1 @ wm)))
+
+    f = aggregator(agg, g, at).forward(x)
+    lr_, y_hat, norms, nz, g_yhat = _rec_pieces(f @ w, a_sp, a_frob2, 1e-12)
+    g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz)
+    analytic = f.T @ g_y + lam * 2.0 * (m1 @ w)
+    h = 1e-6
+    numeric = np.zeros_like(w)
+    for idx in np.ndindex(*w.shape):
+        wp = w.copy()
+        wp[idx] += h
+        wm_ = w.copy()
+        wm_[idx] -= h
+        numeric[idx] = (objective(wp) - objective(wm_)) / (2 * h)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
+
+
+def _reference_exp1_train(g, x, aggregator, use_agg_loss, lambda_, cfg):
+    """exp1_train as one aggregator forward on X W and one backward per epoch."""
+    from amlp.graph import aggregator as aggregator_op, dirichlet_energy
+    from amlp.model import _rec_pieces, _chain_row_normalize
+
+    a_tilde = normalize_with_self_loops(g)
+    agg = aggregator_op(aggregator, g, a_tilde)
+    a_sp = a_tilde.to_scipy()
+    a_frob2 = float(np.sum(a_tilde.values**2))
+    if use_agg_loss:
+        diff = g.to_scipy() @ x - x
+        m1 = diff.T @ diff
+    w = init_weights(x.shape[1], cfg.hidden_dim, cfg.seed)
+    state = AdamState.zeros_like(w)
+    for _ in range(cfg.epochs):
+        y = agg.forward(x @ w)
+        lr_, y_hat, norms, nz, g_yhat = _rec_pieces(y, a_sp, a_frob2, cfg.eps_norm)
+        g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz)
+        grad = x.T @ agg.backward(g_y)
+        if use_agg_loss:
+            grad = grad + lambda_ * 2.0 * (m1 @ w)
+        w, state = adam_step(state, w, grad, cfg.learning_rate)
+    y_hat = row_normalize(agg.forward(x @ w), cfg.eps_norm)
+    return dirichlet_energy(a_tilde, y_hat), y_hat
+
+
+@pytest.fixture(scope="module")
+def presets():
+    from amlp.synth import generate_dataset, heterophilic_preset, homophilic_preset
+
+    return {
+        name: generate_dataset(preset(seed=0))[:2]
+        for name, preset in (("hom", homophilic_preset), ("het", heterophilic_preset))
+    }
+
+
+@pytest.mark.parametrize("use_agg_loss", [False, True])
+@pytest.mark.parametrize("agg", ["mean", "max", "sum", "weighted_sum"])
+@pytest.mark.parametrize("preset", ["hom", "het"])
+def test_exp1_matches_per_epoch_aggregator_reference(presets, preset, agg, use_agg_loss):
+    g, x = presets[preset]
+    cfg = AMLPConfig(hidden_dim=8, epochs=6, seed=1)
+    dr, y_hat = exp1_train(g, x, agg, use_agg_loss, 0.1, cfg)
+    ref_dr, ref_y = _reference_exp1_train(g, x, agg, use_agg_loss, 0.1, cfg)
+    if agg == "max":
+        assert dr == ref_dr
+        assert np.array_equal(y_hat, ref_y)
+    else:
+        # (M X) W rounds differently from M (X W)
+        assert abs(dr - ref_dr) <= 1e-12 * abs(ref_dr)
+        assert np.abs(y_hat - ref_y).max() <= 1e-12
+
+
+@pytest.mark.parametrize("agg", ["mean", "max", "sum", "weighted_sum"])
+def test_exp1_aggregator_call_counts(monkeypatch, agg):
+    from amlp import graph
+
+    calls = {"forward": 0, "backward": 0}
+    cls = graph.MaxAggregator if agg == "max" else graph.LinearAggregator
+
+    def spy(name):
+        original = getattr(cls, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    spy("forward")
+    spy("backward")
+    g, x = small_instance(seed=83, n=25)
+    cfg = AMLPConfig(hidden_dim=4, epochs=7, seed=0)
+    exp1_train(g, x, agg, use_agg_loss=True, cfg=cfg)
+    if agg == "max":
+        assert calls == {"forward": cfg.epochs + 1, "backward": cfg.epochs}
+    else:
+        assert calls == {"forward": 1, "backward": 0}
+
+
 # ---------------------------------------------------------------------------
 # Workspace kernel against the allocating formulas it replaced
 # ---------------------------------------------------------------------------
