@@ -214,8 +214,8 @@ def _cmd_train(args) -> int:
         run_cfg.lambda_ = args.lambda_
     if args.epochs is not None:
         run_cfg.epochs = args.epochs
-    g, x, labels, _ = dataio.load_dataset(args.data)
     meta = dataio.load_meta(args.data)
+    g, x, labels, _ = dataio.load_dataset(args.data, meta)
     combos = run_cfg.grid()
     has_labels = bool((labels >= 0).any()) and meta.get("num_classes", 0) >= 2
     if len(combos) > 1 and not has_labels:

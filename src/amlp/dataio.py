@@ -302,14 +302,16 @@ def _load_features_csv(path: Path, n_nodes: int, n_features: int) -> np.ndarray:
     return x.astype(np.float32).astype(np.float64)
 
 
-def load_labels(path):
+def load_labels(path, meta: dict | None = None):
     """Read the labels of a dataset directory without its graph or features.
 
     Returns (meta, labels, SplitSet | None), checked as ``load_dataset``
-    checks them.
+    checks them. ``meta``, if given, is the directory's meta.json as
+    ``load_meta`` returned it, which is then not read again.
     """
     path = Path(path)
-    meta = _read_meta(path / META_FILE)
+    if meta is None:
+        meta = _read_meta(path / META_FILE)
     n = meta["num_nodes"]
     # the label count bounds num_nodes before anything is sized by it
     labels = parse_int_lines(path / "labels.csv", 1).ravel()
@@ -329,15 +331,16 @@ def load_labels(path):
     return meta, labels, splits
 
 
-def load_dataset(path):
+def load_dataset(path, meta: dict | None = None):
     """Load and validate a dataset directory.
 
     Returns (SparseGraph, features, labels, SplitSet | None). Counts are
-    checked against meta.json; malformed lines are reported with file and
+    checked against meta.json, which is read unless ``meta`` gives it as
+    ``load_meta`` returned it; malformed lines are reported with file and
     line number.
     """
     path = Path(path)
-    meta, labels, splits = load_labels(path)
+    meta, labels, splits = load_labels(path, meta)
     n = meta["num_nodes"]
     d = meta["num_features"]
     edges = parse_int_lines(path / "edges.tsv", 2)

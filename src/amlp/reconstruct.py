@@ -19,7 +19,7 @@ from .graph import (
     SparseGraph,
     _csr_from_directed_pairs,
     check_features,
-    graph_from_edges,
+    graph_from_edges,  # noqa: F401  (the reference assembly of the tests)
 )
 
 CANDIDATE_POLICIES = ("original_edges", "all_pairs")
@@ -144,10 +144,11 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
     allocates only its sparse common-neighbour product. The feature product of
     a block is computed at full width: BLAS rounding depends on the operand
     shape, and the full width keeps every score equal to one computed from
-    ``x[block] @ x.T``. Every other step runs in sub-blocks of _SUB_BLOCK
-    rows on the columns right of the sub-block's first row, so the pair
-    work is N(N-1)/2 plus O(N·_SUB_BLOCK). The sum of each block's scores
-    enters ``mean_score``, so its last bits depend on _BLOCK.
+    ``x[block] @ x.T`` (a sub-block product ``x[s0:s1] @ x.T`` rounds
+    differently). Every other step runs in sub-blocks of _SUB_BLOCK rows on
+    the columns right of the sub-block's first row, so the pair work is
+    N(N-1)/2 plus O(N·_SUB_BLOCK). The sum of each block's scores enters
+    ``mean_score``, so its last bits depend on _BLOCK.
     """
     n = g.n_nodes
     if n < 2:
@@ -157,8 +158,12 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
     a = g.to_scipy()
     height = min(_BLOCK, n)
     dx = np.empty((height, n))
-    # the first block has the most pairs
-    scores = np.empty(height * (n - 1) - height * (height - 1) // 2)
+    # A block's packed scores overwrite its own feature product. Once the
+    # sub-blocks ending at local row r are packed, they fill fewer than r·N
+    # slots (each row packs fewer than N), and the next sub-block reads dx
+    # from slot r·N on; a sub-block's own dx rows are read into cos_x before
+    # its scores are packed.
+    scores = dx.reshape(-1)
     # flat, so that each (rows, cols) sub-block view is C-contiguous, which
     # toarray(out=) requires
     size = min(_SUB_BLOCK, height) * n
@@ -283,6 +288,53 @@ class _StatsAccumulator:
         )
 
 
+def _scored_pairs(
+    g: SparseGraph, x: np.ndarray, cfg: ReconstructionConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, ReconstructionStats]:
+    """(u, v, weights, stats) over the candidate set: the pairs that clear
+    epsilon and no weights in hard mode, every pair and its sigmoid weight in
+    soft mode. The pairs come as ``_iter_candidate_scores`` yields them:
+    unique, u < v, sorted by (u, v). The candidate loop's buffers are freed
+    on return, before the caller assembles the refined graph."""
+    soft = cfg.mode == "soft"
+    acc = _StatsAccumulator()
+    us, vs, ws = [], [], []
+    for pairs, scores in _iter_candidate_scores(g, x, cfg):
+        keep = scores >= cfg.epsilon
+        acc.add(scores, int(keep.sum()))
+        u, v = pairs(None if soft else keep)
+        us.append(u)
+        vs.append(v)
+        if soft:
+            ws.append(_sigmoid(cfg.steepness * (scores - cfg.epsilon)))
+    u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
+    v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
+    w = None
+    if soft:
+        w = np.concatenate(ws) if ws else np.zeros(0, dtype=np.float64)
+    return u, v, w, acc.finish()
+
+
+def _graph_from_sorted_pairs(
+    n_nodes: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None = None
+) -> SparseGraph:
+    """The symmetric SparseGraph of unordered pairs (u[i], v[i]), with weight
+    w[i] on both orientations if given.
+
+    Requires the pairs unique, with u < v and sorted by (u, v), as the
+    candidate loop yields them. Then a row's (v, u) entries hold its columns
+    below the diagonal in increasing order and its (u, v) entries those above
+    it, so a stable sort by row of [(v, u); (u, v)] sorts by (row, col)
+    without comparing columns.
+    """
+    rows = np.concatenate([v, u])
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    cols = np.concatenate([u, v])[order]
+    values = None if w is None else np.concatenate([w, w])[order]
+    return _csr_from_directed_pairs(n_nodes, rows, cols, values)
+
+
 def reconstruct_hard(
     g: SparseGraph, x: np.ndarray, cfg: ReconstructionConfig
 ) -> tuple[SparseGraph, ReconstructionStats]:
@@ -290,17 +342,8 @@ def reconstruct_hard(
     if cfg.mode != "hard":
         raise ValidationError("reconstruct_hard requires cfg.mode == 'hard'")
     x = check_features(x, g.n_nodes)
-    acc = _StatsAccumulator()
-    us, vs = [], []
-    for pairs, scores in _iter_candidate_scores(g, x, cfg):
-        keep = scores >= cfg.epsilon
-        acc.add(scores, int(keep.sum()))
-        u, v = pairs(keep)
-        us.append(u)
-        vs.append(v)
-    u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
-    v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
-    return graph_from_edges(g.n_nodes, u, v), acc.finish()
+    u, v, _, stats = _scored_pairs(g, x, cfg)
+    return _graph_from_sorted_pairs(g.n_nodes, u, v), stats
 
 
 def reconstruct_soft(
@@ -315,20 +358,5 @@ def reconstruct_soft(
     if cfg.mode != "soft":
         raise ValidationError("reconstruct_soft requires cfg.mode == 'soft'")
     x = check_features(x, g.n_nodes)
-    acc = _StatsAccumulator()
-    us, vs, ws = [], [], []
-    for pairs, scores in _iter_candidate_scores(g, x, cfg):
-        acc.add(scores, int((scores >= cfg.epsilon).sum()))
-        u, v = pairs(None)
-        us.append(u)
-        vs.append(v)
-        ws.append(_sigmoid(cfg.steepness * (scores - cfg.epsilon)))
-    u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
-    v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
-    w = np.concatenate(ws) if ws else np.zeros(0, dtype=np.float64)
-    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.lexsort((cols, rows))
-    wg = _csr_from_directed_pairs(
-        g.n_nodes, rows[order], cols[order], np.concatenate([w, w])[order]
-    )
-    return wg, acc.finish()
+    u, v, w, stats = _scored_pairs(g, x, cfg)
+    return _graph_from_sorted_pairs(g.n_nodes, u, v, w), stats

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import amlp
+from amlp import dataio
 from amlp.cli import main
 from amlp.dataio import load_dataset, save_dataset
 from amlp.synth import generate_dataset, homophilic_preset
@@ -558,6 +559,21 @@ def test_meta_json_node_count_checked_against_labels_first(tmp_path, capsys):
     assert main(["diagnose", "--data", str(data)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {data / 'labels.csv'}: 60 labels, expected {2**63}\n"
+
+
+def test_train_reads_meta_json_once(sbm_dir, tmp_path, monkeypatch):
+    """train takes num_classes from the meta.json that the dataset load checks."""
+    calls = []
+    read_meta = dataio._read_meta
+
+    def spy(path):
+        calls.append(path)
+        return read_meta(path)
+
+    monkeypatch.setattr(dataio, "_read_meta", spy)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(sbm_dir), "--out", str(run), "--epochs", "3"]) == 0
+    assert calls == [sbm_dir / "meta.json"]
 
 
 @pytest.mark.parametrize(

@@ -426,3 +426,69 @@ def test_all_pairs_memory_is_the_workspace(traced_peak):
     # buffers, the kept mask of a block, and the refined graph's assembly
     workspace = 8 * (2 * block * n + 4 * sub * n) + block * n
     assert peak < workspace + 200 * stats.edges_kept + (1 << 20)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.001])
+def test_all_pairs_memory_is_one_block_buffer(traced_peak, epsilon):
+    # epsilon 0.1 keeps about 1% of the pairs, 0.001 about 21%
+    n = 2000
+    g, x = all_pairs_instance(n, seed=7)
+    cfg = ReconstructionConfig(candidate_policy="all_pairs", epsilon=epsilon)
+    (_, stats), peak = traced_peak(lambda: reconstruct_hard(g, x, cfg))
+    block, sub = reconstruct._BLOCK, reconstruct._SUB_BLOCK
+    # one (_BLOCK x N) buffer holds the feature product and the packed
+    # scores; then four (_SUB_BLOCK x N) buffers, the kept mask of a block,
+    # and an assembly that starts after the block buffer is freed
+    workspace = 8 * (block * n + 4 * sub * n) + block * n
+    assert peak < workspace + 80 * stats.edges_kept + (1 << 20)
+
+
+# ---------------------------------------------------------------------------
+# assembly of the refined graph
+# ---------------------------------------------------------------------------
+
+
+def sorted_upper_pairs(n, p, seed):
+    """Unique pairs u < v sorted by (u, v), each present with probability p."""
+    rng = np.random.default_rng(seed)
+    u, v = np.nonzero(np.triu(rng.random((n, n)) < p, k=1))
+    return n, u.astype(np.int64), v.astype(np.int64)
+
+
+def listed_pairs(n, edges):
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return n, e[:, 0], e[:, 1]
+
+
+ASSEMBLY_CASES = {
+    "no-pairs": listed_pairs(5, []),
+    "n1": listed_pairs(1, []),
+    "n2-empty": listed_pairs(2, []),
+    "n2": listed_pairs(2, [(0, 1)]),
+    "star": listed_pairs(9, [(0, i) for i in range(1, 9)]),
+    "star-on-last-node": listed_pairs(9, [(i, 8) for i in range(8)]),
+    "isolated-nodes": listed_pairs(10, [(1, 4), (1, 7), (4, 7), (7, 8)]),
+    "random-sparse": sorted_upper_pairs(40, 0.1, 0),
+    "random-half": sorted_upper_pairs(41, 0.5, 1),
+    "random-dense": sorted_upper_pairs(60, 0.9, 2),
+}
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_sorted_pairs_assembly_matches_general_assembly(case):
+    n, u, v = ASSEMBLY_CASES[case]
+    got = reconstruct._graph_from_sorted_pairs(n, u, v)
+    want = reconstruct.graph_from_edges(n, u, v)
+    assert got.values is None and want.values is None
+    for field in ("indptr", "indices"):
+        assert_same_array(getattr(got, field), getattr(want, field))
+
+    w = np.random.default_rng(u.size).random(u.size)
+    got = reconstruct._graph_from_sorted_pairs(n, u, v, w)
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((cols, rows))
+    want = reconstruct._csr_from_directed_pairs(
+        n, rows[order], cols[order], np.concatenate([w, w])[order]
+    )
+    for field in ("indptr", "indices", "values"):
+        assert_same_array(getattr(got, field), getattr(want, field))
