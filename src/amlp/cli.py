@@ -165,13 +165,13 @@ def _cmd_sbm(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     t0 = time.perf_counter()
-    g, x, labels, _ = dataio.load_dataset(args.data)
     cfg = ReconstructionConfig(
         epsilon=args.epsilon,
         candidate_policy=args.policy,
         mode="soft" if args.soft else "hard",
         steepness=args.steepness,
     )
+    g, x, labels, _ = dataio.load_dataset(args.data)
     reconstruct = reconstruct_soft if args.soft else reconstruct_hard
     s, stats = reconstruct(g, x, cfg)
     # in soft mode the dataset dir carries the full candidate support, and the
@@ -214,9 +214,10 @@ def _cmd_train(args) -> int:
         run_cfg.lambda_ = args.lambda_
     if args.epochs is not None:
         run_cfg.epochs = args.epochs
+    # the model and reconstruction configs refuse bad values before any read
+    combos = run_cfg.grid()
     meta = dataio.load_meta(args.data)
     g, x, labels, _ = dataio.load_dataset(args.data, meta)
-    combos = run_cfg.grid()
     has_labels = bool((labels >= 0).any()) and meta.get("num_classes", 0) >= 2
     if len(combos) > 1 and not has_labels:
         raise ValidationError(
@@ -312,9 +313,14 @@ def _cmd_classify(args) -> int:
     _check_counts(n_splits=args.n_splits)
     _, labels, _ = dataio.load_labels(args.data)
     y_hat = _load_embeddings(args.emb, labels.size)
-    ratios = tuple(float(r) for r in args.ratios.split(","))
+    try:
+        ratios = tuple(float(r) for r in args.ratios.split(","))
+    except ValueError:
+        ratios = ()
     if len(ratios) != 3:
-        raise ValidationError("--ratios must be three comma-separated fractions")
+        raise ValidationError(
+            f"--ratios must be three comma-separated fractions, got {args.ratios!r}"
+        )
     split_set = evaluate.make_splits(labels, ratios, n_splits=args.n_splits, seed=args.seed)
     accs = [
         evaluate.linear_probe(y_hat, labels, split) for split in split_set.splits

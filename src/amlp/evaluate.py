@@ -373,10 +373,16 @@ def make_splits(
     largest-remainder rule (so each class's segment sizes stay within one
     node of its exact quota), a correction pass pins the global segment
     sizes to within one node of the targets, and every class keeps at least
-    one training node.
+    one training node. Each ratio must lie in [0, 1]. A split with no test
+    node is refused; an empty validation split is allowed, and
+    ``linear_probe`` then picks its checkpoint by training accuracy.
     """
     labels = check_labels(labels)
     ratios_arr = np.asarray(ratios, dtype=np.float64)
+    if ratios_arr.shape != (3,):
+        raise ValidationError("ratios must be three fractions (train, val, test)")
+    if not np.all((ratios_arr >= 0.0) & (ratios_arr <= 1.0)):
+        raise ValidationError(f"ratios must lie in [0, 1], got {ratios_arr.tolist()}")
     if abs(ratios_arr.sum() - 1.0) > 1e-9:
         raise ValidationError("ratios must sum to 1")
     labeled = np.flatnonzero(labels >= 0)
@@ -405,7 +411,13 @@ def make_splits(
             segs[0].append(idx[: counts[0]])
             segs[1].append(idx[counts[0] : counts[0] + counts[1]])
             segs[2].append(idx[counts[0] + counts[1] :])
-        splits.append(tuple(np.sort(np.concatenate(s_)) for s_ in segs))
+        split = tuple(np.sort(np.concatenate(s_)) for s_ in segs)
+        if split[2].size == 0:
+            raise ValidationError(
+                f"ratios {ratios_arr.tolist()} leave the test split of "
+                f"{labeled.size} labeled nodes empty"
+            )
+        splits.append(split)
     return SplitSet(splits=splits, ratios=tuple(float(r) for r in ratios_arr))
 
 
@@ -519,6 +531,8 @@ def linear_probe(
         raise ValidationError("linear-probe input must be finite: y_hat holds NaN or inf")
     labels = check_labels(labels)
     train_idx, val_idx, test_idx = (np.asarray(s) for s in split)
+    if test_idx.size == 0:
+        raise ValidationError("the test split is empty")
     classes = np.unique(labels[labels >= 0])
     n_classes = int(classes.max()) + 1
     present = np.unique(labels[train_idx])

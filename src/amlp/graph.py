@@ -447,11 +447,32 @@ class MaxAggregator:
 def row_normalize(m: np.ndarray, eps_norm: float = DEFAULT_EPS_NORM) -> np.ndarray:
     """Divide each row by its Euclidean norm; rows with norm < eps_norm become zero."""
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
-    out = np.zeros_like(m)
-    nz = norms >= eps_norm
-    out[nz] = m[nz] / norms[nz, None]
+    out = np.empty_like(m)
+    n = m.shape[0]
+    _row_normalize_into(m, out, np.empty(n), np.empty(n, dtype=bool), out, eps_norm)
     return out
+
+
+def _row_normalize_into(
+    m: np.ndarray,
+    out: np.ndarray,
+    norms: np.ndarray,
+    nz: np.ndarray,
+    scratch: np.ndarray,
+    eps_norm: float,
+) -> None:
+    """Write ``m`` row-normalized into ``out``, which may be ``m`` itself,
+    allocating nothing: the row norms go to ``norms``, the mask of rows with
+    norm >= eps_norm to ``nz``, and the other rows of ``out`` become zero.
+    ``scratch`` (m's shape; it may be ``out`` but not ``m``) receives the
+    squares. The norms are the steps np.linalg.norm(m, axis=1) takes for real
+    input, so the bits are row_normalize's."""
+    np.multiply(m, m, out=scratch)
+    np.add.reduce(scratch, axis=1, out=norms)
+    np.sqrt(norms, out=norms)
+    np.greater_equal(norms, eps_norm, out=nz)
+    np.divide(m, norms[:, None], out=out, where=nz[:, None])
+    out[~nz] = 0.0
 
 
 def dirichlet_energy(a_tilde: SparseGraph, y_hat: np.ndarray) -> float:
@@ -470,7 +491,8 @@ def dirichlet_energy(a_tilde: SparseGraph, y_hat: np.ndarray) -> float:
     a = a_tilde.to_scipy()
     row_sums = np.asarray(a.sum(axis=1)).ravel()
     sq = np.einsum("ij,ij->i", y_hat, y_hat)
-    cross = float(np.sum(y_hat * (a @ y_hat)))
+    ay = a @ y_hat
+    cross = float(np.multiply(y_hat, ay, out=ay).sum())
     val = 2.0 * float(row_sums @ sq) - 2.0 * cross
     return max(val, 0.0)
 

@@ -21,6 +21,7 @@ where L_agg uses the raw self-loop-free adjacency.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
@@ -37,7 +38,7 @@ from .graph import (
     normalize_no_self_loops,
     normalize_with_self_loops,
     propagate,
-    row_normalize,
+    _row_normalize_into,
 )
 from .reconstruct import (
     ReconstructionConfig,
@@ -53,6 +54,11 @@ if TYPE_CHECKING:
 # below EARLY_STOP_REL_TOL for EARLY_STOP_PATIENCE consecutive epochs.
 EARLY_STOP_REL_TOL = 1e-6
 EARLY_STOP_PATIENCE = 10
+
+
+def _check_lambda(lambda_: float) -> None:
+    if not (math.isfinite(lambda_) and lambda_ >= 0):
+        raise ValidationError(f"lambda must be finite and >= 0, got {lambda_}")
 
 
 @dataclass(frozen=True)
@@ -71,14 +77,19 @@ class AMLPConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("k must be >= 1")
-        if self.lambda_ < 0:
-            raise ValidationError("lambda must be >= 0")
+        _check_lambda(self.lambda_)
         if self.hidden_dim < 1:
             raise ValidationError("hidden_dim must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
+        if not (math.isfinite(self.eps_norm) and self.eps_norm > 0):
+            raise ValidationError(
+                f"eps_norm must be finite and positive, got {self.eps_norm}"
+            )
 
     def as_dict(self) -> dict:
         return config_as_dict(self)
@@ -211,13 +222,7 @@ def _rec_pieces(
     if ws is None:
         ws = _DecoderWorkspace(*y.shape)
     norms, nz, y_hat, t = ws.norms, ws.nz, ws.y_hat, ws.scratch
-    # the steps np.linalg.norm(y, axis=1) takes for real input
-    np.multiply(y, y, out=t)
-    np.add.reduce(t, axis=1, out=norms)
-    np.sqrt(norms, out=norms)
-    np.greater_equal(norms, eps_norm, out=nz)
-    np.divide(y, norms[:, None], out=y_hat, where=nz[:, None])
-    y_hat[~nz] = 0.0
+    _row_normalize_into(y, y_hat, norms, nz, t, eps_norm)
     gram = np.matmul(y_hat.T, y_hat, out=ws.gram)
     ay = a_sp @ y_hat
     cross = float(np.multiply(y_hat, ay, out=t).sum())
@@ -329,12 +334,15 @@ class _TrainingKernel:
     the sparse decoder target and its squared Frobenius norm, plus the
     buffers every epoch writes into (c = hidden_dim columns): MW, which
     B^T G_Y reuses, the gradient and the decoder workspace, whose Yh buffer
-    receives Y."""
+    receives Y.
+
+    Set-up holds one N x d array besides ``p`` and ``x``: B is written into
+    the buffer of P - X once M is formed from it. ``p`` is only read."""
 
     def __init__(self, p, x, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
-        self.b = p + x
         diff = p - x
         self.m = diff.T @ diff
+        self.b = np.add(p, x, out=diff)
         self.a_sp = a_tilde.to_scipy()
         self.a_frob2 = float(np.sum(a_tilde.values**2))
         self.lambda_ = lambda_
@@ -392,6 +400,7 @@ def train(
     kernel = _TrainingKernel(
         p, x, a_tilde, cfg.hidden_dim, cfg.lambda_, cfg.eps_norm, cfg.use_agg_loss
     )
+    del p  # the epochs read only B and M
     w = init_weights(x.shape[1], cfg.hidden_dim, cfg.seed)
     state = AdamState.zeros_like(w)
     rec_agg, rec_rec, rec_tot = [], [], []
@@ -417,8 +426,10 @@ def train(
                     break
             else:
                 stall = 0
-    y = kernel.b @ w
-    y_hat = row_normalize(y, cfg.eps_norm)
+    ws = kernel.ws
+    y_hat = np.matmul(kernel.b, w, out=ws.y_hat)
+    _row_normalize_into(y_hat, y_hat, ws.norms, ws.nz, ws.scratch, cfg.eps_norm)
+    del kernel, ws, grad  # B, M and the epoch buffers; Yh outlives them
     report = TrainReport(
         losses_agg=np.asarray(rec_agg),
         losses_rec=np.asarray(rec_rec),
@@ -458,6 +469,7 @@ def exp1_train(
     runs its forward on X W and its backward every epoch.
     """
     cfg = cfg or AMLPConfig()
+    _check_lambda(lambda_)
     x = check_features(x, g.n_nodes)
     a_tilde = normalize_with_self_loops(g)
     agg = aggregator_op(aggregator, g, a_tilde)
@@ -473,6 +485,7 @@ def exp1_train(
         ax = f if aggregator == "sum" else g.to_scipy() @ x
         diff = ax - x
         m1 = diff.T @ diff
+        del ax, diff  # the epochs read only M1
         m1w = np.empty((d, c))
     ws = _DecoderWorkspace(n, c)
     xw = None if linear else np.empty((n, c))
@@ -499,8 +512,9 @@ def exp1_train(
         if not np.isfinite(total):
             raise NumericalError(f"non-finite loss at epoch {epoch}: total={total}")
         w, state = adam_step(state, w, grad, cfg.learning_rate)
-    y = f @ w
+    y = np.matmul(f, w, out=ws.y_hat if linear else xw)
     if not linear:
         y = agg.forward(y)
-    y_hat = row_normalize(y, cfg.eps_norm)
+    y_hat = ws.y_hat
+    _row_normalize_into(y, y_hat, ws.norms, ws.nz, ws.scratch, cfg.eps_norm)
     return dirichlet_energy(a_tilde, y_hat), y_hat

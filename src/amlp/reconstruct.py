@@ -9,6 +9,7 @@ adjustable steepness, which converges to the hard decision as steepness grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
@@ -50,8 +51,10 @@ class ReconstructionConfig:
             raise ValidationError(f"candidate_policy must be one of {CANDIDATE_POLICIES}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
-        if self.steepness <= 0:
-            raise ValidationError("steepness must be positive")
+        if not (math.isfinite(self.steepness) and self.steepness > 0):
+            raise ValidationError(
+                f"steepness must be finite and positive, got {self.steepness}"
+            )
 
 
 @dataclass

@@ -590,3 +590,63 @@ def test_cluster_and_classify_read_neither_features_nor_edges(tmp_path, command,
     emb = tmp_path / "emb.csv"
     emb.write_text("".join(f"{np.sin(i):.6f},{np.cos(i):.6f}\n" for i in range(60)))
     assert main([command, "--data", str(data), "--emb", str(emb), *flags]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"eps_norm": 0}', "eps_norm"),
+        ('{"eps_norm": -1}', "eps_norm"),
+        ('{"eps_norm": NaN}', "eps_norm"),
+        ('{"eps_norm": Infinity}', "eps_norm"),
+        ('{"learning_rate": NaN}', "learning_rate"),
+        ('{"learning_rate": [0.001, Infinity]}', "learning_rate"),
+        ('{"lambda": Infinity}', "lambda"),
+        ('{"lambda": NaN}', "lambda"),
+        ('{"steepness": NaN, "mode": "soft"}', "steepness"),
+    ],
+)
+def test_train_refuses_non_finite_config_values(sbm_dir, tmp_path, capsys, text, named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    run = tmp_path / "run"
+    argv = ["train", "--data", str(sbm_dir), "--out", str(run), "--config", str(cfg)]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys, named)
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_flags_exit_1(sbm_dir, tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--data", str(sbm_dir), "--out", str(out), "--soft",
+                 f"--steepness={value}"]) == 1
+    _assert_one_error_line(capsys, "steepness")
+    assert not out.exists()
+    assert main(["train", "--data", str(sbm_dir), "--out", str(out), f"--lambda={value}"]) == 1
+    _assert_one_error_line(capsys, "lambda")
+    assert main(["exp1", "--data", str(sbm_dir), "--out", str(out), f"--lambda={value}",
+                 "--epochs", "2"]) == 1
+    _assert_one_error_line(capsys, "lambda")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ratios, named",
+    [
+        ("0.5,0.5,0", "test split"),
+        ("-0.5,1.0,0.5", "[0, 1]"),
+        ("nan,0.5,0.5", "[0, 1]"),
+        ("0.5,x,0.5", "--ratios"),
+        ("0.5,0.5", "--ratios"),
+    ],
+)
+def test_classify_refuses_bad_ratios(sbm_dir, tmp_path, capsys, ratios, named):
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{np.sin(i):.6f},{np.cos(i):.6f}\n" for i in range(400)))
+    out = tmp_path / "classify.json"
+    argv = ["classify", "--data", str(sbm_dir), "--emb", str(emb), f"--ratios={ratios}",
+            "--out", str(out)]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys, named)
+    assert not out.exists()

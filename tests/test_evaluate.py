@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -440,9 +441,41 @@ def test_splits_ignores_unlabeled():
     assert 5 not in np.concatenate([tr, va, te])
 
 
+@pytest.mark.parametrize(
+    "ratios, named",
+    [
+        ((-0.5, 1.0, 0.5), "[0, 1]"),
+        ((0.5, 1.5, -1.0), "[0, 1]"),
+        ((float("nan"), 0.5, 0.5), "[0, 1]"),
+        ((0.5, 0.5), "three"),
+        ((0.5, 0.5, 0.0), "test split"),
+        ((0.6, 0.39, 0.01), "test split"),
+    ],
+)
+def test_splits_refuse_bad_ratios_and_empty_test(ratios, named):
+    labels = np.repeat(np.arange(4), 10)
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        make_splits(labels, ratios, n_splits=2, seed=0)
+
+
+def test_splits_allow_empty_validation():
+    labels = np.repeat(np.arange(3), 8)
+    for tr, va, te in make_splits(labels, (0.75, 0.0, 0.25), n_splits=2).splits:
+        assert va.size == 0 and tr.size == 18 and te.size == 6
+        acc = linear_probe(np.eye(3)[labels], labels, (tr, va, te), max_epochs=20)
+        assert 0.0 <= acc <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # linear_probe
 # ---------------------------------------------------------------------------
+
+
+def test_probe_refuses_empty_test_split():
+    labels = np.repeat(np.arange(2), 5)
+    split = (np.arange(10), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    with pytest.raises(ValidationError, match="test split is empty"):
+        linear_probe(np.eye(2)[labels], labels, split)
 
 
 def test_probe_linearly_separable():

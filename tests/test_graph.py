@@ -552,6 +552,34 @@ def test_row_normalize_zero_row():
     assert np.array_equal(out[1], [1.0, 0.0])
 
 
+def _reference_row_normalize(m, eps_norm=1e-12):
+    norms = np.linalg.norm(m, axis=1)
+    out = np.zeros_like(m)
+    nz = norms >= eps_norm
+    out[nz] = m[nz] / norms[nz, None]
+    return out
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_row_normalize_matches_linalg_norm_bitwise(order):
+    rng = np.random.default_rng(32)
+    m = np.asarray(rng.standard_normal((300, 37)), order=order)
+    m[::11] = 0.0
+    m[5] *= 1e-13  # below eps_norm: a zero row
+    got, want = row_normalize(m), _reference_row_normalize(m)
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert not got[5].any()
+
+
+def test_row_normalize_allocates_only_its_result(traced_peak):
+    n, c = 400, 256
+    m = np.random.default_rng(33).standard_normal((n, c))
+    _, peak = traced_peak(lambda: row_normalize(m))
+    # the norms, the mask and the ufunc buffers of the masked division
+    assert peak <= 8 * n * c + 16 * n + 131_072, peak
+
+
 def test_row_normalize_norms_are_unit_or_zero():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -610,6 +638,24 @@ def test_dirichlet_permutation_invariant():
     y2 = np.empty_like(y)
     y2[perm] = y
     assert np.isclose(dirichlet_energy(at, y), dirichlet_energy(at2, y2), rtol=1e-12)
+
+
+def test_dirichlet_energy_allocates_one_product(traced_peak):
+    # N x c below numpy's 256 KiB threshold for reusing a temporary, so that
+    # Yh * (A Yh) would allocate a second N x c array
+    n, c = 400, 64
+    g = random_graph(n, 0.01, 202)
+    at = normalize_with_self_loops(g)
+    y = row_normalize(np.random.default_rng(203).standard_normal((n, c)))
+    a = at.to_scipy()
+    sq = np.einsum("ij,ij->i", y, y)
+    cross = float(np.sum(y * (a @ y)))
+    want = max(2.0 * float(np.asarray(a.sum(axis=1)).ravel() @ sq) - 2.0 * cross, 0.0)
+    got, peak = traced_peak(lambda: dirichlet_energy(at, y))
+    assert got == want
+    # A Yh, then the scipy matrix, the row sums and the squared norms
+    nnz = at.indices.size
+    assert peak <= 8 * n * c + 16 * (nnz + n) + 4096, peak
 
 
 def test_dirichlet_requires_self_loop_normalization():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -297,12 +299,12 @@ def test_trace_identity(k):
 # ---------------------------------------------------------------------------
 
 
-def small_instance(seed=0, n=40, with_labels=False):
+def small_instance(seed=0, n=40, with_labels=False, p=0.15, d=6):
     rng = np.random.default_rng(seed)
-    dense = np.triu(rng.random((n, n)) < 0.15, k=1)
+    dense = np.triu(rng.random((n, n)) < p, k=1)
     u, v = np.nonzero(dense)
     g = build_graph(np.column_stack([u, v]), n)
-    x = rng.standard_normal((n, 6))
+    x = rng.standard_normal((n, d))
     return g, x
 
 
@@ -638,20 +640,30 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _isolated_zero_rows_graph(rng=None):
+    """A random graph on 60 nodes and 7 features whose last five nodes have
+    zero features."""
+    rng = np.random.default_rng(120) if rng is None else rng
+    n, d = 60, 7
+    dense = np.triu(rng.random((n, n)) < 0.15, k=1)
+    u, v = np.nonzero(dense)
+    g = build_graph(np.column_stack([u, v]), n)
+    x = rng.standard_normal((n, d))
+    x[n - 5 :] = 0.0
+    return g, x
+
+
 def _isolated_zero_rows_setup():
     """Random instance whose last five nodes have zero features and no edges
     in the propagation graph, as hard reconstruction leaves many nodes, but
     keep their edges in A: their rows of Y and Yh are zero while their rows
     of dL_rec/dYh are not."""
     rng = np.random.default_rng(120)
-    n, d, c = 60, 7, 5
-    dense = np.triu(rng.random((n, n)) < 0.15, k=1)
-    u, v = np.nonzero(dense)
-    g = build_graph(np.column_stack([u, v]), n)
+    g, x = _isolated_zero_rows_graph(rng)
+    n, d, c = x.shape + (5,)
+    u, v = g.edge_array().T
     kept = (u < n - 5) & (v < n - 5)
     s = build_graph(np.column_stack([u[kept], v[kept]]), n)
-    x = rng.standard_normal((n, d))
-    x[n - 5 :] = 0.0
     p_mat = propagate(normalize_no_self_loops(s), x, 2)
     w = rng.standard_normal((d, c)) * 0.3
     return x, w, p_mat, normalize_with_self_loops(g)
@@ -755,3 +767,129 @@ def test_adam_step_leaves_its_inputs_alone():
     for out in (w_new, new_state.m, new_state.v):
         for a in (w, grad, state.m, state.v):
             assert not np.shares_memory(out, a)
+
+
+# ---------------------------------------------------------------------------
+# train(): what it holds at each stage, and its finish
+# ---------------------------------------------------------------------------
+
+
+def test_train_memory_is_set_up_or_epoch_loop(traced_peak):
+    """Set-up holds P, the buffer that is P - X and then B, and M; the epoch
+    loop holds B, M, the decoder workspace, A Yh and the d x c arrays of the
+    gradient and Adam. The graphs and the caller's X are outside the N x d
+    count."""
+    n, d, c = 2000, 400, 16
+    g, x = small_instance(seed=150, n=n, p=0.005, d=d)
+    cfg = AMLPConfig(k=2, hidden_dim=c, epochs=3, seed=0)
+    train(g, x, replace(cfg, epochs=1))  # warm-up run
+    _, peak = traced_peak(lambda: train(g, x, cfg))
+    nnz = g.indices.size
+    bound = 8 * (max(2 * n * d, n * d + 4 * n * c + 8 * d * c) + d * d)
+    bound += 64 * (nnz + n) + 2**20
+    assert peak <= bound, (peak, bound)
+
+
+def _ref_row_normalize(m, eps_norm):
+    norms = np.linalg.norm(m, axis=1)
+    out = np.zeros_like(m)
+    nz = norms >= eps_norm
+    out[nz] = m[nz] / norms[nz, None]
+    return out
+
+
+def _ref_dirichlet(at, y_hat):
+    a = at.to_scipy()
+    row_sums = np.asarray(a.sum(axis=1)).ravel()
+    sq = np.einsum("ij,ij->i", y_hat, y_hat)
+    cross = float(np.sum(y_hat * (a @ y_hat)))
+    return max(2.0 * float(row_sums @ sq) - 2.0 * cross, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+@pytest.mark.parametrize(
+    "lambda_, use_agg_loss", [(0.1, True), (0.0, True), (0.1, False)]
+)
+def test_train_matches_reference_bitwise(mode, lambda_, use_agg_loss):
+    """train() against its epochs run on the reference formulas and the
+    finish row_normalize((P + X) W); hard reconstruction isolates the
+    zero-feature nodes, so Yh has zero rows."""
+    from amlp.reconstruct import reconstruct_hard, reconstruct_soft
+
+    g, x = _isolated_zero_rows_graph()
+    cfg = AMLPConfig(
+        k=2, lambda_=lambda_, hidden_dim=5, epochs=12, learning_rate=1e-2,
+        use_agg_loss=use_agg_loss,
+    )
+    recon = ReconstructionConfig(mode=mode)
+    model, y_hat, report = train(g, x, cfg, recon)
+
+    reconstruct = reconstruct_hard if mode == "hard" else reconstruct_soft
+    s, _ = reconstruct(g, x, recon)
+    p_mat = propagate(normalize_no_self_loops(s), x, cfg.k)
+    at = normalize_with_self_loops(g)
+    w = init_weights(x.shape[1], cfg.hidden_dim, cfg.seed)
+    state = AdamState.zeros_like(w)
+    losses = []
+    for _ in range(cfg.epochs):
+        *loss, grad = _ref_loss_and_grad(p_mat, x, at, w, lambda_, use_agg_loss)
+        losses.append(loss)
+        w, state = _ref_adam_step(state, w, grad, cfg.learning_rate)
+    want = _ref_row_normalize((p_mat + x) @ w, cfg.eps_norm)
+
+    if mode == "hard":
+        assert not np.linalg.norm(want, axis=1).all()
+    assert _same_bits(model.W, w)
+    assert _same_bits(y_hat, want) and y_hat.flags.c_contiguous
+    total, agg, rec = np.array(losses).T
+    assert _same_bits(report.losses_total, total)
+    assert _same_bits(report.losses_agg, agg)
+    assert _same_bits(report.losses_rec, rec)
+    assert report.final_dirichlet == _ref_dirichlet(at, want)
+
+
+def test_kernel_leaves_p_alone():
+    from amlp.model import _TrainingKernel
+
+    x, w, p_mat, at = _isolated_zero_rows_setup()
+    before = p_mat.copy()
+    kernel = _TrainingKernel(p_mat, x, at, w.shape[1], 0.1, 1e-12)
+    assert _same_bits(p_mat, before)
+    assert _same_bits(kernel.b, p_mat + x)
+    assert not np.shares_memory(kernel.b, p_mat)
+
+
+# ---------------------------------------------------------------------------
+# Config values
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("eps_norm", 0.0),
+        ("eps_norm", -1.0),
+        ("eps_norm", float("nan")),
+        ("eps_norm", float("inf")),
+        ("lambda_", float("nan")),
+        ("lambda_", float("inf")),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+    ],
+)
+def test_config_refuses_non_finite_values(key, value):
+    with pytest.raises(ValidationError, match=key.rstrip("_")):
+        AMLPConfig(**{key: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -2.0])
+def test_reconstruction_config_refuses_bad_steepness(value):
+    with pytest.raises(ValidationError, match="steepness"):
+        ReconstructionConfig(steepness=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_exp1_refuses_bad_lambda(value):
+    g, x = small_instance(seed=83, n=20)
+    with pytest.raises(ValidationError, match="lambda"):
+        exp1_train(g, x, "mean", True, lambda_=value, cfg=AMLPConfig(hidden_dim=4, epochs=2))
