@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: prep, sbm, reconstruct, train, cluster, classify, diagnose, exp1.
-Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
+Exit codes: 0 success, 1 validation/usage/file error, 2 numerical failure.
 
 The environment variable AMLP_THREADS caps the worker count of the numeric
 backends; it must be applied before numpy is first imported, which is why this
@@ -420,7 +420,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as e:
+    except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NumericalError as e:

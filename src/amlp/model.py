@@ -298,7 +298,7 @@ def gradient(
     """
     p = np.asarray(p, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    kernel = _TrainingKernel(p, x, a_tilde, w.shape[1], cfg.lambda_, cfg.eps_norm)
+    kernel = _TrainingKernel.from_p(p, x, a_tilde, w.shape[1], cfg.lambda_, cfg.eps_norm)
     return kernel.loss_and_grad(w)[3]
 
 
@@ -330,49 +330,103 @@ def adam_step(
 
 
 class _TrainingKernel:
-    """Precomputed quantities for the epoch loop: B = P + X, M = (P-X)^T(P-X),
-    the sparse decoder target and its squared Frobenius norm, plus the
-    buffers every epoch writes into (c = hidden_dim columns): MW, which
-    B^T G_Y reuses, the gradient and the decoder workspace, whose Yh buffer
-    receives Y.
+    """The loss L = a * L_agg + r * L_rec of one linear layer, its gradient
+    and the epoch loop that minimizes it.
 
-    Set-up holds one N x d array besides ``p`` and ``x``: B is written into
-    the buffer of P - X once M is formed from it. ``p`` is only read."""
+    Y = B W, or Y = agg(B W) under a nonlinear aggregator operator ``agg``;
+    L_agg = ||D W||^2 = sum(W * M W) with the d x d matrix M = D^T D, or no
+    aggregation term when ``m`` is None. train() weighs the terms
+    (1 or 0, lambda) with B = P + X and D = P - X; exp1_train weighs them
+    (lambda or 0, 1) with B = M X for a linear aggregator M, or B = X under
+    max, and D = A X - X.
 
-    def __init__(self, p, x, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
-        diff = p - x
-        self.m = diff.T @ diff
-        self.b = np.add(p, x, out=diff)
+    The buffers every epoch writes into (c = hidden_dim columns): the decoder
+    workspace, whose Yh buffer receives Y; MW, which B^T G_Y reuses; the
+    gradient; and, under ``agg``, the B W that ``agg`` reads."""
+
+    def __init__(self, b, m, a_tilde, c, a, r, eps_norm, agg=None):
+        self.b, self.m, self.a, self.r, self.agg = b, m, a, r, agg
         self.a_sp = a_tilde.to_scipy()
         self.a_frob2 = float(np.sum(a_tilde.values**2))
-        self.lambda_ = lambda_
         self.eps_norm = eps_norm
-        self.use_agg_loss = use_agg_loss
-        n, d = x.shape
+        n, d = b.shape
         self.ws = _DecoderWorkspace(n, c)
-        self.mw = np.empty((d, c))
+        self.mw = None if m is None else np.empty((d, c))
         self.grad = np.empty((d, c))
+        self.bw = None if agg is None else np.empty((n, c))
+
+    @classmethod
+    def from_p(cls, p, x, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
+        """The kernel of train(): B = P + X and M = (P-X)^T(P-X), weighed
+        (1 or 0, lambda). Set-up holds one N x d array besides ``p`` and
+        ``x``: B is written into the buffer of P - X once M is formed from it.
+        ``p`` is only read."""
+        diff = p - x
+        m = diff.T @ diff
+        b = np.add(p, x, out=diff)
+        return cls(b, m, a_tilde, c, 1.0 if use_agg_loss else 0.0, lambda_, eps_norm)
+
+    def forward(self, w: np.ndarray) -> np.ndarray:
+        """Y = B W in the Yh buffer, or agg(B W)."""
+        if self.agg is None:
+            return np.matmul(self.b, w, out=self.ws.y_hat)
+        return self.agg.forward(np.matmul(self.b, w, out=self.bw))
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-        """(L, L_agg, L_rec, dL/dW); the gradient array is reused by the next call."""
-        mw = np.matmul(self.m, w, out=self.mw)
+        """(L, L_agg, L_rec, dL/dW); the gradient array is reused by the next
+        call. L_agg is 0 without M, and then r must be nonzero."""
         g = self.grad
-        la = float(np.multiply(w, mw, out=g).sum())
-        if self.use_agg_loss:
-            np.multiply(2.0, mw, out=g)
-        else:
-            g.fill(0.0)
-        y = np.matmul(self.b, w, out=self.ws.y_hat)
+        la = 0.0
+        if self.m is not None:
+            mw = np.matmul(self.m, w, out=self.mw)
+            la = float(np.multiply(w, mw, out=g).sum())
+            if self.a:
+                np.multiply(2.0 * self.a, mw, out=g)
+            else:
+                g.fill(0.0)
         lr_, y_hat, norms, nz, g_yhat = _rec_pieces(
-            y, self.a_sp, self.a_frob2, self.eps_norm, self.ws
+            self.forward(w), self.a_sp, self.a_frob2, self.eps_norm, self.ws
         )
-        if self.lambda_ != 0.0:
+        if self.r:
             g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz, self.ws)
-            btg = np.matmul(self.b.T, g_y, out=mw)  # MW is spent by now
-            np.multiply(self.lambda_, btg, out=btg)
-            np.add(g, btg, out=g)
-        total = (la if self.use_agg_loss else 0.0) + self.lambda_ * lr_
+            if self.agg is not None:
+                g_y = self.agg.backward(g_y)
+            if self.m is None:
+                np.matmul(self.b.T, g_y, out=g)
+            else:
+                btg = np.matmul(self.b.T, g_y, out=mw)  # MW is spent by now
+                if self.r != 1.0:
+                    np.multiply(self.r, btg, out=btg)
+                np.add(g, btg, out=g)
+        total = (self.a * la if self.a else 0.0) + self.r * lr_
         return total, la, lr_, g
+
+    def fit(self, cfg: AMLPConfig):
+        """Adam from the seeded initial weights, then Yh = row-normalized
+        forward(W) in the workspace. Returns (W, Yh, one (L, L_agg, L_rec)
+        per epoch, early_stopped). Raises NumericalError with the epoch and
+        loss values if the loss goes non-finite."""
+        w = init_weights(*self.grad.shape, cfg.seed)
+        state = AdamState.zeros_like(w)
+        losses = []
+        stall = 0
+        for epoch in range(cfg.epochs):
+            total, la, lr_, grad = self.loss_and_grad(w)
+            if not np.isfinite(total):
+                raise NumericalError(
+                    f"non-finite loss at epoch {epoch}: total={total}, agg={la}, rec={lr_}"
+                )
+            losses.append((total, la, lr_))
+            w, state = adam_step(state, w, grad, cfg.learning_rate)
+            if cfg.early_stop and epoch > 0:
+                rel = abs(total - losses[-2][0]) / max(abs(total), 1e-300)
+                stall = stall + 1 if rel < EARLY_STOP_REL_TOL else 0
+                if stall >= EARLY_STOP_PATIENCE:
+                    break
+        ws = self.ws
+        y = self.forward(w)
+        _row_normalize_into(y, ws.y_hat, ws.norms, ws.nz, ws.scratch, cfg.eps_norm)
+        return w, ws.y_hat, losses, stall >= EARLY_STOP_PATIENCE
 
 
 def train(
@@ -396,47 +450,20 @@ def train(
     s, stats = reconstruct(g, x, recon_cfg)
     s_tilde = normalize_no_self_loops(s)
     a_tilde = normalize_with_self_loops(g)
-    p = propagate(s_tilde, x, cfg.k)
-    kernel = _TrainingKernel(
-        p, x, a_tilde, cfg.hidden_dim, cfg.lambda_, cfg.eps_norm, cfg.use_agg_loss
+    kernel = _TrainingKernel.from_p(  # P = S~^k X is dropped once B and M exist
+        propagate(s_tilde, x, cfg.k),
+        x, a_tilde, cfg.hidden_dim, cfg.lambda_, cfg.eps_norm, cfg.use_agg_loss,
     )
-    del p  # the epochs read only B and M
-    w = init_weights(x.shape[1], cfg.hidden_dim, cfg.seed)
-    state = AdamState.zeros_like(w)
-    rec_agg, rec_rec, rec_tot = [], [], []
-    stall = 0
-    early_stopped = False
-    for epoch in range(cfg.epochs):
-        total, la, lr_, grad = kernel.loss_and_grad(w)
-        if not np.isfinite(total):
-            raise NumericalError(
-                f"non-finite loss at epoch {epoch}: "
-                f"total={total}, agg={la}, rec={lr_}"
-            )
-        rec_agg.append(la)
-        rec_rec.append(lr_)
-        rec_tot.append(total)
-        w, state = adam_step(state, w, grad, cfg.learning_rate)
-        if cfg.early_stop and epoch > 0:
-            denom = max(abs(total), 1e-300)
-            if abs(total - rec_tot[-2]) / denom < EARLY_STOP_REL_TOL:
-                stall += 1
-                if stall >= EARLY_STOP_PATIENCE:
-                    early_stopped = True
-                    break
-            else:
-                stall = 0
-    ws = kernel.ws
-    y_hat = np.matmul(kernel.b, w, out=ws.y_hat)
-    _row_normalize_into(y_hat, y_hat, ws.norms, ws.nz, ws.scratch, cfg.eps_norm)
-    del kernel, ws, grad  # B, M and the epoch buffers; Yh outlives them
+    w, y_hat, losses, early_stopped = kernel.fit(cfg)
+    del kernel  # B, M and the epoch buffers; Yh outlives them
+    total, agg, rec = map(np.asarray, zip(*losses))
     report = TrainReport(
-        losses_agg=np.asarray(rec_agg),
-        losses_rec=np.asarray(rec_rec),
-        losses_total=np.asarray(rec_tot),
+        losses_agg=agg,
+        losses_rec=rec,
+        losses_total=total,
         wall_clock_seconds=time.perf_counter() - t0,
         final_dirichlet=dirichlet_energy(a_tilde, y_hat),
-        epochs_run=len(rec_tot),
+        epochs_run=len(total),
         early_stopped=early_stopped,
         recon_stats=stats,
     )
@@ -464,57 +491,28 @@ def exp1_train(
     adjacency of g.
 
     Mean, sum and weighted_sum are linear maps M, so agg(X W) = (M X) W:
-    F = M X is computed once and an epoch runs Y = F W and dL/dW = F^T G_Y,
-    leaving the decoder's A Yh as its one sparse product. Max keeps F = X and
-    runs its forward on X W and its backward every epoch.
+    F = M X is computed once and the kernel runs with B = F, leaving the
+    decoder's A Yh as an epoch's one sparse product. Max keeps B = X and runs
+    its forward on X W and its backward every epoch. Set-up holds one N x d
+    array at a time: A X - X, formed in the buffer of A X, until M1 is formed
+    from it, then F.
     """
     cfg = cfg or AMLPConfig()
     _check_lambda(lambda_)
     x = check_features(x, g.n_nodes)
     a_tilde = normalize_with_self_loops(g)
     agg = aggregator_op(aggregator, g, a_tilde)
-    linear = isinstance(agg, LinearAggregator)
-    f = agg.forward(x) if linear else x
-    a_sp = a_tilde.to_scipy()
-    a_frob2 = float(np.sum(a_tilde.values**2))
-    n, d = x.shape
-    c = cfg.hidden_dim
     m1 = None
     if use_agg_loss:
-        # the sum aggregator's F is this same product A X
-        ax = f if aggregator == "sum" else g.to_scipy() @ x
-        diff = ax - x
+        diff = g.to_scipy() @ x
+        diff -= x
         m1 = diff.T @ diff
-        del ax, diff  # the epochs read only M1
-        m1w = np.empty((d, c))
-    ws = _DecoderWorkspace(n, c)
-    xw = None if linear else np.empty((n, c))
-    grad = np.empty((d, c))
-    w = init_weights(d, c, cfg.seed)
-    state = AdamState.zeros_like(w)
-    for epoch in range(cfg.epochs):
-        y = np.matmul(f, w, out=ws.y_hat if linear else xw)
-        if not linear:
-            y = agg.forward(y)
-        lr_, y_hat, norms, nz, g_yhat = _rec_pieces(
-            y, a_sp, a_frob2, cfg.eps_norm, ws
-        )
-        total = lr_
-        g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz, ws)
-        if not linear:
-            g_y = agg.backward(g_y)
-        np.matmul(f.T, g_y, out=grad)
-        if use_agg_loss:
-            np.matmul(m1, w, out=m1w)
-            total = total + lambda_ * float(np.sum(w * m1w))
-            np.multiply(lambda_ * 2.0, m1w, out=m1w)
-            np.add(grad, m1w, out=grad)
-        if not np.isfinite(total):
-            raise NumericalError(f"non-finite loss at epoch {epoch}: total={total}")
-        w, state = adam_step(state, w, grad, cfg.learning_rate)
-    y = np.matmul(f, w, out=ws.y_hat if linear else xw)
-    if not linear:
-        y = agg.forward(y)
-    y_hat = ws.y_hat
-    _row_normalize_into(y, y_hat, ws.norms, ws.nz, ws.scratch, cfg.eps_norm)
+        del diff  # freed before F exists: one N x d array at a time
+    linear = isinstance(agg, LinearAggregator)
+    kernel = _TrainingKernel(
+        agg.forward(x) if linear else x, m1, a_tilde, cfg.hidden_dim,
+        lambda_ if use_agg_loss else 0.0, 1.0, cfg.eps_norm, None if linear else agg,
+    )
+    _, y_hat, _, _ = kernel.fit(cfg)
+    del kernel  # F, M1 and the epoch buffers; Yh outlives them
     return dirichlet_energy(a_tilde, y_hat), y_hat

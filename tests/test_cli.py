@@ -650,3 +650,50 @@ def test_classify_refuses_bad_ratios(sbm_dir, tmp_path, capsys, ratios, named):
     assert main(argv) == 1
     _assert_one_error_line(capsys, named)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["train-out-file", "reconstruct-out-file", "cluster-out-dir", "exp1-out-dir",
+             "missing-config", "missing-emb"],
+)
+def test_file_errors_exit_1(sbm_dir, tmp_path, capsys, case):
+    """A path that cannot be read or written ends as one error line, not a
+    traceback."""
+    data = str(sbm_dir)
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{np.sin(i):.6f},{np.cos(i):.6f}\n" for i in range(400)))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    nodir = tmp_path / "nodir"
+    argv = {
+        "train-out-file": ["train", "--data", data, "--out", str(taken), "--epochs", "2"],
+        "reconstruct-out-file": ["reconstruct", "--data", data, "--out", str(taken)],
+        "cluster-out-dir": ["cluster", "--data", data, "--emb", str(emb),
+                            "--restarts", "1", "--out", str(nodir / "x.json")],
+        "exp1-out-dir": ["exp1", "--data", data, "--aggregator", "mean", "--epochs", "2",
+                         "--with-agg-loss", "false", "--out", str(nodir / "e.csv")],
+        "missing-config": ["train", "--data", data, "--out", str(tmp_path / "run"),
+                           "--config", str(tmp_path / "nope.json")],
+        "missing-emb": ["cluster", "--data", data, "--emb", str(tmp_path / "nope.csv")],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "exp1"])
+def test_non_finite_loss_exits_2(sbm_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    if command == "train":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"learning_rate": 1e300, "epochs": 5, "hidden_dim": 8}))
+        argv = ["train", "--data", str(sbm_dir), "--out", str(out), "--config", str(cfg)]
+    else:
+        argv = ["exp1", "--data", str(sbm_dir), "--out", str(out), "--learning-rate", "1e300",
+                "--with-agg-loss", "true", "--aggregator", "mean", "--epochs", "5",
+                "--hidden-dim", "8"]
+    assert main(argv) == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("numerical failure: non-finite loss at epoch 1"), last
+    assert "agg=" in last and "rec=" in last, last

@@ -686,7 +686,7 @@ def test_workspace_kernel_matches_reference_bitwise(lambda_, use_agg_loss, zero_
     x, w, p_mat, at = _kernel_setup(zero_rows)
     if zero_rows:
         assert not np.linalg.norm((p_mat + x) @ w, axis=1).all()
-    kernel = _TrainingKernel(p_mat, x, at, w.shape[1], lambda_, 1e-12, use_agg_loss)
+    kernel = _TrainingKernel.from_p(p_mat, x, at, w.shape[1], lambda_, 1e-12, use_agg_loss)
     got = kernel.loss_and_grad(w)
     want = _ref_loss_and_grad(p_mat, x, at, w, lambda_, use_agg_loss)
     assert got[:3] == want[:3]
@@ -736,7 +736,7 @@ def test_epoch_allocates_only_the_sparse_product(traced_peak):
 
     n, d, c = 2000, 8, 16
     _, x, w, p_mat, at = random_setup(n, d, c, seed=130, p=0.002)
-    kernel = _TrainingKernel(p_mat, x, at, c, 0.1, 1e-12)
+    kernel = _TrainingKernel.from_p(p_mat, x, at, c, 0.1, 1e-12)
 
     def epoch(w, state):
         _, _, _, grad = kernel.loss_and_grad(w)
@@ -853,10 +853,97 @@ def test_kernel_leaves_p_alone():
 
     x, w, p_mat, at = _isolated_zero_rows_setup()
     before = p_mat.copy()
-    kernel = _TrainingKernel(p_mat, x, at, w.shape[1], 0.1, 1e-12)
+    kernel = _TrainingKernel.from_p(p_mat, x, at, w.shape[1], 0.1, 1e-12)
     assert _same_bits(p_mat, before)
     assert _same_bits(kernel.b, p_mat + x)
     assert not np.shares_memory(kernel.b, p_mat)
+
+
+@pytest.mark.parametrize("run", ["train", "mean", "max"])
+def test_kernel_is_released_before_dirichlet_energy(monkeypatch, run):
+    """B, M and the epoch buffers are gone when the Dirichlet energy
+    allocates its N x c product; only Yh outlives the kernel."""
+    import weakref
+
+    from amlp import model
+
+    kernels, alive = [], []
+    kernel_init, energy = model._TrainingKernel.__init__, model.dirichlet_energy
+
+    def kernel_init_hook(self, *args, **kwargs):
+        kernel_init(self, *args, **kwargs)
+        kernels.append(weakref.ref(self))
+
+    def energy_hook(*args):
+        alive.extend(ref() is not None for ref in kernels)
+        return energy(*args)
+
+    monkeypatch.setattr(model._TrainingKernel, "__init__", kernel_init_hook)
+    monkeypatch.setattr(model, "dirichlet_energy", energy_hook)
+    g, x = small_instance(seed=84, n=30)
+    cfg = AMLPConfig(hidden_dim=4, epochs=3)
+    if run == "train":
+        train(g, x, cfg)
+    else:
+        exp1_train(g, x, run, True, cfg=cfg)
+    assert alive == [False]
+
+
+# ---------------------------------------------------------------------------
+# exp1_train(): what it holds, and the bits of its linear kinds
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("agg", ["mean", "sum", "weighted_sum", "max"])
+def test_exp1_memory_is_set_up_or_epoch_loop(traced_peak, agg):
+    """Set-up holds one N x d array at a time (A X - X, then F = M X) and M1;
+    the epoch loop holds F, M1, the decoder workspace, A Yh, max's operands
+    and the d x c arrays of the gradient and Adam. The graphs and the
+    caller's X are outside the N x d count."""
+    n, d, c = 2000, 400, 16
+    g, x = small_instance(seed=150, n=n, p=0.005, d=d)
+    cfg = AMLPConfig(hidden_dim=c, epochs=3, seed=0)
+    exp1_train(g, x, agg, True, 0.1, replace(cfg, epochs=1))  # warm-up run
+    _, peak = traced_peak(lambda: exp1_train(g, x, agg, True, 0.1, cfg))
+    nnz = g.indices.size
+    bound = 8 * (n * d + d * d + 8 * n * c + 8 * d * c) + 64 * (nnz + n) + 2**20
+    assert peak <= bound, (peak, bound)
+
+
+def _ref_linear_exp1_train(g, x, aggregator, use_agg_loss, lambda_, cfg):
+    """exp1_train for a linear aggregator M on the reference formulas:
+    F = M X once, Y = F W and dL/dW = F^T G_Y + (2 lambda) M1 W."""
+    from amlp.graph import aggregator as aggregator_op
+
+    at = normalize_with_self_loops(g)
+    f = aggregator_op(aggregator, g, at).forward(x)
+    a_sp = at.to_scipy()
+    a_frob2 = float(np.sum(at.values**2))
+    if use_agg_loss:
+        diff = g.to_scipy() @ x - x
+        m1 = diff.T @ diff
+    w = init_weights(x.shape[1], cfg.hidden_dim, cfg.seed)
+    state = AdamState.zeros_like(w)
+    for _ in range(cfg.epochs):
+        _, y_hat, norms, nz, g_yhat = _ref_rec_pieces(f @ w, a_sp, a_frob2, cfg.eps_norm)
+        grad = f.T @ _ref_chain_row_normalize(g_yhat, y_hat, norms, nz)
+        if use_agg_loss:
+            grad = grad + (2.0 * lambda_) * (m1 @ w)
+        w, state = _ref_adam_step(state, w, grad, cfg.learning_rate)
+    y_hat = _ref_row_normalize(f @ w, cfg.eps_norm)
+    return _ref_dirichlet(at, y_hat), y_hat
+
+
+@pytest.mark.parametrize("use_agg_loss", [False, True])
+@pytest.mark.parametrize("agg", ["mean", "sum", "weighted_sum"])
+@pytest.mark.parametrize("preset", ["hom", "het"])
+def test_exp1_linear_kinds_match_reference_bitwise(presets, preset, agg, use_agg_loss):
+    g, x = presets[preset]
+    cfg = AMLPConfig(hidden_dim=8, epochs=6, seed=1, learning_rate=1e-2)
+    dr, y_hat = exp1_train(g, x, agg, use_agg_loss, 0.1, cfg)
+    ref_dr, ref_y = _ref_linear_exp1_train(g, x, agg, use_agg_loss, 0.1, cfg)
+    assert dr == ref_dr
+    assert _same_bits(y_hat, ref_y)
 
 
 # ---------------------------------------------------------------------------
