@@ -122,6 +122,29 @@ def _check_counts(**flags) -> None:
             raise ValidationError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
+def _check_out_file(path) -> None:
+    """Refuse an output file path, before any data is read, that names a
+    directory or whose directory does not exist."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ValidationError(f"--out {path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        why = "is not a directory" if os.path.exists(parent) else "does not exist"
+        raise ValidationError(f"--out {path}: {parent} {why}")
+
+
+def _check_out_dir(path) -> None:
+    """Refuse an output directory path, before any data is read, that names
+    a file or lies below one; missing directories are created later."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValidationError(f"--out {path}: {existing} is not a directory")
+
+
 def _load_embeddings(path, n_nodes: int) -> np.ndarray:
     """The embeddings CSV at ``path``, which must hold one row per node."""
     y_hat = dataio.load_embeddings_csv(path)
@@ -165,6 +188,7 @@ def _cmd_sbm(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     t0 = time.perf_counter()
+    _check_out_dir(args.out)
     cfg = ReconstructionConfig(
         epsilon=args.epsilon,
         candidate_policy=args.policy,
@@ -282,6 +306,7 @@ def _cmd_train(args) -> int:
 def _cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     _check_counts(seeds=args.seeds, restarts=args.restarts)
+    _check_out_file(args.out)
     meta, labels, _ = dataio.load_labels(args.data)
     y_hat = _load_embeddings(args.emb, labels.size)
     k = args.k if args.k is not None else int(meta["num_classes"])
@@ -311,6 +336,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_classify(args) -> int:
     t0 = time.perf_counter()
     _check_counts(n_splits=args.n_splits)
+    _check_out_file(args.out)
     _, labels, _ = dataio.load_labels(args.data)
     y_hat = _load_embeddings(args.emb, labels.size)
     try:
@@ -345,6 +371,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
+    _check_out_file(args.out)
     g, x, labels, _ = dataio.load_dataset(args.data)
     metrics = {
         "n_nodes": g.n_nodes,
@@ -373,6 +400,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_exp1(args) -> int:
     _check_counts(seeds=args.seeds)
+    _check_out_file(args.out)
     g, x, labels, _ = dataio.load_dataset(args.data)
     aggs = list(AGGREGATORS) if args.aggregator == "all" else [args.aggregator]
     flags = {"true": [True], "false": [False], "both": [False, True]}[args.with_agg_loss]

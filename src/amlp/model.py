@@ -14,7 +14,10 @@ and training minimizes
 with Yh the row-normalized Y and A the self-loop normalized adjacency of the
 original graph. Both the loss and its analytic gradient are evaluated with
 the Gram trick (through Yh^T Yh and sparse products), so nothing of size
-N x N is ever materialized. The empirical-study variant trains the same W
+N x N is ever materialized. train() evaluates them in one of two forms: on
+P = S^k X, through the d x d matrix M = (P-X)^T (P-X), or, when S is sparse
+enough for its products to cost less than M W, on the c-wide Z = X W, as
+Y = S^k Z + Z, without P or M. The empirical-study variant trains the same W
 under a fixed classical aggregator with the objective L_rec + lambda * L_agg,
 where L_agg uses the raw self-loop-free adjacency.
 """
@@ -54,6 +57,23 @@ if TYPE_CHECKING:
 # below EARLY_STOP_REL_TOL for EARLY_STOP_PATIENCE consecutive epochs.
 EARLY_STOP_REL_TOL = 1e-6
 EARLY_STOP_PATIENCE = 10
+
+# train()'s choice of form. Per column of W, an epoch of the hidden form runs
+# 2k sparse products on N x c arrays and HIDDEN_PASSES more elementwise passes
+# over them where the P form runs M W, 2 d^2 flops. PASS_FLOPS prices one
+# element of a pass, and one row or one stored entry of a sparse product, in
+# dense GEMM flops. Measured on one BLAS thread at N = 3000, c = 500: about
+# 1.0 ns per element of a pass, 0.4 ns per row plus 0.7 ns per entry of a
+# product, and 0.020 ns per flop of a 1500 x 1500 by 1500 x 500 product.
+PASS_FLOPS = 50
+HIDDEN_PASSES = 8
+
+
+def _propagates_hidden(n: int, d: int, k: int, nnz: int) -> bool:
+    """Whether train() on N = ``n`` nodes, ``d`` features, ``k`` hops and a
+    propagation graph of ``nnz`` stored entries runs the hidden form: true
+    when M W would cost more than the hidden form's extra N x c work."""
+    return 2 * d * d > PASS_FLOPS * (2 * k * (nnz + n) + HIDDEN_PASSES * n)
 
 
 def _check_lambda(lambda_: float) -> None:
@@ -335,8 +355,9 @@ class _TrainingKernel:
 
     Y = B W, or Y = agg(B W) under a nonlinear aggregator operator ``agg``;
     L_agg = ||D W||^2 = sum(W * M W) with the d x d matrix M = D^T D, or no
-    aggregation term when ``m`` is None. train() weighs the terms
-    (1 or 0, lambda) with B = P + X and D = P - X; exp1_train weighs them
+    aggregation term when ``m`` is None. train()'s P form (from_p) weighs
+    the terms (1 or 0, lambda) with B = P + X and D = P - X; its hidden form
+    is the subclass _HiddenKernel. exp1_train weighs them
     (lambda or 0, 1) with B = M X for a linear aggregator M, or B = X under
     max, and D = A X - X.
 
@@ -410,23 +431,81 @@ class _TrainingKernel:
         state = AdamState.zeros_like(w)
         losses = []
         stall = 0
-        for epoch in range(cfg.epochs):
-            total, la, lr_, grad = self.loss_and_grad(w)
-            if not np.isfinite(total):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}: total={total}, agg={la}, rec={lr_}"
-                )
-            losses.append((total, la, lr_))
-            w, state = adam_step(state, w, grad, cfg.learning_rate)
-            if cfg.early_stop and epoch > 0:
-                rel = abs(total - losses[-2][0]) / max(abs(total), 1e-300)
-                stall = stall + 1 if rel < EARLY_STOP_REL_TOL else 0
-                if stall >= EARLY_STOP_PATIENCE:
-                    break
+        # an overflow shows as a non-finite loss, which raises the one report
+        with np.errstate(all="ignore"):
+            for epoch in range(cfg.epochs):
+                total, la, lr_, grad = self.loss_and_grad(w)
+                if not np.isfinite(total):
+                    raise NumericalError(
+                        f"non-finite loss at epoch {epoch}: total={total}, agg={la}, rec={lr_}"
+                    )
+                losses.append((total, la, lr_))
+                w, state = adam_step(state, w, grad, cfg.learning_rate)
+                if cfg.early_stop and epoch > 0:
+                    rel = abs(total - losses[-2][0]) / max(abs(total), 1e-300)
+                    stall = stall + 1 if rel < EARLY_STOP_REL_TOL else 0
+                    if stall >= EARLY_STOP_PATIENCE:
+                        break
         ws = self.ws
         y = self.forward(w)
         _row_normalize_into(y, ws.y_hat, ws.norms, ws.nz, ws.scratch, cfg.eps_norm)
         return w, ws.y_hat, losses, stall >= EARLY_STOP_PATIENCE
+
+
+class _HiddenKernel(_TrainingKernel):
+    """train()'s kernel in the hidden form, which propagates after
+    projecting: Z = X W, Y = S^k Z + Z and L_agg = ||D_W||^2 with
+    D_W = S^k Z - Z, weighed (1 or 0, lambda) as from_p weighs them. It holds
+    X and S = S~ as a scipy CSR matrix, never P = S^k X, B or M. As S is
+    symmetric, dL/dW = X^T (S^k H + r G_Y - 2a D_W) with H = 2a D_W + r G_Y.
+
+    An epoch adds 2k sparse products, each allocating its N x c result, and
+    HIDDEN_PASSES elementwise passes over N x c arrays to the P form's work,
+    and drops M W. Besides the decoder workspace and the gradient, the one
+    buffer it writes into is Z's, which H reuses."""
+
+    def __init__(self, x, s_tilde, k, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
+        super().__init__(
+            x, None, a_tilde, c, 1.0 if use_agg_loss else 0.0, lambda_, eps_norm
+        )
+        self.s, self.k = s_tilde.to_scipy(), k
+        self.z = np.empty((x.shape[0], c))
+
+    def _hops(self, z: np.ndarray) -> np.ndarray:
+        """S^k z in a new array."""
+        for _ in range(self.k):
+            z = self.s @ z
+        return z
+
+    def forward(self, w: np.ndarray) -> np.ndarray:
+        """Y = S^k X W + X W in the Yh buffer."""
+        z = np.matmul(self.b, w, out=self.z)
+        return np.add(self._hops(z), z, out=self.ws.y_hat)
+
+    def loss_and_grad(self, w: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+        z = np.matmul(self.b, w, out=self.z)
+        d_w = self._hops(z)
+        y = np.add(d_w, z, out=self.ws.y_hat)
+        np.subtract(d_w, z, out=d_w)
+        la = float(np.vdot(d_w, d_w))
+        lr_, y_hat, norms, nz, g_yhat = _rec_pieces(
+            y, self.a_sp, self.a_frob2, self.eps_norm, self.ws
+        )
+        # Z's buffer takes H, D_W's becomes r G_Y - 2a D_W
+        h, e = z, np.multiply(2.0 * self.a, d_w, out=d_w)
+        if self.r:
+            g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz, self.ws)
+            if self.r != 1.0:
+                np.multiply(self.r, g_y, out=g_y)
+            np.add(e, g_y, out=h)
+            np.subtract(g_y, e, out=e)
+        else:
+            np.copyto(h, e)
+            np.negative(e, out=e)
+        np.add(self._hops(h), e, out=e)
+        np.matmul(self.b.T, e, out=self.grad)
+        total = (self.a * la if self.a else 0.0) + self.r * lr_
+        return total, la, lr_, self.grad
 
 
 def train(
@@ -436,6 +515,9 @@ def train(
     recon_cfg: ReconstructionConfig | None = None,
 ) -> tuple[AMLPModel, np.ndarray, TrainReport]:
     """Full pipeline: reconstruct S, propagate k hops, train W, return Yh.
+
+    The hops run on the d-wide X once (the P form) or on the c-wide X W every
+    epoch (the hidden form), whichever _propagates_hidden prices lower.
 
     Raises NumericalError with the epoch and loss values if the loss goes
     non-finite.
@@ -450,12 +532,13 @@ def train(
     s, stats = reconstruct(g, x, recon_cfg)
     s_tilde = normalize_no_self_loops(s)
     a_tilde = normalize_with_self_loops(g)
-    kernel = _TrainingKernel.from_p(  # P = S~^k X is dropped once B and M exist
-        propagate(s_tilde, x, cfg.k),
-        x, a_tilde, cfg.hidden_dim, cfg.lambda_, cfg.eps_norm, cfg.use_agg_loss,
-    )
+    loss_args = (a_tilde, cfg.hidden_dim, cfg.lambda_, cfg.eps_norm, cfg.use_agg_loss)
+    if _propagates_hidden(*x.shape, cfg.k, s_tilde.indices.size):
+        kernel = _HiddenKernel(x, s_tilde, cfg.k, *loss_args)
+    else:  # P = S~^k X is dropped once B and M exist
+        kernel = _TrainingKernel.from_p(propagate(s_tilde, x, cfg.k), x, *loss_args)
     w, y_hat, losses, early_stopped = kernel.fit(cfg)
-    del kernel  # B, M and the epoch buffers; Yh outlives them
+    del kernel  # B, M or Z, and the epoch buffers; Yh outlives them
     total, agg, rec = map(np.asarray, zip(*losses))
     report = TrainReport(
         losses_agg=agg,

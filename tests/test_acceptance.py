@@ -247,6 +247,7 @@ def test_criterion_5_spectral_bound():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_exp1_directions():
     t0 = time.perf_counter()
     seeds = range(5)
@@ -287,6 +288,7 @@ def test_criterion_6_exp1_directions():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_clustering_lift():
     t0 = time.perf_counter()
     amlp_accs, raw_accs = [], []
@@ -396,6 +398,7 @@ def test_criterion_9_high_order_example():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_performance_envelope():
     from amlp.synth import SbmSpec, generate_features, generate_sbm
 

@@ -35,21 +35,31 @@ def test_every_traced_name_resolves():
         assert callable(tracing._function(qualified)), qualified
 
 
+def _hidden_form_features(g, rng):
+    """Features wide enough that train() runs the hidden form on ``g``,
+    whatever reconstruction keeps of its edges."""
+    x = rng.standard_normal((g.n_nodes, 120))
+    assert amlp.model._propagates_hidden(*x.shape, 3, g.indices.size)
+    return x
+
+
 def test_marks_record_every_epoch_of_train_and_exp1():
     tracing = _tracing()
     rng = np.random.default_rng(0)
     g = build_graph([(i, (i + 1) % 12) for i in range(12)] + [(0, 6)], 12)
     x = rng.standard_normal((12, 5))
+    x_wide = _hidden_form_features(g, rng)
     marks = tracing.Marks().install()
     try:
         amlp.model.train(g, x, amlp.model.AMLPConfig(hidden_dim=3, epochs=4))
         amlp.model.exp1_train(
             g, x, "mean", True, cfg=amlp.model.AMLPConfig(hidden_dim=3, epochs=6)
         )
+        amlp.model.train(g, x_wide, amlp.model.AMLPConfig(hidden_dim=3, epochs=5))
     finally:
         marks.uninstall()
-    assert len(marks.init_weights) == 2
-    assert [len(ends) for ends in marks.epoch_ends] == [4, 6]
+    assert len(marks.init_weights) == 3
+    assert [len(ends) for ends in marks.epoch_ends] == [4, 6, 5]
 
 
 def test_marks_record_every_epoch_of_each_exp1_aggregator():
@@ -68,12 +78,13 @@ def test_marks_record_every_epoch_of_each_exp1_aggregator():
         assert [len(ends) for ends in marks.epoch_ends] == [cfg.epochs], kind
 
 
-@pytest.mark.parametrize("run", ["train", "mean", "max", "sum", "weighted_sum"])
+@pytest.mark.parametrize("run", ["train", "hidden", "mean", "max", "sum", "weighted_sum"])
 def test_set_up_ends_before_init_weights_and_model_calls_adam(monkeypatch, run):
     """The benchmark's setup_s runs from a run's start to init_weights entry,
     and its epochs end at the adam_step returns it sees through amlp.model.
     So init_weights must follow the kernel's whole set-up, and the epoch loop
-    must call adam_step from amlp.model."""
+    must call adam_step from amlp.model. Run "hidden" is train() in the
+    hidden form."""
     events = []
     kernel_init = amlp.model._TrainingKernel.__init__
     init, adam = amlp.model.init_weights, amlp.model.adam_step
@@ -99,6 +110,8 @@ def test_set_up_ends_before_init_weights_and_model_calls_adam(monkeypatch, run):
     cfg = amlp.model.AMLPConfig(hidden_dim=3, epochs=3)
     if run == "train":
         amlp.model.train(g, x, cfg)
+    elif run == "hidden":
+        amlp.model.train(g, _hidden_form_features(g, rng), cfg)
     else:
         amlp.model.exp1_train(g, x, run, True, cfg=cfg)
     assert events == ["set-up", "init_weights"] + ["amlp.model"] * cfg.epochs

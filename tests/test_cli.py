@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -682,6 +683,50 @@ def test_file_errors_exit_1(sbm_dir, tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [(command, bad) for command in ("exp1", "cluster", "classify", "diagnose")
+     for bad in ("missing-dir", "is-dir", "below-file")]
+    + [("reconstruct", "is-file"), ("reconstruct", "below-file")],
+)
+def test_unusable_out_path_refused_before_any_work(sbm_dir, tmp_path, capsys, monkeypatch,
+                                                   command, bad):
+    """An --out path that cannot be written ends as one error line before
+    the data is read, so nothing is trained, reconstructed or evaluated.
+    reconstruct writes a dataset directory, creating missing parents, so
+    only a file in the way stops it."""
+    from amlp import cli
+
+    calls = []
+
+    def spy(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for name in ("exp1_train", "reconstruct_hard", "reconstruct_soft"):
+        monkeypatch.setattr(cli, name, spy(name))
+    for name in ("load_dataset", "load_labels", "load_embeddings_csv"):
+        monkeypatch.setattr(dataio, name, spy(name))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = {
+        "missing-dir": tmp_path / "nodir" / "out",
+        "is-dir": tmp_path,
+        "is-file": taken,
+        "below-file": taken / "out",
+    }[bad]
+    emb = str(tmp_path / "emb.csv")
+    argv = {
+        "exp1": ["exp1", "--data", str(sbm_dir), "--epochs", "2"],
+        "cluster": ["cluster", "--data", str(sbm_dir), "--emb", emb],
+        "classify": ["classify", "--data", str(sbm_dir), "--emb", emb],
+        "diagnose": ["diagnose", "--data", str(sbm_dir), "--emb", emb],
+        "reconstruct": ["reconstruct", "--data", str(sbm_dir)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    _assert_one_error_line(capsys, f"--out {out}")
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["train", "exp1"])
 def test_non_finite_loss_exits_2(sbm_dir, tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -693,7 +738,12 @@ def test_non_finite_loss_exits_2(sbm_dir, tmp_path, capsys, command):
         argv = ["exp1", "--data", str(sbm_dir), "--out", str(out), "--learning-rate", "1e300",
                 "--with-agg-loss", "true", "--aggregator", "mean", "--epochs", "5",
                 "--hidden-dim", "8"]
-    assert main(argv) == 2
-    last = capsys.readouterr().err.strip().splitlines()[-1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    last = err.strip().splitlines()[-1]
     assert last.startswith("numerical failure: non-finite loss at epoch 1"), last
     assert "agg=" in last and "rec=" in last, last
+    # the error line is all a user sees: no numpy warning precedes it
+    assert err == last + "\n" and [str(w.message) for w in caught] == [], (err, caught)
