@@ -195,7 +195,7 @@ def _cmd_reconstruct(args) -> int:
         mode="soft" if args.soft else "hard",
         steepness=args.steepness,
     )
-    g, x, labels, _ = dataio.load_dataset(args.data)
+    g, x, labels = dataio.load_dataset(args.data)
     reconstruct = reconstruct_soft if args.soft else reconstruct_hard
     s, stats = reconstruct(g, x, cfg)
     # in soft mode the dataset dir carries the full candidate support, and the
@@ -241,7 +241,7 @@ def _cmd_train(args) -> int:
     # the model and reconstruction configs refuse bad values before any read
     combos = run_cfg.grid()
     meta = dataio.load_meta(args.data)
-    g, x, labels, _ = dataio.load_dataset(args.data, meta)
+    g, x, labels = dataio.load_dataset(args.data, meta)
     has_labels = bool((labels >= 0).any()) and meta.get("num_classes", 0) >= 2
     if len(combos) > 1 and not has_labels:
         raise ValidationError(
@@ -307,7 +307,7 @@ def _cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     _check_counts(seeds=args.seeds, restarts=args.restarts)
     _check_out_file(args.out)
-    meta, labels, _ = dataio.load_labels(args.data)
+    meta, labels = dataio.load_labels(args.data)
     y_hat = _load_embeddings(args.emb, labels.size)
     k = args.k if args.k is not None else int(meta["num_classes"])
     if k < 1:
@@ -337,7 +337,7 @@ def _cmd_classify(args) -> int:
     t0 = time.perf_counter()
     _check_counts(n_splits=args.n_splits)
     _check_out_file(args.out)
-    _, labels, _ = dataio.load_labels(args.data)
+    _, labels = dataio.load_labels(args.data)
     y_hat = _load_embeddings(args.emb, labels.size)
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
@@ -372,7 +372,7 @@ def _cmd_classify(args) -> int:
 def _cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     _check_out_file(args.out)
-    g, x, labels, _ = dataio.load_dataset(args.data)
+    g, x, labels = dataio.load_dataset(args.data)
     metrics = {
         "n_nodes": g.n_nodes,
         "n_edges": g.n_edges,
@@ -401,7 +401,7 @@ def _cmd_diagnose(args) -> int:
 def _cmd_exp1(args) -> int:
     _check_counts(seeds=args.seeds)
     _check_out_file(args.out)
-    g, x, labels, _ = dataio.load_dataset(args.data)
+    g, x, labels = dataio.load_dataset(args.data)
     aggs = list(AGGREGATORS) if args.aggregator == "all" else [args.aggregator]
     flags = {"true": [True], "false": [False], "both": [False, True]}[args.with_agg_loss]
     rows = []

@@ -8,7 +8,6 @@ A dataset directory contains:
     features.csv   N rows of comma-separated floats (9 significant digits), or
     features.f32   N*d little-endian float32, row-major
     labels.csv     one integer per line, -1 = unlabeled
-    splits.json    optional {"ratios": [...], "splits": [{"train": ...}, ...]}
 
 Features are stored at single precision; 9 significant decimal digits
 round-trip float32 exactly, so save -> load -> save is byte-stable.
@@ -26,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .evaluate import SplitSet
 from .graph import SparseGraph, build_graph, check_features, check_labels
 from .model import AMLPConfig, AMLPModel, config_as_dict, config_keys
 from .reconstruct import ReconstructionConfig
@@ -183,7 +181,6 @@ def save_dataset(
     labels: np.ndarray,
     name: str = "dataset",
     features_file: str = "features.csv",
-    splits: SplitSet | None = None,
 ) -> None:
     """Write a dataset directory (see module docstring for the layout)."""
     if features_file not in ("features.csv", "features.f32"):
@@ -211,8 +208,6 @@ def save_dataset(
         (path / "features.f32").write_bytes(x32.astype("<f4").tobytes(order="C"))
     with open(path / "labels.csv", "w") as f:
         write_rows(f, "%d\n", labels[:, None])
-    if splits is not None:
-        (path / "splits.json").write_text(json.dumps(splits.as_dict()) + "\n")
 
 
 def _row_format(fmt: str, width: int) -> str:
@@ -305,9 +300,9 @@ def _load_features_csv(path: Path, n_nodes: int, n_features: int) -> np.ndarray:
 def load_labels(path, meta: dict | None = None):
     """Read the labels of a dataset directory without its graph or features.
 
-    Returns (meta, labels, SplitSet | None), checked as ``load_dataset``
-    checks them. ``meta``, if given, is the directory's meta.json as
-    ``load_meta`` returned it, which is then not read again.
+    Returns (meta, labels), checked as ``load_dataset`` checks them.
+    ``meta``, if given, is the directory's meta.json as ``load_meta``
+    returned it, which is then not read again.
     """
     path = Path(path)
     if meta is None:
@@ -324,23 +319,18 @@ def load_labels(path, meta: dict | None = None):
             f"{path / 'labels.csv'}: label {labels.max()} exceeds num_classes "
             f"{meta['num_classes']}"
         )
-    splits = None
-    splits_path = path / "splits.json"
-    if splits_path.is_file():
-        splits = _load_splits(splits_path, n)
-    return meta, labels, splits
+    return meta, labels
 
 
 def load_dataset(path, meta: dict | None = None):
     """Load and validate a dataset directory.
 
-    Returns (SparseGraph, features, labels, SplitSet | None). Counts are
-    checked against meta.json, which is read unless ``meta`` gives it as
-    ``load_meta`` returned it; malformed lines are reported with file and
-    line number.
+    Returns (SparseGraph, features, labels). Counts are checked against
+    meta.json, which is read unless ``meta`` gives it as ``load_meta``
+    returned it; malformed lines are reported with file and line number.
     """
     path = Path(path)
-    meta, labels, splits = load_labels(path, meta)
+    meta, labels = load_labels(path, meta)
     n = meta["num_nodes"]
     d = meta["num_features"]
     edges = parse_int_lines(path / "edges.tsv", 2)
@@ -360,7 +350,7 @@ def load_dataset(path, meta: dict | None = None):
         x = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
     else:
         raise ValidationError(f"{path / META_FILE}: unknown features_file {feat_file!r}")
-    return graph, x, labels, splits
+    return graph, x, labels
 
 
 def _read_json_object(path: Path) -> dict:
@@ -377,41 +367,6 @@ def _require_keys(path: Path, raw: dict, keys, where: str = "") -> None:
     for key in keys:
         if key not in raw:
             raise ValidationError(f"{path}: {where}missing key {key!r}")
-
-
-def _load_splits(path: Path, n_nodes: int) -> SplitSet:
-    """splits.json: three ratios, and splits whose train/val/test lists hold
-    node indices in [0, n_nodes)."""
-    raw = _read_json_object(path)
-    _require_keys(path, raw, ("ratios", "splits"))
-    ratios = raw["ratios"]
-    if not (
-        isinstance(ratios, list)
-        and len(ratios) == 3
-        and all(_is_json_type(r, float) for r in ratios)
-    ):
-        raise ValidationError(f"{path}: key 'ratios' must be a list of three numbers")
-    if not isinstance(raw["splits"], list):
-        raise ValidationError(f"{path}: key 'splits' must be a list")
-    splits = []
-    for i, split in enumerate(raw["splits"]):
-        if not isinstance(split, dict):
-            raise ValidationError(f"{path}: splits[{i}] must be a JSON object")
-        _require_keys(path, split, ("train", "val", "test"), f"splits[{i}]: ")
-        for key in ("train", "val", "test"):
-            idx = split[key]
-            if not (
-                isinstance(idx, list)
-                and all(type(j) is int and 0 <= j < n_nodes for j in idx)
-            ):
-                raise ValidationError(
-                    f"{path}: splits[{i}] key {key!r} must be a list of node "
-                    f"indices in [0, {n_nodes})"
-                )
-        splits.append(
-            tuple(np.asarray(split[key], dtype=np.int64) for key in ("train", "val", "test"))
-        )
-    return SplitSet(splits=splits, ratios=tuple(float(r) for r in ratios))
 
 
 def load_meta(path) -> dict:

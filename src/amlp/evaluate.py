@@ -33,15 +33,6 @@ class SplitSet:
     splits: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     ratios: tuple[float, float, float]
 
-    def as_dict(self) -> dict:
-        return {
-            "ratios": list(self.ratios),
-            "splits": [
-                {"train": tr.tolist(), "val": va.tolist(), "test": te.tolist()}
-                for tr, va, te in self.splits
-            ],
-        }
-
 
 @dataclass
 class MetricsRecord:

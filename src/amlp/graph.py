@@ -127,10 +127,6 @@ class SparseGraph:
             raise ValidationError("normalized adjacency not symmetric")
 
 
-# the weighted graph of soft reconstruction is a SparseGraph with values
-WeightedGraph = SparseGraph
-
-
 def _csr_from_directed_pairs(
     n_nodes: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray | None = None
 ) -> SparseGraph:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,9 +48,6 @@ from .reconstruct import (
     reconstruct_hard,
     reconstruct_soft,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # Early-stop rule for "train until convergence": relative total-loss change
 # below EARLY_STOP_REL_TOL for EARLY_STOP_PATIENCE consecutive epochs.
@@ -207,13 +203,18 @@ def loss_agg(p: np.ndarray, x: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(w * (m @ w)))
 
 
-class _DecoderWorkspace:
-    """Buffers for the decoder loss and gradient, allocated once per training
-    run and overwritten every epoch: Yh, G = dL_rec/dYh, one N x c scratch
-    array that ends as dL_rec/dY, the row norms, row dots and nonzero-row mask,
-    and the c x c Gram with a scratch of its shape."""
+class _Decoder:
+    """The inner-product decoder loss L_rec = ||Yh Yh^T - A||_F^2 / N^2 of
+    N x c embeddings against the self-loop normalized ``a_tilde``, and its
+    gradient, in buffers allocated once and overwritten by every call: Yh,
+    G = dL_rec/dYh, one N x c scratch array that ends as dL_rec/dY, the row
+    norms, row dots and nonzero-row mask, and the c x c Gram with a scratch
+    of its shape. Only the sparse product A Yh allocates."""
 
-    def __init__(self, n: int, c: int):
+    def __init__(self, a_tilde: SparseGraph, n: int, c: int, eps_norm: float):
+        self.a_sp = a_tilde.to_scipy()
+        self.a_frob2 = float(np.sum(a_tilde.values**2))
+        self.eps_norm = eps_norm
         self.y_hat = np.empty((n, c))
         self.g_yhat = np.empty((n, c))
         self.scratch = np.empty((n, c))
@@ -223,57 +224,40 @@ class _DecoderWorkspace:
         self.gram = np.empty((c, c))
         self.gram_sq = np.empty((c, c))
 
+    def normalize(self, y: np.ndarray) -> np.ndarray:
+        """Yh, the rows of ``y`` over their norms, in the Yh buffer; ``y``
+        may be that buffer. Rows of norm < eps_norm become zero."""
+        _row_normalize_into(
+            y, self.y_hat, self.norms, self.nz, self.scratch, self.eps_norm
+        )
+        return self.y_hat
 
-def _rec_pieces(
-    y: np.ndarray,
-    a_sp: sp.csr_matrix,
-    a_frob2: float,
-    eps_norm: float,
-    ws: _DecoderWorkspace | None = None,
-):
-    """The decoder loss, computed in the buffers of ``ws`` (fresh ones when
-    None); only the sparse product A Yh allocates. ``y`` may be ``ws.y_hat``
-    itself, which is then normalized in place.
+    def loss(self, y: np.ndarray) -> float:
+        """L_rec of ``y``, leaving Yh, the norms, the nonzero-row mask and G
+        in their buffers."""
+        n = y.shape[0]
+        y_hat, t = self.normalize(y), self.scratch
+        gram = np.matmul(y_hat.T, y_hat, out=self.gram)
+        ay = self.a_sp @ y_hat
+        cross = float(np.multiply(y_hat, ay, out=t).sum())
+        gram_frob2 = float(np.multiply(gram, gram, out=self.gram_sq).sum())
+        l_rec = (gram_frob2 - 2.0 * cross + self.a_frob2) / (n * n)
+        g_yhat = np.matmul(y_hat, gram, out=self.g_yhat)
+        np.subtract(g_yhat, ay, out=g_yhat)
+        np.multiply(4.0 / (n * n), g_yhat, out=g_yhat)
+        return l_rec
 
-    Returns (l_rec, y_hat, norms, nz_mask, g_yhat) where g_yhat is the
-    gradient of l_rec with respect to the row-normalized embedding.
-    """
-    n = y.shape[0]
-    if ws is None:
-        ws = _DecoderWorkspace(*y.shape)
-    norms, nz, y_hat, t = ws.norms, ws.nz, ws.y_hat, ws.scratch
-    _row_normalize_into(y, y_hat, norms, nz, t, eps_norm)
-    gram = np.matmul(y_hat.T, y_hat, out=ws.gram)
-    ay = a_sp @ y_hat
-    cross = float(np.multiply(y_hat, ay, out=t).sum())
-    gram_frob2 = float(np.multiply(gram, gram, out=ws.gram_sq).sum())
-    l_rec = (gram_frob2 - 2.0 * cross + a_frob2) / (n * n)
-    g_yhat = np.matmul(y_hat, gram, out=ws.g_yhat)
-    np.subtract(g_yhat, ay, out=g_yhat)
-    np.multiply(4.0 / (n * n), g_yhat, out=g_yhat)
-    return l_rec, y_hat, norms, nz, g_yhat
-
-
-def _chain_row_normalize(
-    g_yhat: np.ndarray,
-    y_hat: np.ndarray,
-    norms: np.ndarray,
-    nz: np.ndarray,
-    ws: _DecoderWorkspace | None = None,
-) -> np.ndarray:
-    """Backpropagate through row normalization; zero-norm rows get zero gradient.
-
-    The result is written into ``ws.scratch``, which the next ``_rec_pieces``
-    call on the same workspace overwrites.
-    """
-    if ws is None:
-        ws = _DecoderWorkspace(*g_yhat.shape)
-    dots = np.einsum("ij,ij->i", g_yhat, y_hat, out=ws.dots)
-    g_y = np.multiply(dots[:, None], y_hat, out=ws.scratch)
-    np.subtract(g_yhat, g_y, out=g_y)
-    np.divide(g_y, norms[:, None], out=g_y, where=nz[:, None])
-    g_y[~nz] = 0.0
-    return g_y
+    def grad(self) -> np.ndarray:
+        """dL_rec/dY of the last loss(): G backpropagated through the row
+        normalization, zero on zero-norm rows. It is written into the scratch
+        buffer, which the next call overwrites."""
+        g_yhat, y_hat, nz = self.g_yhat, self.y_hat, self.nz
+        dots = np.einsum("ij,ij->i", g_yhat, y_hat, out=self.dots)
+        g_y = np.multiply(dots[:, None], y_hat, out=self.scratch)
+        np.subtract(g_yhat, g_y, out=g_y)
+        np.divide(g_y, self.norms[:, None], out=g_y, where=nz[:, None])
+        g_y[~nz] = 0.0
+        return g_y
 
 
 def loss_rec(
@@ -285,10 +269,7 @@ def loss_rec(
         raise ValidationError("loss_rec expects the self-loop normalization")
     if y.shape[0] != a_tilde.n_nodes:
         raise ValidationError("embedding row count does not match adjacency")
-    a_sp = a_tilde.to_scipy()
-    a_frob2 = float(np.sum(a_tilde.values**2))
-    l, *_ = _rec_pieces(y, a_sp, a_frob2, eps_norm)
-    return l
+    return _Decoder(a_tilde, *y.shape, eps_norm).loss(y)
 
 
 def total_loss(
@@ -361,17 +342,14 @@ class _TrainingKernel:
     (lambda or 0, 1) with B = M X for a linear aggregator M, or B = X under
     max, and D = A X - X.
 
-    The buffers every epoch writes into (c = hidden_dim columns): the decoder
-    workspace, whose Yh buffer receives Y; MW, which B^T G_Y reuses; the
+    The buffers every epoch writes into (c = hidden_dim columns): the
+    decoder's, whose Yh buffer receives Y; MW, which B^T G_Y reuses; the
     gradient; and, under ``agg``, the B W that ``agg`` reads."""
 
     def __init__(self, b, m, a_tilde, c, a, r, eps_norm, agg=None):
         self.b, self.m, self.a, self.r, self.agg = b, m, a, r, agg
-        self.a_sp = a_tilde.to_scipy()
-        self.a_frob2 = float(np.sum(a_tilde.values**2))
-        self.eps_norm = eps_norm
         n, d = b.shape
-        self.ws = _DecoderWorkspace(n, c)
+        self.decoder = _Decoder(a_tilde, n, c, eps_norm)
         self.mw = None if m is None else np.empty((d, c))
         self.grad = np.empty((d, c))
         self.bw = None if agg is None else np.empty((n, c))
@@ -390,7 +368,7 @@ class _TrainingKernel:
     def forward(self, w: np.ndarray) -> np.ndarray:
         """Y = B W in the Yh buffer, or agg(B W)."""
         if self.agg is None:
-            return np.matmul(self.b, w, out=self.ws.y_hat)
+            return np.matmul(self.b, w, out=self.decoder.y_hat)
         return self.agg.forward(np.matmul(self.b, w, out=self.bw))
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, float, float, np.ndarray]:
@@ -405,11 +383,9 @@ class _TrainingKernel:
                 np.multiply(2.0 * self.a, mw, out=g)
             else:
                 g.fill(0.0)
-        lr_, y_hat, norms, nz, g_yhat = _rec_pieces(
-            self.forward(w), self.a_sp, self.a_frob2, self.eps_norm, self.ws
-        )
+        lr_ = self.decoder.loss(self.forward(w))
         if self.r:
-            g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz, self.ws)
+            g_y = self.decoder.grad()
             if self.agg is not None:
                 g_y = self.agg.backward(g_y)
             if self.m is None:
@@ -424,9 +400,9 @@ class _TrainingKernel:
 
     def fit(self, cfg: AMLPConfig):
         """Adam from the seeded initial weights, then Yh = row-normalized
-        forward(W) in the workspace. Returns (W, Yh, one (L, L_agg, L_rec)
-        per epoch, early_stopped). Raises NumericalError with the epoch and
-        loss values if the loss goes non-finite."""
+        forward(W) in the decoder's buffer. Returns (W, Yh, one
+        (L, L_agg, L_rec) per epoch, early_stopped). Raises NumericalError
+        with the epoch and loss values if the loss goes non-finite."""
         w = init_weights(*self.grad.shape, cfg.seed)
         state = AdamState.zeros_like(w)
         losses = []
@@ -446,10 +422,8 @@ class _TrainingKernel:
                     stall = stall + 1 if rel < EARLY_STOP_REL_TOL else 0
                     if stall >= EARLY_STOP_PATIENCE:
                         break
-        ws = self.ws
-        y = self.forward(w)
-        _row_normalize_into(y, ws.y_hat, ws.norms, ws.nz, ws.scratch, cfg.eps_norm)
-        return w, ws.y_hat, losses, stall >= EARLY_STOP_PATIENCE
+        y_hat = self.decoder.normalize(self.forward(w))
+        return w, y_hat, losses, stall >= EARLY_STOP_PATIENCE
 
 
 class _HiddenKernel(_TrainingKernel):
@@ -461,7 +435,7 @@ class _HiddenKernel(_TrainingKernel):
 
     An epoch adds 2k sparse products, each allocating its N x c result, and
     HIDDEN_PASSES elementwise passes over N x c arrays to the P form's work,
-    and drops M W. Besides the decoder workspace and the gradient, the one
+    and drops M W. Besides the decoder's buffers and the gradient, the one
     buffer it writes into is Z's, which H reuses."""
 
     def __init__(self, x, s_tilde, k, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
@@ -480,21 +454,19 @@ class _HiddenKernel(_TrainingKernel):
     def forward(self, w: np.ndarray) -> np.ndarray:
         """Y = S^k X W + X W in the Yh buffer."""
         z = np.matmul(self.b, w, out=self.z)
-        return np.add(self._hops(z), z, out=self.ws.y_hat)
+        return np.add(self._hops(z), z, out=self.decoder.y_hat)
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, float, float, np.ndarray]:
         z = np.matmul(self.b, w, out=self.z)
         d_w = self._hops(z)
-        y = np.add(d_w, z, out=self.ws.y_hat)
+        y = np.add(d_w, z, out=self.decoder.y_hat)
         np.subtract(d_w, z, out=d_w)
         la = float(np.vdot(d_w, d_w))
-        lr_, y_hat, norms, nz, g_yhat = _rec_pieces(
-            y, self.a_sp, self.a_frob2, self.eps_norm, self.ws
-        )
+        lr_ = self.decoder.loss(y)
         # Z's buffer takes H, D_W's becomes r G_Y - 2a D_W
         h, e = z, np.multiply(2.0 * self.a, d_w, out=d_w)
         if self.r:
-            g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz, self.ws)
+            g_y = self.decoder.grad()
             if self.r != 1.0:
                 np.multiply(self.r, g_y, out=g_y)
             np.add(e, g_y, out=h)

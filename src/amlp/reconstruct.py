@@ -16,12 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .graph import (
-    SparseGraph,
-    _csr_from_directed_pairs,
-    check_features,
-    graph_from_edges,  # noqa: F401  (the reference assembly of the tests)
-)
+from .graph import SparseGraph, _csr_from_directed_pairs, check_features
 
 CANDIDATE_POLICIES = ("original_edges", "all_pairs")
 MODES = ("hard", "soft")

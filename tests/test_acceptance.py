@@ -361,7 +361,7 @@ def test_criterion_8_ablation_on_supplied_datasets():
         pytest.skip(f"user-supplied datasets absent: {missing}")
     results = {}
     for name, path in paths.items():
-        g, x, labels, _ = load_dataset(path)
+        g, x, labels = load_dataset(path)
         n_classes = int(labels.max()) + 1
         full = _best_grid_acc(g, x, labels, n_classes, use_agg_loss=True)
         no_agg = _best_grid_acc(g, x, labels, n_classes, use_agg_loss=False)

@@ -23,7 +23,7 @@ def sbm_dir(tmp_path_factory):
 
 
 def test_sbm_writes_dataset(sbm_dir):
-    g, x, labels, _ = load_dataset(sbm_dir)
+    g, x, labels = load_dataset(sbm_dir)
     assert g.n_nodes == 400
     assert x.shape == (400, 16)
     assert set(np.unique(labels)) == {0, 1, 2, 3}
@@ -200,7 +200,7 @@ def test_reconstruct_emits_dataset_and_stats(sbm_dir, tmp_path):
         ]
     )
     assert code == 0
-    g, x, labels, _ = load_dataset(out)
+    g, x, labels = load_dataset(out)
     stats = json.loads((out / "reconstruction.json").read_text())
     assert stats["metrics"]["candidates_scored"] > 0
     assert (
@@ -235,7 +235,7 @@ def test_reconstruct_soft_weights_match_per_value_loop(sbm_dir, tmp_path):
 
     out = tmp_path / "soft"
     assert main(["reconstruct", "--data", str(sbm_dir), "--out", str(out), "--soft"]) == 0
-    g, x, _, _ = load_dataset(sbm_dir)
+    g, x, _ = load_dataset(sbm_dir)
     s, _ = reconstruct_soft(g, x, ReconstructionConfig(mode="soft"))
     rows = np.repeat(np.arange(s.n_nodes), np.diff(s.indptr))
     mask = rows < s.indices
@@ -318,7 +318,7 @@ def test_prep_builds_dataset(tmp_path):
         ]
     )
     assert code == 0
-    g, x, lab, _ = load_dataset(out)
+    g, x, lab = load_dataset(out)
     assert g.n_nodes == 3
     assert np.array_equal(lab, [0, 1, -1])
     assert np.array_equal(x, [[1, 2], [3, 4], [5, 6]])
@@ -488,31 +488,27 @@ def _dataset_with_splits(tmp_path, text):
 
 
 @pytest.mark.parametrize(
-    "text, named",
-    [
-        ('{"ratios": [0.5, 0.25, 0.25], "splits": [', "invalid JSON"),
-        ("[]", "must be a JSON object"),
-        ('{"splits": []}', "missing key 'ratios'"),
-        ('{"ratios": [0.5, 0.25, 0.25]}', "missing key 'splits'"),
-        ('{"ratios": [0.5, 0.5], "splits": []}', "key 'ratios'"),
-        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [0], "test": [1]}]}',
-         "splits[0]: missing key 'val'"),
-        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [0], "val": [1.0], "test": [2]}]}',
-         "splits[0] key 'val'"),
-        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [0], "val": [true], "test": [2]}]}',
-         "splits[0] key 'val'"),
-        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [0], "val": [1], "test": [60]}]}',
-         "splits[0] key 'test'"),
-        ('{"ratios": [0.5, 0.25, 0.25], "splits": [{"train": [-1], "val": [1], "test": [2]}]}',
-         "splits[0] key 'train'"),
-    ],
+    "text",
+    ['{"ratios": [0.5, 0.25]}', '{"splits": [', "[]"],
+    ids=["two-ratios", "bad-json", "not-an-object"],
 )
-def test_malformed_splits_json_exits_1(tmp_path, capsys, text, named):
+@pytest.mark.parametrize("command", ["train", "cluster", "classify", "diagnose", "exp1"])
+def test_malformed_splits_json_is_not_read(tmp_path, capsys, command, text):
+    """No command reads a dataset's splits.json (classify draws its own
+    splits), so a malformed one stops none of them."""
     data = _dataset_with_splits(tmp_path, text)
     emb = tmp_path / "emb.csv"
-    emb.write_text("0.5,0.25\n" * 60)
-    assert main(["classify", "--data", str(data), "--emb", str(emb)]) == 1
-    _assert_one_error_line(capsys, str(data / "splits.json"), named)
+    dataio.save_embeddings_csv(emb, np.random.default_rng(0).standard_normal((60, 4)))
+    argv = {
+        "train": ["--out", str(tmp_path / "run"), "--epochs", "3"],
+        "cluster": ["--emb", str(emb)],
+        "classify": ["--emb", str(emb), "--n-splits", "2"],
+        "diagnose": ["--emb", str(emb)],
+        "exp1": ["--out", str(tmp_path / "e.csv"), "--epochs", "3", "--aggregator", "mean",
+                 "--with-agg-loss", "false"],
+    }[command]
+    assert main([command, "--data", str(data)] + argv) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def _dataset_with_meta_value(tmp_path, key, value):

@@ -19,7 +19,6 @@ from amlp.dataio import (
     write_rows,
 )
 from amlp.errors import ValidationError
-from amlp.evaluate import SplitSet, make_splits
 from amlp.graph import build_graph
 from amlp.model import AMLPConfig, AMLPModel
 
@@ -34,12 +33,11 @@ def tiny_dataset():
 def test_round_trip_tiny(tmp_path):
     g, x, labels = tiny_dataset()
     save_dataset(tmp_path / "d", g, x, labels, name="tiny")
-    g2, x2, labels2, splits = load_dataset(tmp_path / "d")
+    g2, x2, labels2 = load_dataset(tmp_path / "d")
     assert g2.n_nodes == 2
     assert list(g2.neighbors(0)) == [1]
     assert np.array_equal(x2, x)  # values are exactly float32-representable
     assert np.array_equal(labels2, labels)
-    assert splits is None
 
 
 def test_round_trip_bit_identical_after_first_save(tmp_path):
@@ -51,7 +49,7 @@ def test_round_trip_bit_identical_after_first_save(tmp_path):
     x = rng.standard_normal((n, 5))
     labels = rng.integers(0, 3, size=n)
     save_dataset(tmp_path / "a", g, x, labels)
-    g1, x1, l1, _ = load_dataset(tmp_path / "a")
+    g1, x1, l1 = load_dataset(tmp_path / "a")
     save_dataset(tmp_path / "b", g1, x1, l1)
     for name in ("meta.json", "edges.tsv", "features.csv", "labels.csv"):
         a = (tmp_path / "a" / name).read_bytes()
@@ -68,7 +66,7 @@ def test_f32_branch(tmp_path):
     assert len(raw) == 4 * 2 * 2
     expected = x.astype("<f4").tobytes(order="C")
     assert raw == expected
-    _, x2, _, _ = load_dataset(tmp_path / "d")
+    _, x2, _ = load_dataset(tmp_path / "d")
     assert np.array_equal(x2, x)
 
 
@@ -147,19 +145,6 @@ def test_load_rejects_out_of_range_edge(tmp_path):
     (tmp_path / "d" / "edges.tsv").write_text("0\t5\n")
     with pytest.raises(ValidationError, match="edges.tsv"):
         load_dataset(tmp_path / "d")
-
-
-def test_splits_round_trip(tmp_path):
-    g = build_graph([(0, 1), (1, 2), (2, 3)], 4)
-    labels = np.array([0, 1, 0, 1])
-    x = np.zeros((4, 2))
-    splits = make_splits(labels, (0.5, 0.25, 0.25), n_splits=2, seed=0)
-    save_dataset(tmp_path / "d", g, x, labels, splits=splits)
-    _, _, _, loaded = load_dataset(tmp_path / "d")
-    assert isinstance(loaded, SplitSet)
-    assert len(loaded.splits) == 2
-    for (a, b, c), (a2, b2, c2) in zip(splits.splits, loaded.splits):
-        assert np.array_equal(a, a2) and np.array_equal(b, b2) and np.array_equal(c, c2)
 
 
 def test_embeddings_round_trip(tmp_path):

@@ -211,14 +211,12 @@ def test_normalized_values_exactly_symmetric(seed):
 
 
 def test_normalize_weighted_graph():
-    from amlp.graph import WeightedGraph
-
     # weighted triangle: weights 0.5, 0.25, 1.0 on edges (0,1), (1,2), (0,2)
     g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
     w = {(0, 1): 0.5, (1, 2): 0.25, (0, 2): 1.0}
     rows = np.repeat(np.arange(3), g.degrees())
     vals = np.array([w[tuple(sorted((int(r), int(c))))] for r, c in zip(rows, g.indices)])
-    wg = WeightedGraph(n_nodes=3, indptr=g.indptr, indices=g.indices, values=vals)
+    wg = SparseGraph(n_nodes=3, indptr=g.indptr, indices=g.indices, values=vals)
     assert np.allclose(wg.degrees(), [1.5, 0.75, 1.25])
     st = normalize_no_self_loops(wg)
     dense = st.to_dense()

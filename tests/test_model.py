@@ -424,14 +424,13 @@ def test_exp1_max_dirichlet_energies_pinned():
 def test_exp1_gradient_matches_fd(agg):
     """FD check of the full exp1 objective via a 1-epoch probe."""
     from amlp.graph import aggregator
-    from amlp.model import _rec_pieces, _chain_row_normalize
+    from amlp.model import _Decoder
 
     rng = np.random.default_rng(90)
     g, x = small_instance(seed=90, n=12)
     x = x[:, :4]
     at = normalize_with_self_loops(g)
-    a_sp = at.to_scipy()
-    a_frob2 = float(np.sum(at.values**2))
+    decoder = _Decoder(at, 12, 3, 1e-12)
     w = rng.standard_normal((4, 3)) * 0.4
     lam = 0.1
     a_bin = g.to_scipy()
@@ -441,14 +440,14 @@ def test_exp1_gradient_matches_fd(agg):
     def objective(wm):
         op = aggregator(agg, g, at)
         y = op.forward(x @ wm)
-        lr_, *_ = _rec_pieces(y, a_sp, a_frob2, 1e-12)
+        lr_ = decoder.loss(y)
         return lr_ + lam * float(np.sum(wm * (m1 @ wm)))
 
     op = aggregator(agg, g, at)
     z = x @ w
     y = op.forward(z)
-    lr_, y_hat, norms, nz, g_yhat = _rec_pieces(y, a_sp, a_frob2, 1e-12)
-    g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz)
+    decoder.loss(y)
+    g_y = decoder.grad()
     analytic = x.T @ op.backward(g_y) + lam * 2.0 * (m1 @ w)
     h = 1e-6
     numeric = np.zeros_like(w)
@@ -467,14 +466,13 @@ def test_exp1_precomputed_gradient_matches_fd(agg):
     """FD check of the gradient exp1_train takes for a linear aggregator M:
     with F = M X, dL/dW = F^T G_Y + lambda * 2 M1 W."""
     from amlp.graph import aggregator
-    from amlp.model import _rec_pieces, _chain_row_normalize
+    from amlp.model import _Decoder
 
     rng = np.random.default_rng(91)
     g, x = small_instance(seed=91, n=12)
     x = x[:, :4]
     at = normalize_with_self_loops(g)
-    a_sp = at.to_scipy()
-    a_frob2 = float(np.sum(at.values**2))
+    decoder = _Decoder(at, 12, 3, 1e-12)
     w = rng.standard_normal((4, 3)) * 0.4
     lam = 0.1
     diff = g.to_scipy() @ x - x
@@ -482,12 +480,12 @@ def test_exp1_precomputed_gradient_matches_fd(agg):
 
     def objective(wm):
         y = aggregator(agg, g, at).forward(x @ wm)
-        lr_, *_ = _rec_pieces(y, a_sp, a_frob2, 1e-12)
+        lr_ = decoder.loss(y)
         return lr_ + lam * float(np.sum(wm * (m1 @ wm)))
 
     f = aggregator(agg, g, at).forward(x)
-    lr_, y_hat, norms, nz, g_yhat = _rec_pieces(f @ w, a_sp, a_frob2, 1e-12)
-    g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz)
+    decoder.loss(f @ w)
+    g_y = decoder.grad()
     analytic = f.T @ g_y + lam * 2.0 * (m1 @ w)
     h = 1e-6
     numeric = np.zeros_like(w)
@@ -504,12 +502,11 @@ def test_exp1_precomputed_gradient_matches_fd(agg):
 def _reference_exp1_train(g, x, aggregator, use_agg_loss, lambda_, cfg):
     """exp1_train as one aggregator forward on X W and one backward per epoch."""
     from amlp.graph import aggregator as aggregator_op, dirichlet_energy
-    from amlp.model import _rec_pieces, _chain_row_normalize
+    from amlp.model import _Decoder
 
     a_tilde = normalize_with_self_loops(g)
     agg = aggregator_op(aggregator, g, a_tilde)
-    a_sp = a_tilde.to_scipy()
-    a_frob2 = float(np.sum(a_tilde.values**2))
+    decoder = _Decoder(a_tilde, g.n_nodes, cfg.hidden_dim, cfg.eps_norm)
     if use_agg_loss:
         diff = g.to_scipy() @ x - x
         m1 = diff.T @ diff
@@ -517,8 +514,8 @@ def _reference_exp1_train(g, x, aggregator, use_agg_loss, lambda_, cfg):
     state = AdamState.zeros_like(w)
     for _ in range(cfg.epochs):
         y = agg.forward(x @ w)
-        lr_, y_hat, norms, nz, g_yhat = _rec_pieces(y, a_sp, a_frob2, cfg.eps_norm)
-        g_y = _chain_row_normalize(g_yhat, y_hat, norms, nz)
+        decoder.loss(y)
+        g_y = decoder.grad()
         grad = x.T @ agg.backward(g_y)
         if use_agg_loss:
             grad = grad + lambda_ * 2.0 * (m1 @ w)
@@ -711,7 +708,9 @@ def test_workspace_kernel_matches_reference_bitwise(lambda_, use_agg_loss, zero_
 
 @pytest.mark.parametrize("zero_rows", [False, True])
 def test_decoder_pieces_without_workspace_match_reference(zero_rows):
-    from amlp.model import _chain_row_normalize, _rec_pieces
+    """A fresh _Decoder leaves the reference's Yh, norms, mask and G, and
+    its gradient is the reference chain rule's, bit for bit."""
+    from amlp.model import _Decoder
 
     x, w, p_mat, at = _kernel_setup(zero_rows)
     y = (p_mat + x) @ w
@@ -720,14 +719,14 @@ def test_decoder_pieces_without_workspace_match_reference(zero_rows):
         assert zero.any() and (at.to_scipy()[zero] @ (p_mat + x)).any()
     a_sp = at.to_scipy()
     a_frob2 = float(np.sum(at.values**2))
-    got = _rec_pieces(y, a_sp, a_frob2, 1e-12)
+    decoder = _Decoder(at, *y.shape, 1e-12)
     want = _ref_rec_pieces(y, a_sp, a_frob2, 1e-12)
-    assert got[0] == want[0]
-    for a, b in zip(got[1:], want[1:]):
+    assert decoder.loss(y) == want[0]
+    got = (decoder.y_hat, decoder.norms, decoder.nz, decoder.g_yhat)
+    for a, b in zip(got, want[1:]):
         assert _same_bits(a, b)
     assert _same_bits(
-        _chain_row_normalize(got[4], got[1], got[2], got[3]),
-        _ref_chain_row_normalize(want[4], want[1], want[2], want[3]),
+        decoder.grad(), _ref_chain_row_normalize(want[4], want[1], want[2], want[3])
     )
 
 

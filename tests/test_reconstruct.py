@@ -3,7 +3,7 @@ import pytest
 
 from amlp import reconstruct
 from amlp.errors import ValidationError
-from amlp.graph import build_graph
+from amlp.graph import build_graph, graph_from_edges
 from amlp.reconstruct import (
     ReconstructionConfig,
     _common_neighbors,
@@ -332,7 +332,7 @@ def reference_hard(g, cfg, blocks):
         vs.append(v[keep])
     u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
-    return reconstruct.graph_from_edges(g.n_nodes, u, v), acc.finish()
+    return graph_from_edges(g.n_nodes, u, v), acc.finish()
 
 
 def reference_soft(g, cfg, blocks):
@@ -478,7 +478,7 @@ ASSEMBLY_CASES = {
 def test_sorted_pairs_assembly_matches_general_assembly(case):
     n, u, v = ASSEMBLY_CASES[case]
     got = reconstruct._graph_from_sorted_pairs(n, u, v)
-    want = reconstruct.graph_from_edges(n, u, v)
+    want = graph_from_edges(n, u, v)
     assert got.values is None and want.values is None
     for field in ("indptr", "indices"):
         assert_same_array(getattr(got, field), getattr(want, field))
