@@ -485,6 +485,7 @@ def _fit_probe(
         xva, y_val = xa, y
     w = np.zeros((xa.shape[1], n_classes))
     state = AdamState.zeros_like(w)
+    adam_scratch = np.empty_like(w), np.empty_like(w)
     onehot = np.zeros((y.size, n_classes))
     onehot[np.arange(y.size), y] = 1.0
     best_w = w.copy()
@@ -494,7 +495,7 @@ def _fit_probe(
         resid = _softmax(xa @ w)
         resid -= onehot
         grad = xa.T @ resid / y.size
-        w, state = adam_step(state, w, grad, lr)
+        w, state = adam_step(state, w, grad, lr, *adam_scratch)
         hits = np.count_nonzero((xva @ w).argmax(axis=1) == y_val)
         val_acc = hits / y_val.size
         if val_acc > best_acc:

@@ -63,6 +63,9 @@ EARLY_STOP_PATIENCE = 10
 # product, and 0.020 ns per flop of a 1500 x 1500 by 1500 x 500 product.
 PASS_FLOPS = 50
 HIDDEN_PASSES = 8
+# bytes of the column block of an N x c array that the hidden form's sparse
+# products run on, so that an epoch's 2k products allocate no N x c result
+_HOP_BYTES = 1 << 20
 
 
 def _propagates_hidden(n: int, d: int, k: int, nnz: int) -> bool:
@@ -207,9 +210,14 @@ class _Decoder:
     """The inner-product decoder loss L_rec = ||Yh Yh^T - A||_F^2 / N^2 of
     N x c embeddings against the self-loop normalized ``a_tilde``, and its
     gradient, in buffers allocated once and overwritten by every call: Yh,
-    G = dL_rec/dYh, one N x c scratch array that ends as dL_rec/dY, the row
-    norms, row dots and nonzero-row mask, and the c x c Gram with a scratch
-    of its shape. Only the sparse product A Yh allocates."""
+    G = dL_rec/dYh, the row norms, row dots and nonzero-row mask, and the
+    c x c Gram with a scratch of its shape. G's buffer also takes the squares
+    of the row normalization and Yh * A Yh, so a caller may keep an N x c
+    array there that is dead by the time it calls loss() or normalize().
+
+    Each loss() allocates one N x c array, the sparse product A Yh. It lives
+    until the next loss(), which drops it before forming the next one, and
+    grad() writes dL_rec/dY into it."""
 
     def __init__(self, a_tilde: SparseGraph, n: int, c: int, eps_norm: float):
         self.a_sp = a_tilde.to_scipy()
@@ -217,7 +225,7 @@ class _Decoder:
         self.eps_norm = eps_norm
         self.y_hat = np.empty((n, c))
         self.g_yhat = np.empty((n, c))
-        self.scratch = np.empty((n, c))
+        self.ay = None
         self.norms = np.empty(n)
         self.dots = np.empty(n)
         self.nz = np.empty(n, dtype=bool)
@@ -226,20 +234,21 @@ class _Decoder:
 
     def normalize(self, y: np.ndarray) -> np.ndarray:
         """Yh, the rows of ``y`` over their norms, in the Yh buffer; ``y``
-        may be that buffer. Rows of norm < eps_norm become zero."""
+        may be that buffer but not G's. Rows of norm < eps_norm become zero."""
         _row_normalize_into(
-            y, self.y_hat, self.norms, self.nz, self.scratch, self.eps_norm
+            y, self.y_hat, self.norms, self.nz, self.g_yhat, self.eps_norm
         )
         return self.y_hat
 
     def loss(self, y: np.ndarray) -> float:
-        """L_rec of ``y``, leaving Yh, the norms, the nonzero-row mask and G
-        in their buffers."""
+        """L_rec of ``y``, leaving Yh, the norms, the nonzero-row mask, G and
+        A Yh in place."""
         n = y.shape[0]
-        y_hat, t = self.normalize(y), self.scratch
+        y_hat = self.normalize(y)
         gram = np.matmul(y_hat.T, y_hat, out=self.gram)
-        ay = self.a_sp @ y_hat
-        cross = float(np.multiply(y_hat, ay, out=t).sum())
+        self.ay = None  # the last epoch's product goes before this one exists
+        ay = self.ay = self.a_sp @ y_hat
+        cross = float(np.multiply(y_hat, ay, out=self.g_yhat).sum())
         gram_frob2 = float(np.multiply(gram, gram, out=self.gram_sq).sum())
         l_rec = (gram_frob2 - 2.0 * cross + self.a_frob2) / (n * n)
         g_yhat = np.matmul(y_hat, gram, out=self.g_yhat)
@@ -249,11 +258,11 @@ class _Decoder:
 
     def grad(self) -> np.ndarray:
         """dL_rec/dY of the last loss(): G backpropagated through the row
-        normalization, zero on zero-norm rows. It is written into the scratch
-        buffer, which the next call overwrites."""
+        normalization, zero on zero-norm rows. It is written over A Yh, which
+        the next loss() replaces."""
         g_yhat, y_hat, nz = self.g_yhat, self.y_hat, self.nz
         dots = np.einsum("ij,ij->i", g_yhat, y_hat, out=self.dots)
-        g_y = np.multiply(dots[:, None], y_hat, out=self.scratch)
+        g_y = np.multiply(dots[:, None], y_hat, out=self.ay)
         np.subtract(g_yhat, g_y, out=g_y)
         np.divide(g_y, self.norms[:, None], out=g_y, where=nz[:, None])
         g_y[~nz] = 0.0
@@ -304,28 +313,44 @@ def gradient(
 
 
 def adam_step(
-    state: AdamState, w: np.ndarray, grad: np.ndarray, lr: float
+    state: AdamState,
+    w: np.ndarray,
+    grad: np.ndarray,
+    lr: float,
+    s: np.ndarray | None = None,
+    u: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new weights and state."""
+    """One bias-corrected Adam update; returns the new weights and state.
+
+    Without ``s`` and ``u`` the new weights, m and v are new arrays and the
+    inputs are left alone. Given two scratch arrays of W's shape, it writes
+    the new values into ``w``, ``state.m`` and ``state.v`` instead and
+    allocates no array; the returned state holds those same m and v."""
     if grad.shape != w.shape:
         raise ValidationError("gradient shape does not match weights")
     t = state.step + 1
-    # m, v and the returned weights are new arrays; s is the one scratch array.
+    if s is None:
+        s, m, v, w_new = (np.empty_like(w) for _ in range(4))
+        u = w_new
+    else:
+        m, v, w_new = state.m, state.v, w
     # The expression and its operand order are those of the textbook update
     #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
     #   w - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-    s = np.multiply(1.0 - state.beta1, grad)
-    m = np.multiply(state.beta1, state.m)
+    # and every output is written after the last read of what it replaces.
+    np.multiply(1.0 - state.beta1, grad, out=s)
+    np.multiply(state.beta1, state.m, out=m)
     m += s
-    v = np.multiply(1.0 - state.beta2, grad)
+    np.multiply(state.beta2, state.v, out=s)
+    np.multiply(1.0 - state.beta2, grad, out=v)
     v *= grad
-    v += np.multiply(state.beta2, state.v, out=s)
+    v += s
     np.divide(m, 1.0 - state.beta1**t, out=s)
     s *= lr
-    w_new = np.divide(v, 1.0 - state.beta2**t)
-    np.sqrt(w_new, out=w_new)
-    w_new += state.eps
-    np.divide(s, w_new, out=s)
+    np.divide(v, 1.0 - state.beta2**t, out=u)
+    np.sqrt(u, out=u)
+    u += state.eps
+    np.divide(s, u, out=s)
     np.subtract(w, s, out=w_new)
     return w_new, replace(state, m=m, v=v, step=t)
 
@@ -344,7 +369,10 @@ class _TrainingKernel:
 
     The buffers every epoch writes into (c = hidden_dim columns): the
     decoder's, whose Yh buffer receives Y; MW, which B^T G_Y reuses; the
-    gradient; and, under ``agg``, the B W that ``agg`` reads."""
+    gradient; under ``agg``, the B W that ``agg`` reads; and, in fit, W and
+    Adam's m, v and two scratch arrays, all updated in place. So an epoch
+    allocates no array but the decoder's A Yh and, under ``agg``, what
+    ``agg`` returns."""
 
     def __init__(self, b, m, a_tilde, c, a, r, eps_norm, agg=None):
         self.b, self.m, self.a, self.r, self.agg = b, m, a, r, agg
@@ -399,12 +427,14 @@ class _TrainingKernel:
         return total, la, lr_, g
 
     def fit(self, cfg: AMLPConfig):
-        """Adam from the seeded initial weights, then Yh = row-normalized
-        forward(W) in the decoder's buffer. Returns (W, Yh, one
-        (L, L_agg, L_rec) per epoch, early_stopped). Raises NumericalError
-        with the epoch and loss values if the loss goes non-finite."""
+        """Adam, in place, from the seeded initial weights, then
+        Yh = row-normalized forward(W) in the decoder's buffer. Returns (W,
+        Yh, one (L, L_agg, L_rec) per epoch, early_stopped). Raises
+        NumericalError with the epoch and loss values if the loss goes
+        non-finite."""
         w = init_weights(*self.grad.shape, cfg.seed)
         state = AdamState.zeros_like(w)
+        adam_scratch = np.empty_like(w), np.empty_like(w)
         losses = []
         stall = 0
         # an overflow shows as a non-finite loss, which raises the one report
@@ -416,7 +446,7 @@ class _TrainingKernel:
                         f"non-finite loss at epoch {epoch}: total={total}, agg={la}, rec={lr_}"
                     )
                 losses.append((total, la, lr_))
-                w, state = adam_step(state, w, grad, cfg.learning_rate)
+                w, state = adam_step(state, w, grad, cfg.learning_rate, *adam_scratch)
                 if cfg.early_stop and epoch > 0:
                     rel = abs(total - losses[-2][0]) / max(abs(total), 1e-300)
                     stall = stall + 1 if rel < EARLY_STOP_REL_TOL else 0
@@ -433,38 +463,51 @@ class _HiddenKernel(_TrainingKernel):
     X and S = S~ as a scipy CSR matrix, never P = S^k X, B or M. As S is
     symmetric, dL/dW = X^T (S^k H + r G_Y - 2a D_W) with H = 2a D_W + r G_Y.
 
-    An epoch adds 2k sparse products, each allocating its N x c result, and
-    HIDDEN_PASSES elementwise passes over N x c arrays to the P form's work,
-    and drops M W. Besides the decoder's buffers and the gradient, the one
-    buffer it writes into is Z's, which H reuses."""
+    An epoch adds 2k sparse products and HIDDEN_PASSES elementwise passes
+    over N x c arrays to the P form's work, and drops M W. The products run
+    on column blocks of about _HOP_BYTES, so they hold at most two blocks.
+    Besides the decoder's buffers and the gradient, it holds one N x c
+    buffer, D_W's, which then takes the backward sum E. Z, and then H, live
+    in the decoder's G buffer: Z is dead before the decoder's loss and H is
+    formed after its grad."""
 
     def __init__(self, x, s_tilde, k, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
         super().__init__(
             x, None, a_tilde, c, 1.0 if use_agg_loss else 0.0, lambda_, eps_norm
         )
         self.s, self.k = s_tilde.to_scipy(), k
-        self.z = np.empty((x.shape[0], c))
+        self.d_w = np.empty((x.shape[0], c))
 
-    def _hops(self, z: np.ndarray) -> np.ndarray:
-        """S^k z in a new array."""
-        for _ in range(self.k):
-            z = self.s @ z
-        return z
+    def _hops(self, z: np.ndarray, out: np.ndarray, add: bool = False) -> np.ndarray:
+        """S^k z written into ``out``, or added to it when ``add``, one
+        column block at a time. Each column of a sparse product is computed
+        on its own, so the bits are those of the whole product."""
+        n, c = z.shape
+        width = max(1, _HOP_BYTES // (8 * n))
+        for j in range(0, c, width):
+            block = z[:, j : j + width]
+            for _ in range(self.k):
+                block = self.s @ block
+            if add:
+                out[:, j : j + width] += block
+            else:
+                out[:, j : j + width] = block
+        return out
 
     def forward(self, w: np.ndarray) -> np.ndarray:
         """Y = S^k X W + X W in the Yh buffer."""
-        z = np.matmul(self.b, w, out=self.z)
-        return np.add(self._hops(z), z, out=self.decoder.y_hat)
+        z = np.matmul(self.b, w, out=self.decoder.g_yhat)
+        return np.add(self._hops(z, self.d_w), z, out=self.decoder.y_hat)
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-        z = np.matmul(self.b, w, out=self.z)
-        d_w = self._hops(z)
+        z = np.matmul(self.b, w, out=self.decoder.g_yhat)
+        d_w = self._hops(z, self.d_w)
         y = np.add(d_w, z, out=self.decoder.y_hat)
         np.subtract(d_w, z, out=d_w)
         la = float(np.vdot(d_w, d_w))
         lr_ = self.decoder.loss(y)
-        # Z's buffer takes H, D_W's becomes r G_Y - 2a D_W
-        h, e = z, np.multiply(2.0 * self.a, d_w, out=d_w)
+        # D_W's buffer becomes E = r G_Y - 2a D_W, G's takes H once G is spent
+        e, h = np.multiply(2.0 * self.a, d_w, out=d_w), self.decoder.g_yhat
         if self.r:
             g_y = self.decoder.grad()
             if self.r != 1.0:
@@ -474,7 +517,7 @@ class _HiddenKernel(_TrainingKernel):
         else:
             np.copyto(h, e)
             np.negative(e, out=e)
-        np.add(self._hops(h), e, out=e)
+        self._hops(h, e, add=True)
         np.matmul(self.b.T, e, out=self.grad)
         total = (self.a * la if self.a else 0.0) + self.r * lr_
         return total, la, lr_, self.grad
@@ -510,7 +553,7 @@ def train(
     else:  # P = S~^k X is dropped once B and M exist
         kernel = _TrainingKernel.from_p(propagate(s_tilde, x, cfg.k), x, *loss_args)
     w, y_hat, losses, early_stopped = kernel.fit(cfg)
-    del kernel  # B, M or Z, and the epoch buffers; Yh outlives them
+    del kernel  # B and M or D_W's buffer, and the epoch buffers; Yh outlives them
     total, agg, rec = map(np.asarray, zip(*losses))
     report = TrainReport(
         losses_agg=agg,

@@ -24,3 +24,32 @@ def traced_peak():
         return result, peak
 
     return run
+
+
+@pytest.fixture
+def epoch_peak(traced_peak):
+    """``epoch_peak(kernel, w)`` runs training epochs of ``kernel`` from a
+    copy of ``w``, each ``loss_and_grad`` then ``adam_step`` into two scratch
+    arrays allocated beforehand, as the model's epoch loop runs them. After
+    one warm-up epoch it returns the largest traced peak of the next five,
+    in bytes."""
+    import numpy as np
+
+    from amlp.model import AdamState, adam_step
+
+    def run(kernel, w):
+        w = w.copy()
+        scratch = np.empty_like(w), np.empty_like(w)
+
+        def epoch(state):
+            grad = kernel.loss_and_grad(w)[3]
+            return adam_step(state, w, grad, 1e-3, *scratch)[1]
+
+        state = epoch(AdamState.zeros_like(w))  # warm-up epoch
+        peaks = []
+        for _ in range(5):
+            state, peak = traced_peak(lambda: epoch(state))
+            peaks.append(peak)
+        return max(peaks)
+
+    return run

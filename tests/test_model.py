@@ -730,26 +730,32 @@ def test_decoder_pieces_without_workspace_match_reference(zero_rows):
     )
 
 
-def test_epoch_allocates_only_the_sparse_product(traced_peak):
+def test_epoch_allocates_only_the_sparse_product(epoch_peak):
     from amlp.model import _TrainingKernel
 
     n, d, c = 2000, 8, 16
     _, x, w, p_mat, at = random_setup(n, d, c, seed=130, p=0.002)
     kernel = _TrainingKernel.from_p(p_mat, x, at, c, 0.1, 1e-12)
+    peak = epoch_peak(kernel, w)
+    # A Yh is the one N x c array an epoch allocates; Adam writes into W,
+    # m, v and the two scratch arrays. The masked divisions of the row
+    # normalization take numpy's iterator buffers, a float64 and a bool each.
+    assert peak <= n * c * 8 + 9 * np.getbufsize() + 16_384, peak
 
-    def epoch(w, state):
-        _, _, _, grad = kernel.loss_and_grad(w)
-        return adam_step(state, w, grad, 1e-3)
 
-    w, state = epoch(w, AdamState.zeros_like(w))  # warm-up epoch
-    peaks = []
-    for _ in range(5):
-        (w, state), peak = traced_peak(lambda: epoch(w, state))
-        peaks.append(peak)
-    nc, dc = n * c * 8, d * c * 8
-    # A Yh is the one N x c array an epoch allocates; Adam returns new m, v
-    # and weights and uses one scratch array
-    assert max(peaks) <= 2 * nc + 8 * dc + 16_384, peaks
+def test_hidden_epoch_allocates_the_sparse_product_and_two_blocks(epoch_peak):
+    """The hidden form's 2k sparse products run on column blocks of about
+    _HOP_BYTES: an epoch allocates A Yh and at most two blocks at a time,
+    where whole products would hold two N x c results."""
+    from amlp.model import _HOP_BYTES, _HiddenKernel
+
+    n, d, c = 2000, 8, 512
+    g, x, w, _, at = random_setup(n, d, c, seed=131, p=0.002)
+    kernel = _HiddenKernel(x, normalize_no_self_loops(g), 2, at, c, 0.1, 1e-12)
+    block = 8 * n * min(c, max(1, _HOP_BYTES // (8 * n)))
+    assert 4 * block < n * c * 8  # a block is a small share of Z's columns
+    peak = epoch_peak(kernel, w)
+    assert peak <= n * c * 8 + 2 * block + 16_384, peak
 
 
 def test_adam_step_leaves_its_inputs_alone():
@@ -768,6 +774,30 @@ def test_adam_step_leaves_its_inputs_alone():
             assert not np.shares_memory(out, a)
 
 
+def test_buffered_adam_step_matches_pure_and_reference(traced_peak):
+    """Given two scratch arrays, adam_step writes the pure call's values into
+    W, m and v, bit for bit, over five steps, allocating no array, and writes
+    nothing else."""
+    rng = np.random.default_rng(141)
+    w = rng.standard_normal((64, 32))
+    w_pure, w_ref = w.copy(), w.copy()
+    state = s_pure = s_ref = AdamState.zeros_like(w)
+    m, v = state.m, state.v
+    scratch = np.empty_like(w), np.empty_like(w)
+    for _ in range(5):
+        grad = rng.standard_normal(w.shape)
+        grad_before = grad.copy()
+        w_pure, s_pure = adam_step(s_pure, w_pure, grad, 1e-2)
+        w_ref, s_ref = _ref_adam_step(s_ref, w_ref, grad, 1e-2)
+        (w_out, state), peak = traced_peak(lambda: adam_step(state, w, grad, 1e-2, *scratch))
+        assert w_out is w and state.m is m and state.v is v
+        assert peak < w.nbytes
+        assert _same_bits(grad, grad_before)
+        for got, pure, ref in ((w, w_pure, w_ref), (m, s_pure.m, s_ref.m), (v, s_pure.v, s_ref.v)):
+            assert _same_bits(got, pure) and _same_bits(got, ref)
+        assert state.step == s_pure.step == s_ref.step
+
+
 # ---------------------------------------------------------------------------
 # train(): what it holds at each stage, and its finish
 # ---------------------------------------------------------------------------
@@ -775,16 +805,16 @@ def test_adam_step_leaves_its_inputs_alone():
 
 def test_train_memory_is_set_up_or_epoch_loop(traced_peak):
     """Set-up holds P, the buffer that is P - X and then B, and M; the epoch
-    loop holds B, M, the decoder workspace, A Yh and the d x c arrays of the
-    gradient and Adam. The graphs and the caller's X are outside the N x d
-    count."""
+    loop holds B, M, the decoder's Yh and G buffers, A Yh and seven d x c
+    arrays: M W, the gradient, W, Adam's m and v and its two scratch arrays.
+    The graphs and the caller's X are outside the N x d count."""
     n, d, c = 2000, 400, 16
     g, x = small_instance(seed=150, n=n, p=0.005, d=d)
     cfg = AMLPConfig(k=2, hidden_dim=c, epochs=3, seed=0)
     train(g, x, replace(cfg, epochs=1))  # warm-up run
     _, peak = traced_peak(lambda: train(g, x, cfg))
     nnz = g.indices.size
-    bound = 8 * (max(2 * n * d, n * d + 4 * n * c + 8 * d * c) + d * d)
+    bound = 8 * (max(2 * n * d, n * d + 3 * n * c + 7 * d * c) + d * d)
     bound += 64 * (nnz + n) + 2**20
     assert peak <= bound, (peak, bound)
 
@@ -963,6 +993,26 @@ def test_hidden_kernel_gradient_matches_finite_differences(lam):
         assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
 
 
+@pytest.mark.parametrize("kind", ["isolated", "empty"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("width", [1, 3])
+def test_hops_by_column_block_match_propagate(monkeypatch, kind, k, width):
+    """The hidden form's hops, run on column blocks of ``width`` columns of
+    c = 8 (so the last block is narrower), write S~^k Z and add S~^k H to E
+    with the bits of propagate's whole products."""
+    from amlp import model
+
+    x, st, at = _hidden_form_instance(kind)
+    n, c = x.shape[0], 8
+    monkeypatch.setattr(model, "_HOP_BYTES", 8 * n * width)
+    kernel = model._HiddenKernel(x, st, k, at, c, 0.1, 1e-12)
+    rng = np.random.default_rng(172)
+    z, h, e = (rng.standard_normal((n, c)) for _ in range(3))
+    assert _same_bits(kernel._hops(z, np.empty((n, c))), propagate(st, z, k))
+    want = e + propagate(st, h, k)
+    assert _same_bits(kernel._hops(h, e, add=True), want)
+
+
 def test_form_selection_of_benchmark_and_test_shapes():
     """wide_train and criterion 10 (hard reconstruction of the N = 3000,
     d = 1500 SBM, k = 3) run the hidden form; cli_pipeline (N = 4000,
@@ -1023,10 +1073,13 @@ def test_train_runs_the_hidden_form_without_propagate(monkeypatch):
 
 def test_train_memory_in_the_hidden_form(traced_peak):
     """The hidden form holds no N x d or d x d array: besides the
-    reconstruction's two edge-feature buffers, train() holds the decoder
-    workspace, Z, the hops' results, A Yh and the d x c arrays of the
-    gradient and Adam. The P form holds 2 N d + d^2 here."""
-    from amlp.model import _propagates_hidden
+    reconstruction's two edge-feature buffers, train() holds four N x c
+    arrays (the decoder's Yh and G buffers, G holding Z and then H; D_W's
+    buffer, which then holds E; A Yh), at most two column blocks of the
+    hops, six d x c arrays (the gradient, W, Adam's m and v and its two
+    scratch arrays) and the decoder's two c x c arrays. The P form holds
+    2 N d + d^2 here."""
+    from amlp.model import _HOP_BYTES, _propagates_hidden
     from amlp.reconstruct import _GATHER_BYTES, reconstruct_hard
 
     n, d, c = 1000, 1500, 8
@@ -1037,7 +1090,9 @@ def test_train_memory_in_the_hidden_form(traced_peak):
     train(g, x, replace(cfg, epochs=1))  # warm-up run
     _, peak = traced_peak(lambda: train(g, x, cfg))
     gather = 2 * min(_GATHER_BYTES, 8 * g.n_edges * d)
-    bound = gather + 8 * (8 * n * c + 8 * d * c) + 64 * (g.indices.size + n) + 2**20
+    blocks = 2 * 8 * n * min(c, max(1, _HOP_BYTES // (8 * n)))
+    bound = gather + 8 * (4 * n * c + 6 * d * c + 2 * c * c) + blocks
+    bound += 64 * (g.indices.size + n) + 2**20
     assert bound < 8 * n * d  # one N x d array more would not fit
     assert peak <= bound, (peak, bound)
 
