@@ -39,7 +39,12 @@ from .graph import (
     row_normalize,
 )
 from .model import AMLPConfig, exp1_train, train
-from .reconstruct import ReconstructionConfig, reconstruct_hard, reconstruct_soft
+from .reconstruct import (
+    CANDIDATE_POLICIES,
+    ReconstructionConfig,
+    reconstruct_hard,
+    reconstruct_soft,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epsilon", type=float, default=0.001)
-    p.add_argument("--policy", choices=["original_edges", "all_pairs"], default="original_edges")
+    p.add_argument("--policy", choices=CANDIDATE_POLICIES, default="original_edges")
     p.add_argument("--soft", action="store_true", help="sigmoid-relaxed weights instead of 0/1")
     p.add_argument("--steepness", type=float, default=100.0)
 

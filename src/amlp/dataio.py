@@ -11,12 +11,18 @@ A dataset directory contains:
 
 Features are stored at single precision; 9 significant decimal digits
 round-trip float32 exactly, so save -> load -> save is byte-stable.
+
+Every file is read by one reader per kind: _lines (numbered lines of UTF-8
+text), load_float_csv (float matrices; malformed, ragged and non-finite rows
+are refused at their line) and _read_json_object (JSON objects, whose keys
+_read_typed or _read_config then checks).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import sys
 import typing
 import warnings
 from dataclasses import dataclass, fields
@@ -44,22 +50,28 @@ _META_TYPES = {
     "features_file": str,
 }
 
+_CHECKPOINT_TYPES = {"d": int, "c": int, "config": dict, "weights_file": str}
+
 _TYPE_NAMES = {
     int: "an integer",
     float: "a number",
     bool: "true or false",
     str: "a string",
+    dict: "a JSON object",
     type(None): "null",
 }
 
 
 def _is_json_type(value, t) -> bool:
     """A JSON value against a declared scalar type: bool is not an integer,
-    and an integer is accepted where a float is declared."""
+    and an integer within the float range is accepted where a float is
+    declared."""
     if isinstance(value, bool):
         return t is bool
     if t is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, float) or (
+            isinstance(value, int) and abs(value) <= sys.float_info.max
+        )
     return isinstance(value, t)
 
 
@@ -80,6 +92,23 @@ def _check_config_value(source, key: str, value, hint) -> None:
     raise ValidationError(
         f"{source}: key {key!r} must be {expected}, got {json.dumps(value)}"
     )
+
+
+def _read_config(cls, raw: dict, source):
+    """An instance of the config dataclass ``cls`` from parsed JSON: every key
+    is the JSON key of one of its fields and every value has that field's
+    declared type. ``source`` prefixes each error."""
+    names = config_keys(cls)
+    unknown = set(raw) - set(names)
+    if unknown:
+        raise ValidationError(f"{source}: unknown config keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        _check_config_value(source, key, value, hints[names[key]])
+    try:
+        return cls(**{names[key]: value for key, value in raw.items()})
+    except ValidationError as e:
+        raise ValidationError(f"{source}: {e}") from e
 
 
 @dataclass
@@ -114,27 +143,11 @@ class RunConfig:
     def from_dict(cls, raw: dict, source="config") -> "RunConfig":
         """Settings from parsed JSON; every value must have its declared type,
         and ``source`` (the file) prefixes the error naming a bad key."""
-        names = config_keys(cls)
-        unknown = set(raw) - set(names)
-        if unknown:
-            raise ValidationError(f"{source}: unknown config keys: {sorted(unknown)}")
-        hints = typing.get_type_hints(cls)
-        for key, value in raw.items():
-            _check_config_value(source, key, value, hints[names[key]])
-        try:
-            return cls(**{names[key]: value for key, value in raw.items()})
-        except ValidationError as e:
-            raise ValidationError(f"{source}: {e}") from e
+        return _read_config(cls, raw, source)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{path}: invalid JSON ({e})") from e
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: config must be a JSON object")
-        return cls.from_dict(raw, source=path)
+        return cls.from_dict(_read_json_object(Path(path)), source=path)
 
     def as_dict(self) -> dict:
         return config_as_dict(self)
@@ -228,6 +241,21 @@ def write_rows(f, line_fmt: str, table: np.ndarray) -> None:
         f.write((line_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
+def _lines(path):
+    """(line number, text) of each line of the file at ``path``, without its
+    line ending. Lines are split as a text-mode file, and so np.loadtxt,
+    splits them: LF, CR LF and a lone CR each end one. A line that is not
+    UTF-8 is refused at its number."""
+    # an undecodable byte becomes a lone surrogate, which does not encode
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise ValidationError(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, line.rstrip("\n")
+
+
 def parse_int_lines(path, n_cols: int) -> np.ndarray:
     """Whitespace-separated integer rows; errors carry file and line number."""
     path = Path(path)
@@ -242,59 +270,94 @@ def parse_int_lines(path, n_cols: int) -> np.ndarray:
         pass
     # slow path: the judge of what is accepted, and of what the error says
     rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != n_cols:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {n_cols} fields, got {len(parts)}"
-                )
-            try:
-                row = [int(p) for p in parts]
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: not an integer: {line!r}")
-            if not all(_INT64_MIN <= i <= _INT64_MAX for i in row):
-                raise ValidationError(f"{path}:{lineno}: integer out of range: {line!r}")
-            rows.append(row)
+    for lineno, line in _lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != n_cols:
+            raise ValidationError(
+                f"{path}:{lineno}: expected {n_cols} fields, got {len(parts)}"
+            )
+        try:
+            row = [int(p) for p in parts]
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: not an integer: {line!r}")
+        if not all(_INT64_MIN <= i <= _INT64_MAX for i in row):
+            raise ValidationError(f"{path}:{lineno}: integer out of range: {line!r}")
+        rows.append(row)
     return np.asarray(rows, dtype=np.int64).reshape(-1, n_cols)
 
 
+def _csv_rows(path):
+    """(line number, text before any '#') of each line of the file at
+    ``path`` that holds a row as np.loadtxt reads it: a line that is empty
+    before its '#' holds none."""
+    for lineno, line in _lines(path):
+        text = line.split("#", 1)[0]
+        if text:
+            yield lineno, text
+
+
+def _is_float_field(field: str) -> bool:
+    """Whether np.loadtxt reads ``field`` as a float: float() does, and it is
+    ASCII without the digit-grouping underscores that float() allows."""
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return field.isascii() and "_" not in field
+
+
+def _refuse_non_finite(path, x: np.ndarray, what: str) -> None:
+    """Refuse, at its line, the first row of ``x``, the rows of the file at
+    ``path``, that holds a NaN or an infinity."""
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        lineno = next(itertools.islice(_csv_rows(path), int(bad.argmax()), None))[0]
+        raise ValidationError(f"{path}:{lineno}: {what}")
+
+
 def load_float_csv(path) -> np.ndarray:
-    """Comma-separated float rows; errors carry file and line number."""
+    """Comma-separated float rows as float64, read as np.loadtxt reads them:
+    '#' starts a comment and a line empty before it holds no row. A
+    malformed, ragged or non-finite row is refused at its line."""
     path = Path(path)
     try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            # a file with no rows warns; it loads as a (0, 1) matrix
+            warnings.simplefilter("ignore", UserWarning)
+            x = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as e:
         # slow path only to point at the offending line
         width = None
-        with open(path) as f:
-            for lineno, line in enumerate(f, start=1):
-                parts = line.strip().split(",")
-                try:
-                    [float(p) for p in parts if p != ""]
-                except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: malformed float row")
-                if width is not None and len(parts) != width:
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
-                    )
-                width = len(parts)
-        raise ValidationError(f"{path}: malformed feature file")
+        for lineno, text in _csv_rows(path):
+            parts = text.split(",")
+            if not all(_is_float_field(p) for p in parts):
+                raise ValidationError(f"{path}:{lineno}: malformed float row")
+            if width is not None and len(parts) != width:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
+                )
+            width = len(parts)
+        raise ValidationError(f"{path}: malformed float CSV ({e})") from e
+    _refuse_non_finite(path, x, "non-finite value (NaN or inf)")
+    return x
 
 
-def _load_features_csv(path: Path, n_nodes: int, n_features: int) -> np.ndarray:
-    x = load_float_csv(path)
-    if x.shape != (n_nodes, n_features):
-        raise ValidationError(
-            f"{path}: feature shape {x.shape} does not match meta "
-            f"({n_nodes}, {n_features})"
-        )
-    # features are float32 at rest; the 9-digit text uniquely identifies the
-    # float32 value, so recover it before promoting back to float64
-    return x.astype(np.float32).astype(np.float64)
+def _float32_at_rest(path, x: np.ndarray) -> np.ndarray:
+    """The finite float64 ``x`` read from the file at ``path``, rounded to
+    float32, the precision of features and embeddings at rest, and promoted
+    back: the 9-digit text identifies the float32 value. A value beyond the
+    float32 range is refused at its line."""
+    try:
+        with np.errstate(over="raise"):
+            x32 = x.astype(np.float32)
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            x32 = x.astype(np.float32)
+        _refuse_non_finite(path, x32, "non-finite value (beyond the float32 range)")
+    return x32.astype(np.float64)
 
 
 def load_labels(path, meta: dict | None = None):
@@ -340,7 +403,13 @@ def load_dataset(path, meta: dict | None = None):
         raise ValidationError(f"{path / 'edges.tsv'}: {e}") from e
     feat_file = meta["features_file"]
     if feat_file == "features.csv":
-        x = _load_features_csv(path / "features.csv", n, d)
+        x = load_float_csv(path / "features.csv")
+        if x.shape != (n, d):
+            raise ValidationError(
+                f"{path / 'features.csv'}: feature shape {x.shape} does not match "
+                f"meta ({n}, {d})"
+            )
+        x = _float32_at_rest(path / "features.csv", x)
     elif feat_file == "features.f32":
         raw = (path / "features.f32").read_bytes()
         if len(raw) != 4 * n * d:
@@ -348,15 +417,25 @@ def load_dataset(path, meta: dict | None = None):
                 f"{path / 'features.f32'}: {len(raw)} bytes, expected {4 * n * d}"
             )
         x = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            raise ValidationError(
+                f"{path / 'features.f32'}: non-finite value (NaN or inf) in row "
+                f"{int(bad.argmax()) + 1}"
+            )
     else:
         raise ValidationError(f"{path / META_FILE}: unknown features_file {feat_file!r}")
     return graph, x, labels
 
 
 def _read_json_object(path: Path) -> dict:
+    """The JSON object in the file at ``path``."""
+    text = "\n".join(line for _, line in _lines(path))
+    # besides bad JSON, a ValueError is an integer past Python's 4300-digit
+    # limit, and a RecursionError a nesting too deep to parse
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as e:
         raise ValidationError(f"{path}: invalid JSON ({e})") from e
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: must be a JSON object")
@@ -369,25 +448,30 @@ def _require_keys(path: Path, raw: dict, keys, where: str = "") -> None:
             raise ValidationError(f"{path}: {where}missing key {key!r}")
 
 
-def load_meta(path) -> dict:
-    return _read_meta(Path(path) / META_FILE)
-
-
-def _read_meta(path: Path) -> dict:
-    """meta.json: every key of _META_TYPES present, with a value of its type;
-    the counts are JSON integers >= 0 (not bools, floats or strings)."""
-    if not path.is_file():
-        raise ValidationError(f"{path}: missing")
-    meta = _read_json_object(path)
-    _require_keys(path, meta, _META_TYPES)
-    for key, t in _META_TYPES.items():
-        value = meta[key]
+def _read_typed(path: Path, raw: dict, types: dict) -> dict:
+    """``raw``, read from ``path``, with every key of ``types`` present and
+    of its type there; an int is a JSON integer >= 0 (not a bool, float or
+    string)."""
+    _require_keys(path, raw, types)
+    for key, t in types.items():
+        value = raw[key]
         if not _is_json_type(value, t) or (t is int and value < 0):
             expected = "an integer >= 0" if t is int else _TYPE_NAMES[t]
             raise ValidationError(
                 f"{path}: key {key!r} must be {expected}, got {json.dumps(value)}"
             )
-    return meta
+    return raw
+
+
+def load_meta(path) -> dict:
+    return _read_meta(Path(path) / META_FILE)
+
+
+def _read_meta(path: Path) -> dict:
+    """meta.json, its values typed as _META_TYPES declares."""
+    if not path.is_file():
+        raise ValidationError(f"{path}: missing")
+    return _read_typed(path, _read_json_object(path), _META_TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -403,33 +487,9 @@ def save_embeddings_csv(path, y_hat: np.ndarray) -> None:
 
 
 def load_embeddings_csv(path) -> np.ndarray:
-    """N x c embeddings, float32 at rest; NaN, infinity and values beyond
-    the float32 range are refused at their line."""
-    try:
-        x = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as e:
-        raise ValidationError(f"{path}: malformed embeddings CSV ({e})") from e
-    with np.errstate(over="ignore"):  # beyond float32 becomes inf, refused below
-        x = x.astype(np.float32).astype(np.float64)
-    bad = ~np.isfinite(x).all(axis=1)
-    if bad.any():
-        raise ValidationError(
-            f"{path}:{_data_line(path, int(bad.argmax()))}: non-finite value "
-            "(NaN, inf, or beyond the float32 range)"
-        )
-    return x
-
-
-def _data_line(path, row: int) -> int:
-    """1-based line number of data row ``row`` (0-based) as np.loadtxt reads
-    the file: a line that is empty before any '#' holds no row."""
-    with open(path) as f:
-        data_lines = (
-            lineno
-            for lineno, line in enumerate(f, start=1)
-            if line.rstrip("\r\n").split("#", 1)[0]
-        )
-        return next(itertools.islice(data_lines, row, None))
+    """N x c embeddings, float32 at rest: a row load_float_csv refuses, or a
+    value beyond the float32 range, is refused at its line."""
+    return _float32_at_rest(path, load_float_csv(path))
 
 
 def save_checkpoint(dir_path, model: AMLPModel) -> None:
@@ -454,25 +514,28 @@ def save_checkpoint(dir_path, model: AMLPModel) -> None:
 
 
 def load_checkpoint(dir_path) -> AMLPModel:
+    """The model save_checkpoint wrote. The header's values are typed as
+    _CHECKPOINT_TYPES declares, its config is read as a run config is (with
+    'lambda' required), and the weights are a (d, c) float CSV whose c is
+    the config's hidden_dim."""
     dir_path = Path(dir_path)
     header_path = dir_path / "checkpoint.json"
-    header = _read_json_object(header_path)
-    _require_keys(header_path, header, ("d", "c", "config", "weights_file"))
-    if not isinstance(header["config"], dict):
-        raise ValidationError(f"{header_path}: key 'config' must be a JSON object")
+    header = _read_typed(header_path, _read_json_object(header_path), _CHECKPOINT_TYPES)
     _require_keys(header_path, header["config"], ("lambda",), "config: ")
-    w = np.loadtxt(dir_path / header["weights_file"], delimiter=",", ndmin=2)
-    if w.shape != (header["d"], header["c"]):
+    cfg = _read_config(AMLPConfig, header["config"], f"{header_path}: key 'config'")
+    d, c = header["d"], header["c"]
+    if cfg.hidden_dim != c:
         raise ValidationError(
-            f"{dir_path}: weight shape {w.shape} does not match header"
+            f"{header_path}: config hidden_dim {cfg.hidden_dim} does not match c = {c}"
         )
-    names = config_keys(AMLPConfig)
-    try:
-        cfg = AMLPConfig(
-            **{names.get(key, key): value for key, value in header["config"].items()}
+    weights = dir_path / header["weights_file"]
+    if not weights.is_file():
+        raise ValidationError(f"{header_path}: weights_file {weights} is not a file")
+    w = load_float_csv(weights)
+    if w.shape != (d, c):
+        raise ValidationError(
+            f"{weights}: weight shape {w.shape} does not match header ({d}, {c})"
         )
-    except TypeError as e:  # an unknown config key
-        raise ValidationError(f"{header_path}: key 'config': {e}") from e
     return AMLPModel(W=w, config=cfg)
 
 

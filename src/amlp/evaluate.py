@@ -303,18 +303,6 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
-    # canonical form: relabel by order of first appearance
-    def canon(v):
-        first = {}
-        out = np.empty(v.size, dtype=np.int64)
-        for i, lab in enumerate(v.tolist()):
-            out[i] = first.setdefault(lab, len(first))
-        return out
-
-    return np.array_equal(canon(a), canon(b))
-
-
 def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mutual information normalized by the geometric mean of the entropies.
 
@@ -322,9 +310,13 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     the partitions differ, the value is 0.0.
     """
     pred, truth = _paired_labels(pred, truth)
-    if _same_partition(pred, truth):
+    table = _contingency(pred, truth)
+    # identical up to relabelling: each cluster meets one class, and each
+    # class one cluster
+    met = table > 0
+    if (met.sum(axis=0) == 1).all() and (met.sum(axis=1) == 1).all():
         return 1.0
-    table = _contingency(pred, truth).astype(np.float64)
+    table = table.astype(np.float64)
     n = table.sum()
     h_pred = _entropy(table.sum(axis=1))
     h_truth = _entropy(table.sum(axis=0))
@@ -393,7 +385,7 @@ def make_splits(
                 counts[donor] -= 1
                 counts[0] += 1
             per_class_counts[int(c)] = counts
-        _balance_global(per_class_counts, global_target, ratios_arr, labels, labeled)
+        _balance_global(per_class_counts, global_target, ratios_arr)
         segs: list[list[np.ndarray]] = [[], [], []]
         for c in classes:
             idx = labeled[labels[labeled] == c]
@@ -412,7 +404,7 @@ def make_splits(
     return SplitSet(splits=splits, ratios=tuple(float(r) for r in ratios_arr))
 
 
-def _balance_global(per_class_counts, global_target, ratios, labels, labeled):
+def _balance_global(per_class_counts, global_target, ratios):
     """Move single nodes between segments of some class until global segment
     sizes match the targets, keeping per-class counts within one of quota."""
     for _ in range(len(per_class_counts) * 6):

@@ -114,7 +114,9 @@ def _iter_candidate_scores(
     if g.n_nodes > cfg.all_pairs_cap:
         raise ValidationError(
             f"all_pairs policy refused for {g.n_nodes} nodes "
-            f"(cap {cfg.all_pairs_cap}); raise all_pairs_cap to override"
+            f"(cap {cfg.all_pairs_cap}); the cap is the library setting "
+            "ReconstructionConfig.all_pairs_cap, which no command-line flag or run-config "
+            "key sets"
         )
     yield from _iter_all_pairs(g, x)
 
@@ -266,26 +268,6 @@ def _score_edge_candidates(
     return np.clip(score, 0.0, 1.0)
 
 
-class _StatsAccumulator:
-    def __init__(self):
-        self.total = 0
-        self.kept = 0
-        self.score_sum = 0.0
-
-    def add(self, scores: np.ndarray, kept: int):
-        self.total += int(scores.size)
-        self.kept += kept
-        self.score_sum += float(scores.sum())
-
-    def finish(self) -> ReconstructionStats:
-        return ReconstructionStats(
-            candidates_scored=self.total,
-            edges_kept=self.kept,
-            edges_removed=self.total - self.kept,
-            mean_score=self.score_sum / self.total if self.total else 0.0,
-        )
-
-
 def _scored_pairs(
     g: SparseGraph, x: np.ndarray, cfg: ReconstructionConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, ReconstructionStats]:
@@ -295,11 +277,14 @@ def _scored_pairs(
     unique, u < v, sorted by (u, v). The candidate loop's buffers are freed
     on return, before the caller assembles the refined graph."""
     soft = cfg.mode == "soft"
-    acc = _StatsAccumulator()
+    total = kept = 0
+    score_sum = 0.0
     us, vs, ws = [], [], []
     for pairs, scores in _iter_candidate_scores(g, x, cfg):
         keep = scores >= cfg.epsilon
-        acc.add(scores, int(keep.sum()))
+        total += int(scores.size)
+        kept += int(keep.sum())
+        score_sum += float(scores.sum())
         u, v = pairs(None if soft else keep)
         us.append(u)
         vs.append(v)
@@ -310,7 +295,13 @@ def _scored_pairs(
     w = None
     if soft:
         w = np.concatenate(ws) if ws else np.zeros(0, dtype=np.float64)
-    return u, v, w, acc.finish()
+    stats = ReconstructionStats(
+        candidates_scored=total,
+        edges_kept=kept,
+        edges_removed=total - kept,
+        mean_score=score_sum / total if total else 0.0,
+    )
+    return u, v, w, stats
 
 
 def _graph_from_sorted_pairs(

@@ -12,6 +12,7 @@ import amlp
 from amlp import dataio
 from amlp.cli import main
 from amlp.dataio import load_dataset, save_dataset
+from amlp.reconstruct import ReconstructionConfig
 from amlp.synth import generate_dataset, homophilic_preset
 
 
@@ -207,6 +208,23 @@ def test_reconstruct_emits_dataset_and_stats(sbm_dir, tmp_path):
         stats["metrics"]["edges_kept"] + stats["metrics"]["edges_removed"]
         == stats["metrics"]["candidates_scored"]
     )
+
+
+def test_reconstruct_defaults_are_the_config_defaults(sbm_dir, tmp_path, monkeypatch):
+    """amlp reconstruct retypes ReconstructionConfig's defaults as flag
+    defaults; with no flags it runs that config."""
+    from amlp import cli
+
+    seen = []
+    real = cli.reconstruct_hard
+
+    def spy(g, x, cfg):
+        seen.append(cfg)
+        return real(g, x, cfg)
+
+    monkeypatch.setattr(cli, "reconstruct_hard", spy)
+    assert main(["reconstruct", "--data", str(sbm_dir), "--out", str(tmp_path / "r")]) == 0
+    assert seen == [ReconstructionConfig()]
 
 
 def test_reconstruct_soft_writes_weights(sbm_dir, tmp_path):
@@ -479,6 +497,17 @@ def test_embeddings_row_count_checked(sbm_dir, tmp_path, capsys, command):
     _assert_one_error_line(capsys, f"{emb}: 5 rows, dataset has 400 nodes")
 
 
+def test_embeddings_without_rows_exit_1_without_a_warning(sbm_dir, tmp_path, capsys):
+    """np.loadtxt warns on a file that holds no row; the reader keeps the
+    warning off stderr, which holds only the row-count error line."""
+    emb = tmp_path / "emb.csv"
+    emb.write_text("# no rows\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", "--data", str(sbm_dir), "--emb", str(emb)]) == 1
+    _assert_one_error_line(capsys, f"{emb}: 0 rows, dataset has 400 nodes")
+
+
 def _dataset_with_splits(tmp_path, text):
     data = tmp_path / "data"
     g, x, labels = generate_dataset(homophilic_preset(seed=0, n_nodes=60))
@@ -519,6 +548,35 @@ def _dataset_with_meta_value(tmp_path, key, value):
     meta[key] = value
     (data / "meta.json").write_text(json.dumps(meta))
     return data
+
+
+@pytest.mark.parametrize("case", ["train-config", "diagnose-meta", "cluster-labels", "prep-edges"])
+def test_input_that_is_not_utf8_exits_1(tmp_path, capsys, case):
+    """A byte that is not UTF-8 ends the command in one error line naming
+    the file and the line, not a decoding traceback."""
+    data = tmp_path / "data"
+    g, x, labels = generate_dataset(homophilic_preset(seed=0, n_nodes=60))
+    save_dataset(data, g, x, labels)
+    emb = tmp_path / "emb.csv"
+    emb.write_text("".join(f"{np.sin(i):.6f},{np.cos(i):.6f}\n" for i in range(60)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 2}\n')
+    bad, argv = {
+        "train-config": (cfg, ["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                               "--config", str(cfg)]),
+        "diagnose-meta": (data / "meta.json", ["diagnose", "--data", str(data)]),
+        "cluster-labels": (data / "labels.csv", ["cluster", "--data", str(data),
+                                                 "--emb", str(emb), "--restarts", "1"]),
+        "prep-edges": (data / "edges.tsv", ["prep", "--edges", str(data / "edges.tsv"),
+                                            "--features", str(data / "features.csv"),
+                                            "--labels", str(data / "labels.csv"),
+                                            "--out", str(tmp_path / "prepped")]),
+    }[case]
+    lines = bad.read_bytes().split(b"\n")
+    lines[1] = b"\xe9" + lines[1]
+    bad.write_bytes(b"\n".join(lines))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from amlp.dataio import (
     load_checkpoint,
     load_dataset,
     load_embeddings_csv,
+    load_float_csv,
     make_report,
     parse_int_lines,
     save_checkpoint,
@@ -21,6 +23,7 @@ from amlp.dataio import (
 from amlp.errors import ValidationError
 from amlp.graph import build_graph
 from amlp.model import AMLPConfig, AMLPModel
+from amlp.reconstruct import ReconstructionConfig
 
 
 def tiny_dataset():
@@ -68,6 +71,16 @@ def test_f32_branch(tmp_path):
     assert raw == expected
     _, x2, _ = load_dataset(tmp_path / "d")
     assert np.array_equal(x2, x)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_f32_branch_refuses_non_finite_features(tmp_path, value):
+    g, x, labels = tiny_dataset()
+    save_dataset(tmp_path / "d", g, x, labels, features_file="features.f32")
+    x[1, 0] = value
+    (tmp_path / "d" / "features.f32").write_bytes(x.astype("<f4").tobytes())
+    with pytest.raises(ValidationError, match="features.f32: non-finite value .* in row 2$"):
+        load_dataset(tmp_path / "d")
 
 
 def test_edges_written_once_with_u_less_than_v(tmp_path):
@@ -175,6 +188,22 @@ def test_checkpoint_round_trip_exact(tmp_path):
         (lambda h: {**h, "config": 3}, "key 'config' must be a JSON object"),
         (lambda h: {**h, "config": {"k": 2}}, "config: missing key 'lambda'"),
         (lambda h: {**h, "config": {**h["config"], "bogus": 1}}, "key 'config'"),
+        (lambda h: {**h, "config": {**h["config"], "k": True}},
+         "key 'config': key 'k' must be an integer, got true"),
+        (lambda h: {**h, "config": {**h["config"], "k": "3"}},
+         "key 'config': key 'k' must be an integer, got \"3\""),
+        (lambda h: {**h, "config": {**h["config"], "epochs": 2.5}},
+         "key 'config': key 'epochs' must be an integer, got 2.5"),
+        (lambda h: {**h, "config": {**h["config"], "learning_rate": 10**400}},
+         "key 'config': key 'learning_rate' must be a number"),
+        (lambda h: {**h, "config": {**h["config"], "k": 0}}, "key 'config': k must be >= 1"),
+        (lambda h: {**h, "config": {**h["config"], "hidden_dim": 7}},
+         "config hidden_dim 7 does not match c = 3"),
+        (lambda h: {**h, "weights_file": 5}, "key 'weights_file' must be a string, got 5"),
+        (lambda h: {**h, "weights_file": "nope.csv"}, "is not a file"),
+        (lambda h: {**h, "weights_file": "."}, "is not a file"),
+        (lambda h: {**h, "d": -2}, "key 'd' must be an integer >= 0, got -2"),
+        (lambda h: {**h, "c": 3.0}, "key 'c' must be an integer >= 0, got 3.0"),
     ],
 )
 def test_checkpoint_header_errors_name_file_and_key(tmp_path, edit, named):
@@ -186,6 +215,98 @@ def test_checkpoint_header_errors_name_file_and_key(tmp_path, edit, named):
     with pytest.raises(ValidationError) as info:
         load_checkpoint(tmp_path / "ckpt")
     assert str(header_path) in str(info.value) and named in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("1,2,3\nnan,0,0\n", ":2: non-finite"), ("1,2,3\n4,5,6,7\n", ":2: expected 3 fields")],
+)
+def test_checkpoint_refuses_bad_weights_at_their_line(tmp_path, text, named):
+    model = AMLPModel(W=np.ones((2, 3)), config=AMLPConfig(hidden_dim=3))
+    save_checkpoint(tmp_path / "ckpt", model)
+    weights = tmp_path / "ckpt" / "weights.csv"
+    weights.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(weights))}{named}"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("reader", [load_float_csv, load_embeddings_csv])
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1,2\n3,4\n", [[1, 2], [3, 4]]),
+        ("# c\n\n1,2 # c\r\n3,4\r5,6\r", [[1, 2], [3, 4], [5, 6]]),
+        (" 1 ,\t2\n", [[1, 2]]),
+        ("# header\n\n1,x\n", ":3: malformed float row"),
+        ("1,2\n\n3,4,5\n", ":3: expected 2 fields, got 3"),
+        ("1,2\n # a data line\n", ":2: malformed float row"),
+        ("1,2\n\t\n3,4\n", ":2: malformed float row"),
+        ("1,2,\n", ":1: malformed float row"),
+        ("1_0,2\n", ":1: malformed float row"),
+        ("1,2\r3,x\r", ":2: malformed float row"),
+        ("1,2\n# c\n\nnan,1\n", ":4: non-finite value"),
+        ("1,2\n-inf,1\n", ":2: non-finite value"),
+        (b"1,2\n# \xff\n", ":2: not UTF-8 text"),
+        (b"1,2\r\xc3,1\n", ":2: not UTF-8 text"),
+    ],
+)
+def test_float_readers_refuse_a_row_at_its_line(tmp_path, reader, text, expected):
+    """Both float readers count lines as np.loadtxt does (blank and '#'
+    lines hold no row, and LF, CR LF and a lone CR each end a line) and
+    name the line of the first row they refuse."""
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as info:
+            reader(path)
+        assert str(info.value).startswith(f"{path}{expected}"), str(info.value)
+    else:
+        assert np.array_equal(reader(path), expected)
+
+
+def test_float32_range_is_checked_for_features_and_embeddings(tmp_path):
+    """A finite float64 beyond the float32 range is refused where the file is
+    float32 at rest, and kept by the plain float reader."""
+    emb = tmp_path / "emb.csv"
+    emb.write_text("0.5,0.25\n\n0.5,-1e39\n")
+    assert load_float_csv(emb)[1, 1] == -1e39
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(emb))}:3: non-finite value"):
+        load_embeddings_csv(emb)
+    g, x, labels = tiny_dataset()
+    save_dataset(tmp_path / "d", g, x, labels)
+    (tmp_path / "d" / "features.csv").write_text("1.5,-2\n3.5e38,3\n")
+    with pytest.raises(ValidationError, match="features.csv:2: non-finite value"):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("name", ["meta.json", "labels.csv", "edges.tsv", "features.csv"])
+def test_dataset_files_that_are_not_utf8_are_refused_at_their_line(tmp_path, name):
+    g, x, labels = tiny_dataset()
+    save_dataset(tmp_path / "d", g, x, labels)
+    path = tmp_path / "d" / name
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"k": 1' + "0" * 5000 + "}", "invalid JSON"),
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON"),
+        ('{"k": 3}\n\xff', ":2: not UTF-8 text"),
+        ('{"learning_rate": 1' + "0" * 400 + "}", "key 'learning_rate' must be a number"),
+    ],
+    ids=["int-of-5001-digits", "nested-100000-deep", "not-utf8", "learning-rate-huge-int"],
+)
+def test_run_config_json_edge_cases_are_validation_errors(tmp_path, text, named):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ValidationError) as info:
+        RunConfig.from_json(path)
+    assert str(info.value).startswith(str(path)) and named in str(info.value)
 
 
 def test_run_config_rejects_unknown_keys():
@@ -211,6 +332,12 @@ def test_run_config_grid_expansion():
     single = RunConfig.from_dict({"k": 3})
     assert not single.is_grid()
     assert len(single.grid()) == 1
+
+
+def test_run_config_defaults_are_the_config_defaults():
+    """RunConfig retypes the defaults of AMLPConfig and ReconstructionConfig;
+    its default grid is their defaults."""
+    assert RunConfig().grid() == [(AMLPConfig(), ReconstructionConfig())]
 
 
 def test_run_config_json_round_trip(tmp_path):

@@ -6,6 +6,7 @@ from amlp.errors import ValidationError
 from amlp.graph import build_graph, graph_from_edges
 from amlp.reconstruct import (
     ReconstructionConfig,
+    ReconstructionStats,
     _common_neighbors,
     _score_edge_candidates,
     pair_score,
@@ -322,24 +323,39 @@ def reference_all_pairs(g, x):
         yield rows + start, cols, blk[rows, cols]
 
 
+def reference_stats(cfg, score_blocks):
+    """The statistics of the candidate loop over ``score_blocks``, with the
+    score sum taken one block at a time as the loop takes it."""
+    total = kept = 0
+    score_sum = 0.0
+    for scores in score_blocks:
+        total += scores.size
+        kept += int((scores >= cfg.epsilon).sum())
+        score_sum += float(scores.sum())
+    return ReconstructionStats(
+        candidates_scored=total,
+        edges_kept=kept,
+        edges_removed=total - kept,
+        mean_score=score_sum / total if total else 0.0,
+    )
+
+
 def reference_hard(g, cfg, blocks):
-    acc = reconstruct._StatsAccumulator()
-    us, vs = [], []
+    us, vs, score_blocks = [], [], []
     for u, v, scores in blocks:
         keep = scores >= cfg.epsilon
-        acc.add(scores, int(keep.sum()))
+        score_blocks.append(scores)
         us.append(u[keep])
         vs.append(v[keep])
     u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
-    return graph_from_edges(g.n_nodes, u, v), acc.finish()
+    return graph_from_edges(g.n_nodes, u, v), reference_stats(cfg, score_blocks)
 
 
 def reference_soft(g, cfg, blocks):
-    acc = reconstruct._StatsAccumulator()
-    us, vs, ws = [], [], []
+    us, vs, ws, score_blocks = [], [], [], []
     for u, v, scores in blocks:
-        acc.add(scores, int((scores >= cfg.epsilon).sum()))
+        score_blocks.append(scores)
         us.append(u)
         vs.append(v)
         ws.append(reconstruct._sigmoid(cfg.steepness * (scores - cfg.epsilon)))
@@ -351,7 +367,7 @@ def reference_soft(g, cfg, blocks):
     wg = reconstruct._csr_from_directed_pairs(
         g.n_nodes, rows[order], cols[order], np.concatenate([w, w])[order]
     )
-    return wg, acc.finish()
+    return wg, reference_stats(cfg, score_blocks)
 
 
 def all_pairs_instance(n, seed):
