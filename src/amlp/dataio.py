@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import sys
 import typing
 import warnings
@@ -41,6 +42,9 @@ FLOAT_FMT = "%.9g"
 # a chunk creates (about 2^16 edges)
 _FORMAT_CELLS = 1 << 17
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+# an integer field as np.loadtxt reads one: int() also takes digit-grouping
+# underscores and non-ASCII digits
+_INT_FIELD = re.compile(r"[+-]?[0-9]+")
 
 _META_TYPES = {
     "name": str,
@@ -279,10 +283,9 @@ def parse_int_lines(path, n_cols: int) -> np.ndarray:
             raise ValidationError(
                 f"{path}:{lineno}: expected {n_cols} fields, got {len(parts)}"
             )
-        try:
-            row = [int(p) for p in parts]
-        except ValueError:
+        if not all(_INT_FIELD.fullmatch(p) for p in parts):
             raise ValidationError(f"{path}:{lineno}: not an integer: {line!r}")
+        row = [int(p) for p in parts]
         if not all(_INT64_MIN <= i <= _INT64_MAX for i in row):
             raise ValidationError(f"{path}:{lineno}: integer out of range: {line!r}")
         rows.append(row)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import SparseGraph, check_labels, row_normalize
-from .model import AdamState, adam_step
+from .model import AdamState, _adam_scratch, adam_step
 
 
 @dataclass
@@ -368,6 +368,8 @@ def make_splits(
         raise ValidationError(f"ratios must lie in [0, 1], got {ratios_arr.tolist()}")
     if abs(ratios_arr.sum() - 1.0) > 1e-9:
         raise ValidationError("ratios must sum to 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     labeled = np.flatnonzero(labels >= 0)
     if labeled.size == 0:
         raise ValidationError("no labeled nodes to split")
@@ -477,7 +479,7 @@ def _fit_probe(
         xva, y_val = xa, y
     w = np.zeros((xa.shape[1], n_classes))
     state = AdamState.zeros_like(w)
-    adam_scratch = np.empty_like(w), np.empty_like(w)
+    adam_scratch = _adam_scratch(w)
     onehot = np.zeros((y.size, n_classes))
     onehot[np.arange(y.size), y] = 1.0
     best_w = w.copy()

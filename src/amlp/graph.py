@@ -458,8 +458,9 @@ def _row_normalize_into(
     eps_norm: float,
 ) -> None:
     """Write ``m`` row-normalized into ``out``, which may be ``m`` itself,
-    allocating nothing: the row norms go to ``norms``, the mask of rows with
-    norm >= eps_norm to ``nz``, and the other rows of ``out`` become zero.
+    allocating no array of m's shape: the row norms go to ``norms``, the mask
+    of rows with norm >= eps_norm to ``nz``, and the other rows of ``out``
+    become zero, their norms 1.0 so that no division by them needs a mask.
     ``scratch`` (m's shape; it may be ``out`` but not ``m``) receives the
     squares. The norms are the steps np.linalg.norm(m, axis=1) takes for real
     input, so the bits are row_normalize's."""
@@ -467,8 +468,10 @@ def _row_normalize_into(
     np.add.reduce(scratch, axis=1, out=norms)
     np.sqrt(norms, out=norms)
     np.greater_equal(norms, eps_norm, out=nz)
-    np.divide(m, norms[:, None], out=out, where=nz[:, None])
-    out[~nz] = 0.0
+    zero = ~nz
+    norms[zero] = 1.0
+    np.divide(m, norms[:, None], out=out)
+    out[zero] = 0.0
 
 
 def dirichlet_energy(a_tilde: SparseGraph, y_hat: np.ndarray) -> float:

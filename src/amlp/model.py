@@ -105,6 +105,8 @@ class AMLPConfig:
             )
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.eps_norm) and self.eps_norm > 0):
             raise ValidationError(
                 f"eps_norm must be finite and positive, got {self.eps_norm}"
@@ -211,13 +213,13 @@ class _Decoder:
     N x c embeddings against the self-loop normalized ``a_tilde``, and its
     gradient, in buffers allocated once and overwritten by every call: Yh,
     G = dL_rec/dYh, the row norms, row dots and nonzero-row mask, and the
-    c x c Gram with a scratch of its shape. G's buffer also takes the squares
-    of the row normalization and Yh * A Yh, so a caller may keep an N x c
-    array there that is dead by the time it calls loss() or normalize().
+    c x c Gram, squared in place once G is formed. G's buffer also takes the
+    squares of the row normalization and Yh * A Yh, so a caller may keep an
+    N x c array there that is dead by the time it calls loss() or normalize().
 
     Each loss() allocates one N x c array, the sparse product A Yh. It lives
-    until the next loss(), which drops it before forming the next one, and
-    grad() writes dL_rec/dY into it."""
+    until a caller drops ``ay`` or the next loss() drops it before forming
+    its own, and grad() writes dL_rec/dY into it."""
 
     def __init__(self, a_tilde: SparseGraph, n: int, c: int, eps_norm: float):
         self.a_sp = a_tilde.to_scipy()
@@ -230,7 +232,6 @@ class _Decoder:
         self.dots = np.empty(n)
         self.nz = np.empty(n, dtype=bool)
         self.gram = np.empty((c, c))
-        self.gram_sq = np.empty((c, c))
 
     def normalize(self, y: np.ndarray) -> np.ndarray:
         """Yh, the rows of ``y`` over their norms, in the Yh buffer; ``y``
@@ -249,9 +250,9 @@ class _Decoder:
         self.ay = None  # the last epoch's product goes before this one exists
         ay = self.ay = self.a_sp @ y_hat
         cross = float(np.multiply(y_hat, ay, out=self.g_yhat).sum())
-        gram_frob2 = float(np.multiply(gram, gram, out=self.gram_sq).sum())
-        l_rec = (gram_frob2 - 2.0 * cross + self.a_frob2) / (n * n)
         g_yhat = np.matmul(y_hat, gram, out=self.g_yhat)
+        gram_frob2 = float(np.multiply(gram, gram, out=gram).sum())
+        l_rec = (gram_frob2 - 2.0 * cross + self.a_frob2) / (n * n)
         np.subtract(g_yhat, ay, out=g_yhat)
         np.multiply(4.0 / (n * n), g_yhat, out=g_yhat)
         return l_rec
@@ -264,7 +265,7 @@ class _Decoder:
         dots = np.einsum("ij,ij->i", g_yhat, y_hat, out=self.dots)
         g_y = np.multiply(dots[:, None], y_hat, out=self.ay)
         np.subtract(g_yhat, g_y, out=g_y)
-        np.divide(g_y, self.norms[:, None], out=g_y, where=nz[:, None])
+        np.divide(g_y, self.norms[:, None], out=g_y)
         g_y[~nz] = 0.0
         return g_y
 
@@ -323,36 +324,46 @@ def adam_step(
     """One bias-corrected Adam update; returns the new weights and state.
 
     Without ``s`` and ``u`` the new weights, m and v are new arrays and the
-    inputs are left alone. Given two scratch arrays of W's shape, it writes
-    the new values into ``w``, ``state.m`` and ``state.v`` instead and
-    allocates no array; the returned state holds those same m and v."""
+    inputs are left alone. Given two scratch arrays of one size, at least a
+    row of W, it writes the new values into ``w``, ``state.m`` and ``state.v``
+    instead, in chunks of as many rows as the scratch holds, and allocates no
+    array; the returned state holds those same m and v."""
     if grad.shape != w.shape:
         raise ValidationError("gradient shape does not match weights")
     t = state.step + 1
     if s is None:
-        s, m, v, w_new = (np.empty_like(w) for _ in range(4))
+        s, m, v, w_new = (np.empty(w.shape) for _ in range(4))
         u = w_new
     else:
         m, v, w_new = state.m, state.v, w
-    # The expression and its operand order are those of the textbook update
-    #   m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
-    #   w - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
-    # and every output is written after the last read of what it replaces.
-    np.multiply(1.0 - state.beta1, grad, out=s)
-    np.multiply(state.beta1, state.m, out=m)
-    m += s
-    np.multiply(state.beta2, state.v, out=s)
-    np.multiply(1.0 - state.beta2, grad, out=v)
-    v *= grad
-    v += s
-    np.divide(m, 1.0 - state.beta1**t, out=s)
-    s *= lr
-    np.divide(v, 1.0 - state.beta2**t, out=u)
-    np.sqrt(u, out=u)
-    u += state.eps
-    np.divide(s, u, out=s)
-    np.subtract(w, s, out=w_new)
+    rows = s.size // w[0].size
+    for r in (slice(i, i + rows) for i in range(0, len(w), rows)):
+        g, m_r, v_r = grad[r], m[r], v[r]
+        s_r, u_r = (a.reshape(-1)[: g.size].reshape(g.shape) for a in (s, u))
+        # the textbook update m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        # w - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in its operand
+        # order; each output is written after the last read of what it replaces
+        np.multiply(1.0 - state.beta1, g, out=s_r)
+        np.multiply(state.beta1, state.m[r], out=m_r)
+        m_r += s_r
+        np.multiply(state.beta2, state.v[r], out=s_r)
+        np.multiply(1.0 - state.beta2, g, out=v_r)
+        v_r *= g
+        v_r += s_r
+        np.divide(m_r, 1.0 - state.beta1**t, out=s_r)
+        s_r *= lr
+        np.divide(v_r, 1.0 - state.beta2**t, out=u_r)
+        np.sqrt(u_r, out=u_r)
+        u_r += state.eps
+        np.divide(s_r, u_r, out=s_r)
+        np.subtract(w[r], s_r, out=w_new[r])
     return w_new, replace(state, m=m, v=v, step=t)
+
+
+def _adam_scratch(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adam's two flat scratch chunks for ``w``: at most W, about _HOP_BYTES, at least a row."""
+    size = min(w.size, max(_HOP_BYTES // 8, w[0].size))
+    return np.empty(size), np.empty(size)
 
 
 class _TrainingKernel:
@@ -370,8 +381,8 @@ class _TrainingKernel:
     The buffers every epoch writes into (c = hidden_dim columns): the
     decoder's, whose Yh buffer receives Y; MW, which B^T G_Y reuses; the
     gradient; under ``agg``, the B W that ``agg`` reads; and, in fit, W and
-    Adam's m, v and two scratch arrays, all updated in place. So an epoch
-    allocates no array but the decoder's A Yh and, under ``agg``, what
+    Adam's m and v, updated in place, and its two scratch chunks. So an
+    epoch allocates no array but the decoder's A Yh and, under ``agg``, what
     ``agg`` returns."""
 
     def __init__(self, b, m, a_tilde, c, a, r, eps_norm, agg=None):
@@ -434,7 +445,7 @@ class _TrainingKernel:
         non-finite."""
         w = init_weights(*self.grad.shape, cfg.seed)
         state = AdamState.zeros_like(w)
-        adam_scratch = np.empty_like(w), np.empty_like(w)
+        adam_scratch = _adam_scratch(w)
         losses = []
         stall = 0
         # an overflow shows as a non-finite loss, which raises the one report
@@ -466,10 +477,11 @@ class _HiddenKernel(_TrainingKernel):
     An epoch adds 2k sparse products and HIDDEN_PASSES elementwise passes
     over N x c arrays to the P form's work, and drops M W. The products run
     on column blocks of about _HOP_BYTES, so they hold at most two blocks.
-    Besides the decoder's buffers and the gradient, it holds one N x c
-    buffer, D_W's, which then takes the backward sum E. Z, and then H, live
-    in the decoder's G buffer: Z is dead before the decoder's loss and H is
-    formed after its grad."""
+    Besides the decoder's buffers, it holds one N x c buffer, D_W's, which
+    then takes the backward sum E. Z, and then H, live in the decoder's G
+    buffer: Z is dead before the decoder's loss and H is formed after its
+    grad, whose A Yh is dropped once H and E exist. X^T E goes into the Yh
+    buffer, dead until the next forward, unless d > N."""
 
     def __init__(self, x, s_tilde, k, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
         super().__init__(
@@ -477,6 +489,8 @@ class _HiddenKernel(_TrainingKernel):
         )
         self.s, self.k = s_tilde.to_scipy(), k
         self.d_w = np.empty((x.shape[0], c))
+        if x.shape[1] <= x.shape[0]:
+            self.grad = self.decoder.y_hat.ravel()[: self.grad.size].reshape(self.grad.shape)
 
     def _hops(self, z: np.ndarray, out: np.ndarray, add: bool = False) -> np.ndarray:
         """S^k z written into ``out``, or added to it when ``add``, one
@@ -517,6 +531,7 @@ class _HiddenKernel(_TrainingKernel):
         else:
             np.copyto(h, e)
             np.negative(e, out=e)
+        self.decoder.ay = g_y = None  # A Yh is spent; the hops' blocks come next
         self._hops(h, e, add=True)
         np.matmul(self.b.T, e, out=self.grad)
         total = (self.a * la if self.a else 0.0) + self.r * lr_

@@ -32,6 +32,8 @@ class SbmSpec:
             raise ValidationError("more classes than nodes")
         if self.n_classes < 1 or self.n_nodes < 1:
             raise ValidationError("n_nodes and n_classes must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def homophilic_preset(seed: int = 0, **overrides) -> SbmSpec:

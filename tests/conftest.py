@@ -29,17 +29,15 @@ def traced_peak():
 @pytest.fixture
 def epoch_peak(traced_peak):
     """``epoch_peak(kernel, w)`` runs training epochs of ``kernel`` from a
-    copy of ``w``, each ``loss_and_grad`` then ``adam_step`` into two scratch
-    arrays allocated beforehand, as the model's epoch loop runs them. After
-    one warm-up epoch it returns the largest traced peak of the next five,
-    in bytes."""
-    import numpy as np
-
-    from amlp.model import AdamState, adam_step
+    copy of ``w``, each ``loss_and_grad`` then ``adam_step`` into the two
+    flat scratch chunks that the model's epoch loop allocates beforehand.
+    After one warm-up epoch it returns the largest traced peak of the next
+    five, in bytes."""
+    from amlp.model import AdamState, _adam_scratch, adam_step
 
     def run(kernel, w):
         w = w.copy()
-        scratch = np.empty_like(w), np.empty_like(w)
+        scratch = _adam_scratch(w)
 
         def epoch(state):
             grad = kernel.loss_and_grad(w)[3]

@@ -686,6 +686,23 @@ def test_non_finite_flags_exit_1(sbm_dir, tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sbm", "train", "train --config", "classify"])
+def test_negative_seeds_exit_1(sbm_dir, tmp_path, capsys, command):
+    """numpy's generators refuse a negative seed; each is one error line."""
+    out, emb, cfg = tmp_path / "out", tmp_path / "emb.csv", tmp_path / "seed.json"
+    np.savetxt(emb, np.ones((400, 2)), delimiter=",")
+    cfg.write_text(json.dumps({"seed": -1}))
+    argv = {
+        "sbm": ["sbm", "--preset", "homophilic", "--out", str(out), "--seed", "-1"],
+        "train": ["train", "--data", str(sbm_dir), "--out", str(out), "--seed", "-1"],
+        "train --config": ["train", "--data", str(sbm_dir), "--out", str(out), "--config", str(cfg)],
+        "classify": ["classify", "--data", str(sbm_dir), "--emb", str(emb), "--seed", "-1"],
+    }[command]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys, "seed must be >= 0, got -1")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "ratios, named",
     [

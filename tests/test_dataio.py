@@ -114,7 +114,7 @@ def test_load_reports_malformed_edge_line(tmp_path):
         ("0 1\r\n2 3\r\n", 2, [[0, 1], [2, 3]]),
         ("0\t \t1\n", 2, [[0, 1]]),
         ("+1 -2\n", 2, [[1, -2]]),
-        ("1_0 2\n", 2, [[10, 2]]),
+        ("1_0 2\n", 2, ":1: not an integer: '1_0 2'"),
         ("5\n-1\n", 1, [[5], [-1]]),
         ("", 2, np.zeros((0, 2), dtype=np.int64)),
         ("\n\n", 1, np.zeros((0, 1), dtype=np.int64)),
@@ -127,6 +127,8 @@ def test_load_reports_malformed_edge_line(tmp_path):
         ("0 1\n", 1, ":1: expected 1 fields, got 2"),
         ("0\t99999999999999999999\n", 2, ":1: integer out of range: '0\\t99999999999999999999'"),
         ("-9223372036854775809 0\n", 2, ":1: integer out of range: '-9223372036854775809 0'"),
+        ("\u0661 2\n", 2, ":1: not an integer: '\u0661 2'"),
+        ("0 1\n\uff12 3\n", 2, ":2: not an integer: '\uff12 3'"),
     ],
 )
 def test_parse_int_lines_table(tmp_path, text, n_cols, expected):

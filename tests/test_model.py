@@ -709,7 +709,9 @@ def test_workspace_kernel_matches_reference_bitwise(lambda_, use_agg_loss, zero_
 @pytest.mark.parametrize("zero_rows", [False, True])
 def test_decoder_pieces_without_workspace_match_reference(zero_rows):
     """A fresh _Decoder leaves the reference's Yh, norms, mask and G, and
-    its gradient is the reference chain rule's, bit for bit."""
+    its gradient is the reference chain rule's, bit for bit. The norm of a
+    row below eps_norm is kept as 1.0, so that dividing by the norms needs
+    no mask."""
     from amlp.model import _Decoder
 
     x, w, p_mat, at = _kernel_setup(zero_rows)
@@ -723,7 +725,8 @@ def test_decoder_pieces_without_workspace_match_reference(zero_rows):
     want = _ref_rec_pieces(y, a_sp, a_frob2, 1e-12)
     assert decoder.loss(y) == want[0]
     got = (decoder.y_hat, decoder.norms, decoder.nz, decoder.g_yhat)
-    for a, b in zip(got, want[1:]):
+    norms = np.where(want[3], want[2], 1.0)
+    for a, b in zip(got, (want[1], norms, *want[3:])):
         assert _same_bits(a, b)
     assert _same_bits(
         decoder.grad(), _ref_chain_row_normalize(want[4], want[1], want[2], want[3])
@@ -738,15 +741,17 @@ def test_epoch_allocates_only_the_sparse_product(epoch_peak):
     kernel = _TrainingKernel.from_p(p_mat, x, at, c, 0.1, 1e-12)
     peak = epoch_peak(kernel, w)
     # A Yh is the one N x c array an epoch allocates; Adam writes into W,
-    # m, v and the two scratch arrays. The masked divisions of the row
-    # normalization take numpy's iterator buffers, a float64 and a bool each.
-    assert peak <= n * c * 8 + 9 * np.getbufsize() + 16_384, peak
+    # m, v and the two scratch chunks. The divisions by the row norms are
+    # unmasked, so they take numpy's float64 iterator buffer for the
+    # broadcast norms but no bool one for a mask.
+    assert peak <= n * c * 8 + 8 * np.getbufsize() + 16_384, peak
 
 
 def test_hidden_epoch_allocates_the_sparse_product_and_two_blocks(epoch_peak):
     """The hidden form's 2k sparse products run on column blocks of about
-    _HOP_BYTES: an epoch allocates A Yh and at most two blocks at a time,
-    where whole products would hold two N x c results."""
+    _HOP_BYTES: an epoch allocates A Yh or at most two blocks at a time,
+    where whole products would hold two N x c results. A Yh is dropped
+    before the backward hops, so the blocks never add to it."""
     from amlp.model import _HOP_BYTES, _HiddenKernel
 
     n, d, c = 2000, 8, 512
@@ -755,7 +760,39 @@ def test_hidden_epoch_allocates_the_sparse_product_and_two_blocks(epoch_peak):
     block = 8 * n * min(c, max(1, _HOP_BYTES // (8 * n)))
     assert 4 * block < n * c * 8  # a block is a small share of Z's columns
     peak = epoch_peak(kernel, w)
-    assert peak <= n * c * 8 + 2 * block + 16_384, peak
+    # the decoder's divisions by the broadcast row norms take numpy's
+    # float64 iterator buffer while A Yh is alive
+    assert peak <= max(n * c * 8 + 8 * np.getbufsize(), 2 * block) + 16_384, peak
+
+
+def test_chunked_adam_step_matches_pure_and_reference(traced_peak):
+    """Given flat scratch that holds 3 rows of a 64 x 32 W, adam_step runs
+    over 22 row chunks, the last one ragged, and writes the pure call's and
+    the reference's values into W, m and v, bit for bit, over five steps,
+    allocating no array."""
+    rng = np.random.default_rng(142)
+    w = rng.standard_normal((64, 32))
+    w_pure, w_ref = w.copy(), w.copy()
+    state = s_pure = s_ref = AdamState.zeros_like(w)
+    scratch = np.empty(3 * 32), np.empty(3 * 32)
+    assert 64 % 3  # the last chunk is ragged
+    for _ in range(5):
+        grad = rng.standard_normal(w.shape)
+        w_pure, s_pure = adam_step(s_pure, w_pure, grad, 1e-2)
+        w_ref, s_ref = _ref_adam_step(s_ref, w_ref, grad, 1e-2)
+        (w_out, state), peak = traced_peak(lambda: adam_step(state, w, grad, 1e-2, *scratch))
+        assert w_out is w and peak < w.nbytes
+        for got, pure, ref in (
+            (w, w_pure, w_ref), (state.m, s_pure.m, s_ref.m), (state.v, s_pure.v, s_ref.v)
+        ):
+            assert _same_bits(got, pure) and _same_bits(got, ref)
+
+
+def _chunks(d, c):
+    """Bytes of adam_step's two scratch chunks in fit for a d x c W."""
+    from amlp.model import _HOP_BYTES
+
+    return 2 * 8 * min(d * c, _HOP_BYTES // 8)
 
 
 def test_adam_step_leaves_its_inputs_alone():
@@ -805,16 +842,17 @@ def test_buffered_adam_step_matches_pure_and_reference(traced_peak):
 
 def test_train_memory_is_set_up_or_epoch_loop(traced_peak):
     """Set-up holds P, the buffer that is P - X and then B, and M; the epoch
-    loop holds B, M, the decoder's Yh and G buffers, A Yh and seven d x c
-    arrays: M W, the gradient, W, Adam's m and v and its two scratch arrays.
-    The graphs and the caller's X are outside the N x d count."""
+    loop holds B, M, the decoder's Yh and G buffers, A Yh, five d x c
+    arrays (M W, the gradient, W, Adam's m and v) and Adam's two scratch
+    chunks. The graphs and the caller's X are outside the N x d count."""
     n, d, c = 2000, 400, 16
     g, x = small_instance(seed=150, n=n, p=0.005, d=d)
     cfg = AMLPConfig(k=2, hidden_dim=c, epochs=3, seed=0)
     train(g, x, replace(cfg, epochs=1))  # warm-up run
     _, peak = traced_peak(lambda: train(g, x, cfg))
     nnz = g.indices.size
-    bound = 8 * (max(2 * n * d, n * d + 3 * n * c + 7 * d * c) + d * d)
+    epoch = 8 * (n * d + 3 * n * c + 5 * d * c) + _chunks(d, c)
+    bound = max(8 * 2 * n * d, epoch) + 8 * d * d
     bound += 64 * (nnz + n) + 2**20
     assert peak <= bound, (peak, bound)
 
@@ -1076,9 +1114,9 @@ def test_train_memory_in_the_hidden_form(traced_peak):
     reconstruction's two edge-feature buffers, train() holds four N x c
     arrays (the decoder's Yh and G buffers, G holding Z and then H; D_W's
     buffer, which then holds E; A Yh), at most two column blocks of the
-    hops, six d x c arrays (the gradient, W, Adam's m and v and its two
-    scratch arrays) and the decoder's two c x c arrays. The P form holds
-    2 N d + d^2 here."""
+    hops, four d x c arrays (the gradient, which has a buffer of its own as
+    d > N here, W, and Adam's m and v), Adam's two scratch chunks and the
+    decoder's c x c Gram. The P form holds 2 N d + d^2 here."""
     from amlp.model import _HOP_BYTES, _propagates_hidden
     from amlp.reconstruct import _GATHER_BYTES, reconstruct_hard
 
@@ -1091,9 +1129,35 @@ def test_train_memory_in_the_hidden_form(traced_peak):
     _, peak = traced_peak(lambda: train(g, x, cfg))
     gather = 2 * min(_GATHER_BYTES, 8 * g.n_edges * d)
     blocks = 2 * 8 * n * min(c, max(1, _HOP_BYTES // (8 * n)))
-    bound = gather + 8 * (4 * n * c + 6 * d * c + 2 * c * c) + blocks
+    bound = gather + 8 * (4 * n * c + 4 * d * c + c * c) + _chunks(d, c) + blocks
     bound += 64 * (g.indices.size + n) + 2**20
     assert bound < 8 * n * d  # one N x d array more would not fit
+    assert peak <= bound, (peak, bound)
+
+
+def test_train_memory_in_the_hidden_form_with_d_at_most_n(traced_peak):
+    """With d <= N the hidden form writes the gradient X^T E into the
+    decoder's Yh buffer, dead until the next forward, and drops A Yh before
+    the backward hops. Its epoch then holds four N x c arrays, three d x c
+    arrays (W and Adam's m and v), Adam's two scratch chunks, which here
+    hold less than W, the c x c Gram and at most two hop blocks. The
+    reconstruction's edge-feature buffers are freed before the kernel
+    exists, so the peak is the larger of the two stages."""
+    from amlp.model import _HOP_BYTES, _propagates_hidden
+    from amlp.reconstruct import _GATHER_BYTES, reconstruct_hard
+
+    n, d, c, k = 1200, 1000, 200, 1
+    g, x = _hidden_form_sbm(n, d, 0.01, seed=7)
+    s, _ = reconstruct_hard(g, x, ReconstructionConfig())
+    assert s.indices.size and _propagates_hidden(n, d, k, s.indices.size)
+    assert _chunks(d, c) < 2 * 8 * d * c  # W takes more than one chunk
+    cfg = AMLPConfig(k=k, hidden_dim=c, epochs=3, seed=0)
+    train(g, x, replace(cfg, epochs=1))  # warm-up run
+    _, peak = traced_peak(lambda: train(g, x, cfg))
+    gather = 2 * min(_GATHER_BYTES, 8 * g.n_edges * d)
+    blocks = 2 * 8 * n * min(c, max(1, _HOP_BYTES // (8 * n)))
+    epoch = 8 * (4 * n * c + 3 * d * c + c * c) + _chunks(d, c) + blocks
+    bound = max(gather, epoch) + 64 * (g.indices.size + n) + 2**20
     assert peak <= bound, (peak, bound)
 
 
@@ -1105,16 +1169,17 @@ def test_train_memory_in_the_hidden_form(traced_peak):
 @pytest.mark.parametrize("agg", ["mean", "sum", "weighted_sum", "max"])
 def test_exp1_memory_is_set_up_or_epoch_loop(traced_peak, agg):
     """Set-up holds one N x d array at a time (A X - X, then F = M X) and M1;
-    the epoch loop holds F, M1, the decoder workspace, A Yh, max's operands
-    and the d x c arrays of the gradient and Adam. The graphs and the
-    caller's X are outside the N x d count."""
+    the epoch loop holds F, M1, the decoder workspace, A Yh, max's operands,
+    the d x c arrays of the gradient and Adam, and Adam's two scratch chunks.
+    The graphs and the caller's X are outside the N x d count."""
     n, d, c = 2000, 400, 16
     g, x = small_instance(seed=150, n=n, p=0.005, d=d)
     cfg = AMLPConfig(hidden_dim=c, epochs=3, seed=0)
     exp1_train(g, x, agg, True, 0.1, replace(cfg, epochs=1))  # warm-up run
     _, peak = traced_peak(lambda: exp1_train(g, x, agg, True, 0.1, cfg))
     nnz = g.indices.size
-    bound = 8 * (n * d + d * d + 8 * n * c + 8 * d * c) + 64 * (nnz + n) + 2**20
+    bound = 8 * (n * d + d * d + 8 * n * c + 6 * d * c) + _chunks(d, c)
+    bound += 64 * (nnz + n) + 2**20
     assert peak <= bound, (peak, bound)
 
 
