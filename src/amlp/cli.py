@@ -71,10 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="refine a graph and emit it as a dataset dir")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epsilon", type=float, default=0.001)
-    p.add_argument("--policy", choices=CANDIDATE_POLICIES, default="original_edges")
+    p.add_argument("--epsilon", type=float, default=ReconstructionConfig.epsilon)
+    p.add_argument("--policy", choices=CANDIDATE_POLICIES, default=ReconstructionConfig.candidate_policy)
     p.add_argument("--soft", action="store_true", help="sigmoid-relaxed weights instead of 0/1")
-    p.add_argument("--steepness", type=float, default=100.0)
+    p.add_argument("--steepness", type=float, default=ReconstructionConfig.steepness)
 
     p = sub.add_parser("train", help="train the model; write checkpoint, embeddings, report")
     p.add_argument("--data", required=True)
@@ -159,6 +159,7 @@ def _load_embeddings(path, n_nodes: int) -> np.ndarray:
 
 
 def _cmd_prep(args) -> int:
+    _check_out_dir(args.out)
     edges = dataio.parse_int_lines(args.edges, 2)
     x = dataio.load_float_csv(args.features)
     labels = dataio.parse_int_lines(args.labels, 1).ravel()
@@ -177,6 +178,7 @@ def _cmd_prep(args) -> int:
 
 
 def _cmd_sbm(args) -> int:
+    _check_out_dir(args.out)
     preset = synth.homophilic_preset if args.preset == "homophilic" else synth.heterophilic_preset
     overrides = {}
     if args.n_nodes is not None:
@@ -234,6 +236,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_train(args) -> int:
     t0 = time.perf_counter()
+    _check_out_dir(args.out)
     run_cfg = dataio.RunConfig.from_json(args.config) if args.config else dataio.RunConfig()
     if args.seed is not None:
         run_cfg.seed = args.seed

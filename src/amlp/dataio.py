@@ -118,20 +118,21 @@ def _read_config(cls, raw: dict, source):
 @dataclass
 class RunConfig:
     """Flat bag of pipeline settings; k / lambda / learning_rate may be lists,
-    in which case the trainer runs the grid."""
+    in which case the trainer runs the grid. The fields that AMLPConfig or
+    ReconstructionConfig also declare take their defaults from there."""
 
-    k: int | list = 3
-    lambda_: float | list = 0.1
-    hidden_dim: int = 500
-    learning_rate: float | list = 1e-3
-    epochs: int = 200
-    seed: int = 0
-    eps_norm: float = 1e-12
-    early_stop: bool = False
-    epsilon: float = 0.001
-    candidate_policy: str = "original_edges"
-    mode: str = "hard"
-    steepness: float = 100.0
+    k: int | list = AMLPConfig.k
+    lambda_: float | list = AMLPConfig.lambda_
+    hidden_dim: int = AMLPConfig.hidden_dim
+    learning_rate: float | list = AMLPConfig.learning_rate
+    epochs: int = AMLPConfig.epochs
+    seed: int = AMLPConfig.seed
+    eps_norm: float = AMLPConfig.eps_norm
+    early_stop: bool = AMLPConfig.early_stop
+    epsilon: float = ReconstructionConfig.epsilon
+    candidate_policy: str = ReconstructionConfig.candidate_policy
+    mode: str = ReconstructionConfig.mode
+    steepness: float = ReconstructionConfig.steepness
     kmeans_restarts: int = 10
     n_seeds: int = 1
     output: str | None = None

@@ -375,24 +375,24 @@ def make_splits(
         raise ValidationError("no labeled nodes to split")
     classes = np.unique(labels[labeled])
     global_target = _largest_remainder(labeled.size, ratios_arr)
+    # the counts draw no random numbers, so every split shares them
+    members = {int(c): labeled[labels[labeled] == c] for c in classes}
+    per_class_counts = {}
+    for c, idx in members.items():
+        counts = _largest_remainder(idx.size, ratios_arr)
+        if counts[0] == 0:  # at least one train node per class
+            donor = int(np.argmax(counts[1:])) + 1
+            counts[donor] -= 1
+            counts[0] += 1
+        per_class_counts[c] = counts
+    _balance_global(per_class_counts, global_target, ratios_arr)
     splits = []
     for s in range(n_splits):
         rng = np.random.default_rng((seed, s))
-        per_class_counts = {}
-        for c in classes:
-            idx = labeled[labels[labeled] == c]
-            counts = _largest_remainder(idx.size, ratios_arr)
-            if counts[0] == 0:  # at least one train node per class
-                donor = int(np.argmax(counts[1:])) + 1
-                counts[donor] -= 1
-                counts[0] += 1
-            per_class_counts[int(c)] = counts
-        _balance_global(per_class_counts, global_target, ratios_arr)
         segs: list[list[np.ndarray]] = [[], [], []]
-        for c in classes:
-            idx = labeled[labels[labeled] == c]
+        for c, idx in members.items():
             idx = rng.permutation(idx)
-            counts = per_class_counts[int(c)]
+            counts = per_class_counts[c]
             segs[0].append(idx[: counts[0]])
             segs[1].append(idx[counts[0] : counts[0] + counts[1]])
             segs[2].append(idx[counts[0] + counts[1] :])

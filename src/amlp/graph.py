@@ -217,26 +217,27 @@ def normalize_with_self_loops(g: SparseGraph) -> SparseGraph:
 
     Entry (i, j) is 1/sqrt((d_i+1)(d_j+1)) for every edge and every diagonal
     position; an isolated node gets diagonal entry 1. Values are exactly
-    symmetric because each side evaluates the same product.
+    symmetric because each side evaluates the same product. ``g`` must be a
+    binary graph without self-loops. Each diagonal entry goes into g's
+    sorted row after the neighbors below it, so the rows stay sorted.
     """
-    import scipy.sparse as sp
-
-    deg = g.degrees().astype(np.float64)
-    rows = np.concatenate(
-        [np.repeat(np.arange(g.n_nodes), g.degrees()), np.arange(g.n_nodes)]
+    if g.values is not None or g.self_loops:
+        raise ValidationError("A+I needs a binary graph without self-loops")
+    n = g.n_nodes
+    counts = np.diff(g.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    below = np.bincount(rows[g.indices < rows], minlength=n)
+    del rows  # one nnz-sized array fewer while A~ is built
+    indices = np.insert(
+        np.asarray(g.indices, dtype=np.int64), g.indptr[:-1] + below, np.arange(n)
     )
-    cols = np.concatenate([g.indices, np.arange(g.n_nodes)])
-    vals = 1.0 / np.sqrt((deg[rows] + 1.0) * (deg[cols] + 1.0))
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes))
-    csr = coo.tocsr()
-    csr.sort_indices()
-    return SparseGraph(
-        n_nodes=g.n_nodes,
-        indptr=csr.indptr.astype(np.int64),
-        indices=csr.indices.astype(np.int64),
-        values=csr.data,
-        self_loops=True,
-    )
+    d1 = counts + 1.0
+    # 1/sqrt((d_i+1)(d_j+1)), evaluated in one array
+    vals = d1[indices]
+    vals *= np.repeat(d1, counts + 1)
+    np.sqrt(vals, out=vals)
+    np.divide(1.0, vals, out=vals)
+    return SparseGraph(n, g.indptr + np.arange(n + 1), indices, vals, self_loops=True)
 
 
 def normalize_no_self_loops(g: SparseGraph) -> SparseGraph:
@@ -254,22 +255,15 @@ def normalize_no_self_loops(g: SparseGraph) -> SparseGraph:
     vals = inv_sqrt[rows] * inv_sqrt[g.indices]
     if g.values is not None:
         vals *= g.values
+    # the structure is g's: its read-only arrays are shared, not copied
     return SparseGraph(
-        n_nodes=g.n_nodes,
-        indptr=g.indptr.astype(np.int64),
-        indices=g.indices.astype(np.int64),
-        values=vals,
+        g.n_nodes, np.asarray(g.indptr, np.int64), np.asarray(g.indices, np.int64), vals
     )
 
 
 def spmm(adj: SparseGraph, m: np.ndarray) -> np.ndarray:
     """Sparse-dense product adj @ m."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape[0] != adj.n_nodes:
-        raise ValidationError(
-            f"matrix has {m.shape[0]} rows, adjacency expects {adj.n_nodes}"
-        )
-    return adj.to_scipy() @ m
+    return propagate(adj, m, 1)
 
 
 def propagate(adj: SparseGraph, x: np.ndarray, k: int) -> np.ndarray:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graph import (
+    DEFAULT_EPS_NORM,
     LinearAggregator,
     SparseGraph,
     aggregator as aggregator_op,  # exp1_train's argument is named aggregator
@@ -88,7 +89,7 @@ class AMLPConfig:
     learning_rate: float = 1e-3
     epochs: int = 200
     seed: int = 0
-    eps_norm: float = 1e-12
+    eps_norm: float = DEFAULT_EPS_NORM
     early_stop: bool = False
     # ablation switch: False drops the aggregation term, leaving lambda * L_rec
     use_agg_loss: bool = True
@@ -271,7 +272,7 @@ class _Decoder:
 
 
 def loss_rec(
-    y: np.ndarray, a_tilde: SparseGraph, eps_norm: float = 1e-12
+    y: np.ndarray, a_tilde: SparseGraph, eps_norm: float = DEFAULT_EPS_NORM
 ) -> float:
     """Inner-product decoder loss ||Yh Yh^T - A||_F^2 / N^2, never forming N x N."""
     y = np.asarray(y, dtype=np.float64)

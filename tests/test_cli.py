@@ -758,24 +758,28 @@ def test_file_errors_exit_1(sbm_dir, tmp_path, capsys, case):
     "command, bad",
     [(command, bad) for command in ("exp1", "cluster", "classify", "diagnose")
      for bad in ("missing-dir", "is-dir", "below-file")]
-    + [("reconstruct", "is-file"), ("reconstruct", "below-file")],
+    + [(command, bad) for command in ("reconstruct", "sbm", "prep", "train")
+       for bad in ("is-file", "below-file")],
 )
 def test_unusable_out_path_refused_before_any_work(sbm_dir, tmp_path, capsys, monkeypatch,
                                                    command, bad):
     """An --out path that cannot be written ends as one error line before
-    the data is read, so nothing is trained, reconstructed or evaluated.
-    reconstruct writes a dataset directory, creating missing parents, so
-    only a file in the way stops it."""
-    from amlp import cli
+    the data is read, so nothing is generated, parsed, loaded, trained,
+    reconstructed or evaluated. reconstruct, sbm, prep and train write a
+    directory, creating missing parents, so only a file in the way stops
+    them."""
+    from amlp import cli, synth
 
     calls = []
 
     def spy(name):
         return lambda *args, **kwargs: calls.append(name)
 
-    for name in ("exp1_train", "reconstruct_hard", "reconstruct_soft"):
+    for name in ("exp1_train", "train", "reconstruct_hard", "reconstruct_soft"):
         monkeypatch.setattr(cli, name, spy(name))
-    for name in ("load_dataset", "load_labels", "load_embeddings_csv"):
+    monkeypatch.setattr(synth, "generate_dataset", spy("generate_dataset"))
+    for name in ("load_dataset", "load_meta", "load_labels", "load_embeddings_csv",
+                 "parse_int_lines", "load_float_csv"):
         monkeypatch.setattr(dataio, name, spy(name))
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -792,6 +796,11 @@ def test_unusable_out_path_refused_before_any_work(sbm_dir, tmp_path, capsys, mo
         "classify": ["classify", "--data", str(sbm_dir), "--emb", emb],
         "diagnose": ["diagnose", "--data", str(sbm_dir), "--emb", emb],
         "reconstruct": ["reconstruct", "--data", str(sbm_dir)],
+        "sbm": ["sbm", "--preset", "homophilic"],
+        "prep": ["prep", "--edges", str(sbm_dir / "edges.tsv"),
+                 "--features", str(sbm_dir / "features.csv"),
+                 "--labels", str(sbm_dir / "labels.csv")],
+        "train": ["train", "--data", str(sbm_dir), "--epochs", "2"],
     }[command]
     assert main(argv + ["--out", str(out)]) == 1
     _assert_one_error_line(capsys, f"--out {out}")

@@ -96,7 +96,8 @@ JUNK = ["--bogus", "x", "-h", "--", "-1"]
 def argvs(draw, command):
     """``command`` with the flags it always gets and some of the others, in
     any order, and at most one fault: one flag's value drawn from its
-    invalid pool, an always-given flag left out, or a stray token."""
+    invalid pool, an always-given flag left out, or a stray token. Returns
+    (argv, fault): the faulty flag's name, "drop", "junk" or None."""
     flags = COMMANDS[command]
     names, n = list(flags), ALWAYS[command]
     chosen = names[:n] + draw(st.lists(st.sampled_from(names[n:]), unique=True))
@@ -111,7 +112,7 @@ def argvs(draw, command):
             argv.append(draw(st.sampled_from(flags[flag][flag == fault])))
     if fault == "junk":
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
-    return argv
+    return argv, fault
 
 
 def run(argv, root=None):
@@ -149,8 +150,10 @@ def root(tmp_path_factory):
 @ARGV
 @given(data=st.data())
 def test_argv_exits_0_1_or_2_without_a_traceback(root, command, data):
-    argv = data.draw(argvs(command), label="argv")
+    argv, fault = data.draw(argvs(command), label="argv")
     code, err = run(argv, root)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     assert code == 0 or err.strip(), argv  # a failure says why
+    if fault == "--out":  # an unusable --out is refused, and named
+        assert code == 1 and "--out" in err, (argv, code, err)

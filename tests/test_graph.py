@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,88 @@ def test_normalize_with_self_loops_empty_graph_is_identity():
 def test_normalize_with_self_loops_triangle():
     at = normalize_with_self_loops(build_graph([(0, 1), (1, 2), (0, 2)], 3))
     assert np.allclose(at.to_dense(), np.full((3, 3), 1.0 / 3.0))
+
+
+def reference_with_self_loops(g):
+    """A~ as scipy builds it: the entries of A+I as COO triplets, converted
+    to CSR and sorted (the construction normalize_with_self_loops replaced)."""
+    import scipy.sparse as sp
+
+    deg = g.degrees().astype(np.float64)
+    rows = np.concatenate(
+        [np.repeat(np.arange(g.n_nodes), g.degrees()), np.arange(g.n_nodes)]
+    )
+    cols = np.concatenate([g.indices, np.arange(g.n_nodes)])
+    vals = 1.0 / np.sqrt((deg[rows] + 1.0) * (deg[cols] + 1.0))
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes))
+    csr = coo.tocsr()
+    csr.sort_indices()
+    return csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data
+
+
+def assert_same_as_reference(g):
+    at = normalize_with_self_loops(g)
+    indptr, indices, values = reference_with_self_loops(g)
+    for got, want in ((at.indptr, indptr), (at.indices, indices), (at.values, values)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert at.self_loops
+    at.validate()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_normalize_with_self_loops_matches_coo_reference(seed):
+    # repeated pairs, self-pairs, and nodes above every drawn index, which
+    # stay isolated
+    rng = np.random.default_rng(seed + 900)
+    n = int(rng.integers(1, 120))
+    touched = int(rng.integers(1, n + 1))
+    edges = rng.integers(0, touched, size=(int(rng.integers(0, 3 * n)), 2))
+    g = build_graph(np.concatenate([edges, edges[: edges.shape[0] // 3]]), n)
+    assert_same_as_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_graph([], 1),
+        build_graph([], 5),
+        build_graph([(0, leaf) for leaf in range(1, 2001)], 2001),
+        build_graph([(leaf, 1000) for leaf in range(2001) if leaf != 1000], 2001),
+    ],
+    ids=["one-node", "no-edges", "star-hub-first", "star-hub-middle"],
+)
+def test_normalize_with_self_loops_matches_coo_reference_on_edge_cases(g):
+    assert_same_as_reference(g)
+
+
+def test_normalize_with_self_loops_refuses_weighted_or_self_looped_input():
+    g = build_graph([(0, 1), (1, 2)], 3)
+    at = normalize_with_self_loops(g)
+    weighted = SparseGraph(3, g.indptr, g.indices, np.full(g.indices.size, 0.5))
+    for bad in (weighted, at, replace(at, values=None)):
+        with pytest.raises(ValidationError, match="binary graph without self-loops"):
+            normalize_with_self_loops(bad)
+
+
+def test_normalize_with_self_loops_memory(traced_peak):
+    # N = 20,000 at mean degree 38; scipy's COO -> CSR build peaked at 39 MiB
+    n = 20_000
+    rng = np.random.default_rng(3)
+    g = build_graph(rng.integers(0, n, size=(19 * n, 2)), n)
+    at, peak = traced_peak(lambda: normalize_with_self_loops(g))
+    entries = at.indices.size
+    assert entries == g.indices.size + n
+    # A~'s indices and values, one more array of its size (the other
+    # factor of the product), and eight arrays of one element per node
+    assert peak < 8 * (3 * entries + 8 * n)
+    assert peak < 26 << 20
+
+
+def test_normalize_no_self_loops_shares_the_structure():
+    g = random_graph(30, 0.2, 11)
+    st = normalize_no_self_loops(g)
+    assert st.indptr is g.indptr and st.indices is g.indices
 
 
 def test_normalize_no_self_loops_single_edge():
