@@ -39,8 +39,8 @@ from .reconstruct import ReconstructionConfig
 META_FILE = "meta.json"
 FLOAT_FMT = "%.9g"
 # values formatted per % operation in write_rows: bounds the Python objects
-# a chunk creates (about 2^16 edges)
-_FORMAT_CELLS = 1 << 17
+# a chunk creates (256 rows of 64 values, 2^13 edges)
+_FORMAT_CELLS = 1 << 14
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 # an integer field as np.loadtxt reads one: int() also takes digit-grouping
 # underscores and non-ASCII digits

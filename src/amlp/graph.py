@@ -19,8 +19,9 @@ import numpy as np
 from .errors import ValidationError
 
 # scipy.sparse is imported where a CSR matrix is first built, so that commands
-# which never multiply by one (cluster, classify, reconstruct on the original
-# edges) do not pay its import, about a quarter of a second per process
+# which never multiply by one (cluster, classify, sbm, prep, reconstruct on
+# either candidate policy) do not pay its import, about a quarter of a second
+# and 20 MB per process
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -362,10 +363,11 @@ class MaxAggregator:
     highest first, and slot ``j`` lists the j-th neighbor of every node of
     degree greater than ``j``; those nodes form a prefix of the order, so one
     vectorized step per slot updates them all. Slots exist only for
-    ``j < h``, the h-index of the degree sequence. The at most ``h`` nodes of
-    degree greater than ``h`` (hubs) are reduced one by one over all their
-    neighbors, so a forward pass runs at most ``2h <= 2 sqrt(nnz)`` Python
-    iterations whatever the degree skew.
+    ``j < L``, and the nodes of degree greater than ``L`` (hubs) are reduced
+    one by one over all their neighbors. ``L`` minimizes the Python
+    iterations of a forward pass, L + #(degree > L). At L = h, the h-index of
+    the degree sequence, at most h nodes are hubs, so a pass runs at most
+    ``2h <= 2 sqrt(nnz)`` iterations whatever the degree skew.
 
     Ties resolve to the smallest neighbor index, as ``argmax`` over the
     neighbor rows would. Isolated nodes get a zero row and no gradient.
@@ -375,18 +377,20 @@ class MaxAggregator:
         deg = g.degrees()
         order = np.argsort(-deg, kind="stable")
         sorted_deg = deg[order]
-        # h-index: the i-th largest degree exceeds i exactly for i < h
-        h = int(np.count_nonzero(sorted_deg > np.arange(g.n_nodes)))
-        n_hubs = int(np.count_nonzero(sorted_deg > h))
+        # hubs_at[L]: the nodes of degree > L, which are hubs when L slots exist
+        cut = np.arange(deg.max(initial=0) + 1)
+        hubs_at = g.n_nodes - np.searchsorted(sorted_deg[::-1], cut, side="right")
+        n_slots = int(np.argmin(cut + hubs_at))
+        n_hubs = int(hubs_at[n_slots])
         rows = order[n_hubs : np.count_nonzero(sorted_deg)]
         self.indices = g.indices
         # backward adds in ascending node order over the non-isolated nodes
         self.active = np.flatnonzero(deg > 0)
         self.row_starts = g.indptr[rows]
         self.row_rank = np.searchsorted(self.active, rows)
-        self.slot_dtype = np.min_scalar_type(h)
+        self.slot_dtype = np.min_scalar_type(n_slots)
         # slot j covers the rows of degree > j, a prefix since degrees descend
-        lengths = np.searchsorted(-deg[rows], -np.arange(h))
+        lengths = np.searchsorted(-deg[rows], -np.arange(n_slots))
         self.slots = [
             g.indices[self.row_starts[:k] + j] for j, k in enumerate(lengths)
         ]

@@ -25,10 +25,10 @@ DEFAULT_ALL_PAIRS_CAP = 20_000
 _BLOCK = 512
 # rows per sub-block of the all-pairs loop, whose buffers hold _SUB_BLOCK x N
 _SUB_BLOCK = 64
-# (edge, neighbour) lookups per chunk of _common_neighbors
+# CSR positions visited per chunk of _common_neighbors and _two_hop_counts
 _LOOKUP_CHUNK = 1 << 16
 # bytes in each of the two edge-endpoint feature buffers of _score_edge_candidates
-_GATHER_BYTES = 1 << 22
+_GATHER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -140,22 +140,25 @@ def _block_pairs(n: int, start: int, stop: int) -> Pairs:
 def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.ndarray]]:
     """Score all N(N-1)/2 pairs i < j in blocks of _BLOCK rows, row-major.
 
-    The dense buffers, O(_BLOCK·N), are allocated once per call; a sub-block
-    allocates only its sparse common-neighbour product. The feature product of
-    a block is computed at full width: BLAS rounding depends on the operand
-    shape, and the full width keeps every score equal to one computed from
-    ``x[block] @ x.T`` (a sub-block product ``x[s0:s1] @ x.T`` rounds
-    differently). Every other step runs in sub-blocks of _SUB_BLOCK rows on
-    the columns right of the sub-block's first row, so the pair work is
-    N(N-1)/2 plus O(N·_SUB_BLOCK). The sum of each block's scores enters
-    ``mean_score``, so its last bits depend on _BLOCK.
+    The dense buffers, O(_BLOCK·N), are allocated once per call; a sub-block's
+    common-neighbour counts are written into one of them by
+    ``_two_hop_counts``, which allocates O(N + _LOOKUP_CHUNK) besides the
+    sub-block's neighbour lists and the O(nnz) keys made once per call. The
+    feature product of a block is computed at full width: BLAS rounding
+    depends on the operand shape, and the full width keeps every score equal
+    to one computed from ``x[block] @ x.T`` (a sub-block product
+    ``x[s0:s1] @ x.T`` rounds differently). Every other step runs in
+    sub-blocks of _SUB_BLOCK rows on the columns right of the sub-block's
+    first row, so the pair work is N(N-1)/2 plus O(N·_SUB_BLOCK). The sum of
+    each block's scores enters ``mean_score``, so its last bits depend on
+    _BLOCK.
     """
     n = g.n_nodes
     if n < 2:
         return
     sq = np.einsum("ij,ij->i", x, x)
     deg = g.degrees().astype(np.float64)
-    a = g.to_scipy()
+    keys = _row_keys(g)
     height = min(_BLOCK, n)
     dx = np.empty((height, n))
     # A block's packed scores overwrite its own feature product. Once the
@@ -164,8 +167,8 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
     # from slot r·N on; a sub-block's own dx rows are read into cos_x before
     # its scores are packed.
     scores = dx.reshape(-1)
-    # flat, so that each (rows, cols) sub-block view is C-contiguous, which
-    # toarray(out=) requires
+    # flat, so that each (rows, cols) sub-block view is C-contiguous, as
+    # _two_hop_counts requires
     size = min(_SUB_BLOCK, height) * n
     common, denom, cos_x = np.empty(size), np.empty(size), np.empty(size)
     positive = np.empty(size, dtype=bool)
@@ -186,7 +189,7 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
             cx.fill(0.0)
             np.divide(dx[s0 - start : s1 - start, s0 + 1 :], den, out=cx, where=pos)
             ca = common[:cells].reshape(shape)
-            (a[s0:s1] @ a[s0 + 1 :].T).toarray(out=ca)
+            _two_hop_counts(g, keys, s0, s1, ca)
             np.multiply(deg[s0:s1, None], deg[None, s0 + 1 :], out=den)
             np.sqrt(den, out=den)
             np.greater(den, 0.0, out=pos)
@@ -202,14 +205,41 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
         yield _block_pairs(n, start, stop), scores[:k]
 
 
+def _row_keys(g: SparseGraph) -> np.ndarray:
+    """The CSR's entries as keys ``row * N + col``, sorted as they are stored:
+    one np.searchsorted finds an entry, or the first column of a row past a
+    given one."""
+    n = g.n_nodes
+    return np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr)) * n + g.indices
+
+
+def _chunked_ranges(
+    start: np.ndarray, size: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (lo, hi, pos) over the ranges start[i] .. start[i] + size[i] - 1,
+    i = lo..hi-1, whose positions ``pos`` lists in order. A chunk holds about
+    _LOOKUP_CHUNK positions, and at most that many plus one range."""
+    work = np.cumsum(size)
+    if work.size == 0 or work[-1] == 0:
+        return
+    cuts = np.searchsorted(work, np.arange(_LOOKUP_CHUNK, work[-1], _LOOKUP_CHUNK))
+    bounds = np.unique(np.concatenate(([0], cuts, [size.size])))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sz = size[lo:hi]
+        # each range's start, less the positions listed before it
+        pos = np.repeat(start[lo:hi] - (np.cumsum(sz) - sz), sz)
+        pos += np.arange(pos.size)
+        yield lo, hi, pos
+
+
 def _common_neighbors(g: SparseGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Common-neighbour count of each pair (u[i], v[i]), i.e. (A·A)[u, v],
     without forming A·A (the masked product of Azad, Buluç & Gilbert, 2015).
 
     Each neighbour w of the lower-degree endpoint is looked up in the other
-    endpoint's row by one binary search over the CSR's sorted keys
-    ``row * N + col``: Σ min(d_u, d_v) lookups, done in chunks of about
-    _LOOKUP_CHUNK so that memory stays O(m + chunk).
+    endpoint's row by one binary search over ``_row_keys``: Σ min(d_u, d_v)
+    lookups, done in chunks of about _LOOKUP_CHUNK so that memory stays
+    O(m + chunk).
     """
     n = g.n_nodes
     deg = g.degrees()
@@ -217,23 +247,43 @@ def _common_neighbors(g: SparseGraph, u: np.ndarray, v: np.ndarray) -> np.ndarra
     swap = deg[u] > deg[v]
     s = np.where(swap, v, u)
     t = np.where(swap, u, v)
-    work = np.cumsum(deg[s])
-    if u.size == 0 or work[-1] == 0:
-        return counts
-    keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + g.indices
-    cuts = np.searchsorted(work, np.arange(_LOOKUP_CHUNK, work[-1], _LOOKUP_CHUNK))
-    bounds = np.unique(np.concatenate(([0], cuts, [u.size])))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        size = deg[s[lo:hi]]
-        edge = np.repeat(np.arange(hi - lo), size)
-        # where each pair's neighbour sits in g.indices: the row start of s
-        # plus the pair's rank within its edge
-        start = g.indptr[s[lo:hi]] - (np.cumsum(size) - size)
-        pos = np.arange(edge.size) + np.repeat(start, size)
-        query = np.repeat(t[lo:hi] * n, size) + g.indices[pos]
+    keys = _row_keys(g)
+    for lo, hi, pos in _chunked_ranges(g.indptr[s], deg[s]):
+        edge = np.repeat(np.arange(hi - lo), deg[s[lo:hi]])
+        query = np.repeat(t[lo:hi] * n, deg[s[lo:hi]])
+        query += g.indices[pos]
         hit = keys.take(np.searchsorted(keys, query), mode="clip") == query
         counts[lo:hi] = np.bincount(edge[hit], minlength=hi - lo)
     return counts
+
+
+def _two_hop_counts(
+    g: SparseGraph, keys: np.ndarray, s0: int, s1: int, out: np.ndarray
+) -> None:
+    """Write (A·A)[s0:s1, s0+1:], the common-neighbour counts of rows
+    s0..s1-1 with the columns right of s0, into the C-contiguous ``out``.
+
+    Gustavson's row-by-row product (ACM TOMS, 1978) into a dense
+    accumulator: each neighbour w of row i adds one to (i, j) for every j in
+    w's row past s0, whose start one binary search over ``keys``
+    (``_row_keys(g)``) finds. The additions run in chunks of about
+    _LOOKUP_CHUNK, so that memory stays O(N + chunk) besides the rows'
+    neighbour lists. The counts are integers, so they are exact.
+    """
+    n = g.n_nodes
+    flat = out.reshape(-1)
+    flat.fill(0.0)
+    mid = g.indices[g.indptr[s0] : g.indptr[s1]]
+    # one per neighbour w of a row i: the flat cell of (i, j) less j
+    base = np.repeat(
+        np.arange(s1 - s0) * out.shape[1] - (s0 + 1), np.diff(g.indptr[s0 : s1 + 1])
+    )
+    start = np.searchsorted(keys, mid * n + s0, side="right")
+    size = g.indptr[mid + 1] - start
+    for lo, hi, pos in _chunked_ranges(start, size):
+        cell = np.repeat(base[lo:hi], size[lo:hi])
+        cell += g.indices[pos]
+        np.add.at(flat, cell, 1.0)
 
 
 def _score_edge_candidates(

@@ -420,12 +420,12 @@ def test_cli_subprocess_entry(tmp_path):
     assert proc.returncode == 1
 
 
-_SCIPY_PARTS = ("scipy.optimize", "scipy.sparse")
+_SCIPY_PARTS = ("scipy", "scipy.optimize", "scipy.sparse")
 
 
 def _scipy_loaded_by(argv) -> list[str]:
     """Import amlp.cli in a fresh interpreter, run ``argv`` through main when
-    it is not empty, and return which of _SCIPY_PARTS were loaded."""
+    it is not empty, and return which of _SCIPY_PARTS were loaded at exit."""
     script = (
         "import json, sys\n"
         "import amlp.cli\n"
@@ -452,19 +452,28 @@ def test_cluster_and_train_leave_scipy_optimize_unimported(sbm_dir, tmp_path):
 
 
 def test_commands_without_sparse_products_leave_scipy_sparse_unimported(sbm_dir, tmp_path):
-    """Importing the CLI, scoring embeddings and reconstructing on the
-    original edges never load scipy.sparse, whose import and teardown cost
-    each process about a quarter of a second; train still runs, and needs it."""
+    """Importing the CLI, scoring embeddings, generating or converting a
+    dataset and reconstructing on either candidate policy, hard or soft,
+    never load scipy at all, whose sparse import costs each process about
+    20 MB and a quarter of a second; train multiplies by sparse matrices,
+    and loads it."""
     run, data = tmp_path / "run", str(sbm_dir)
     emb = str(run / "embeddings.csv")
-    # train multiplies by sparse matrices; it only has to succeed
-    _scipy_loaded_by(["train", "--data", data, "--out", str(run), "--epochs", "5"])
+    train = ["train", "--data", data, "--out", str(run), "--epochs", "5"]
+    assert {"scipy", "scipy.sparse"} <= set(_scipy_loaded_by(train))
     for argv in (
         [],
         ["cluster", "--data", data, "--emb", emb, "--restarts", "2"],
         ["classify", "--data", data, "--emb", emb, "--n-splits", "2"],
+        ["sbm", "--preset", "heterophilic", "--out", str(tmp_path / "sbm")],
+        ["prep", "--edges", f"{data}/edges.tsv", "--features", f"{data}/features.csv",
+         "--labels", f"{data}/labels.csv", "--out", str(tmp_path / "prep")],
         ["reconstruct", "--data", data, "--out", str(tmp_path / "hard")],
         ["reconstruct", "--data", data, "--out", str(tmp_path / "soft"), "--soft"],
+        ["reconstruct", "--data", data, "--out", str(tmp_path / "ap-hard"),
+         "--policy", "all_pairs"],
+        ["reconstruct", "--data", data, "--out", str(tmp_path / "ap-soft"),
+         "--policy", "all_pairs", "--soft"],
     ):
         assert _scipy_loaded_by(argv) == [], argv
 

@@ -423,6 +423,22 @@ def test_embedding_and_weight_bytes_match_per_value_loops(tmp_path, monkeypatch,
     assert (tmp_path / "ckpt" / "weights.csv").read_text() == want
 
 
+@pytest.mark.parametrize("cells", [1 << 10, None])
+def test_embedding_writer_memory_is_one_chunk(tmp_path, monkeypatch, traced_peak, cells):
+    # a chunk's Python floats, their list and tuple and its text: about 50
+    # bytes a value; the float64 embedding train writes adds its float32 copy
+    if cells is not None:
+        monkeypatch.setattr(dataio, "_FORMAT_CELLS", cells)
+    y = np.random.default_rng(0).standard_normal((4000, 64))
+    y32 = y.astype(np.float32)
+    chunk = 64 * dataio._FORMAT_CELLS + (1 << 16)
+    _, peak = traced_peak(lambda: save_embeddings_csv(tmp_path / "e32.csv", y32))
+    assert peak < min(chunk, y32.nbytes)
+    _, peak = traced_peak(lambda: save_embeddings_csv(tmp_path / "e64.csv", y))
+    assert peak < y32.nbytes + chunk
+    assert (tmp_path / "e32.csv").read_bytes() == (tmp_path / "e64.csv").read_bytes()
+
+
 def test_edge_weight_rows_match_per_value_loop(tmp_path):
     # the layout amlp reconstruct --soft writes: integral endpoints, float weight
     rng = np.random.default_rng(3)

@@ -19,6 +19,7 @@ from amlp.graph import (
     row_normalize,
     spmm,
 )
+from amlp.synth import generate_dataset, heterophilic_preset, homophilic_preset
 
 
 def random_graph(n, p, seed):
@@ -617,6 +618,16 @@ def test_max_aggregator_iterations_bounded_by_h_index(seed):
     op = check_max_against_reference(g, rng.standard_normal((n, 6)), seed)
     assert len(op.slots) + len(op.hubs) <= 2 * h
     assert len(op.slots) + len(op.hubs) < deg[0]
+
+
+@pytest.mark.parametrize("preset", [homophilic_preset, heterophilic_preset])
+def test_max_aggregator_slot_count_minimizes_iterations(preset):
+    g = generate_dataset(preset(19003))[0]
+    deg = g.degrees()
+    steps = [cut + int(np.count_nonzero(deg > cut)) for cut in range(deg.max() + 1)]
+    op = check_max_against_reference(g, np.random.default_rng(46).standard_normal((g.n_nodes, 5)))
+    assert len(op.slots) == int(np.argmin(steps))
+    assert len(op.slots) + len(op.hubs) == min(steps)
 
 
 # ---------------------------------------------------------------------------

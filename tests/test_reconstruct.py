@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,65 @@ def test_edge_scoring_memory_on_large_star(traced_peak):
     # the hub and every leaf share no neighbour, so every score is 0
     assert np.array_equal(scores, np.zeros(leaves))
     assert peak < 8 * (32 * edges.shape[0] + 12 * reconstruct._LOOKUP_CHUNK)
+
+
+# ---------------------------------------------------------------------------
+# two-hop counts of the all-pairs loop
+# ---------------------------------------------------------------------------
+
+
+TWO_HOP_GRAPHS = {
+    "random-sparse": random_instance(70, 0.05, 1, 0)[0],
+    "random-dense": random_instance(40, 0.4, 1, 1)[0],
+    "hubs": hub_instance(6),
+    "star": star(2000),
+    "isolated-nodes": build_graph([(0, 1), (1, 2), (0, 2), (2, 3), (5, 7)], 50),
+    "no-edges": build_graph([], 6),
+    "n1": build_graph([], 1),
+    "n2": build_graph([(0, 1)], 2),
+}
+
+
+@functools.cache
+def dense_square(name):
+    a = TWO_HOP_GRAPHS[name].to_dense()
+    return a @ a
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 50])
+@pytest.mark.parametrize("sub_block", [1, 3, 64])
+@pytest.mark.parametrize("name", TWO_HOP_GRAPHS)
+def test_two_hop_counts_match_dense_square(monkeypatch, name, sub_block, chunk):
+    monkeypatch.setattr(reconstruct, "_LOOKUP_CHUNK", chunk)
+    g, square = TWO_HOP_GRAPHS[name], dense_square(name)
+    n, keys = g.n_nodes, reconstruct._row_keys(g)
+    # of the star's 2,000 one-row sub-blocks every 7th, to keep the case short
+    step = 7 * sub_block if name == "star" and sub_block == 1 else sub_block
+    for s0 in range(0, n, step):
+        s1 = min(s0 + sub_block, n)
+        # garbage in the buffer, which the count must overwrite
+        out = np.full((s1 - s0, n - s0 - 1), np.nan)
+        reconstruct._two_hop_counts(g, keys, s0, s1, out)
+        assert (out == square[s0:s1, s0 + 1 :]).all(), (s0, s1)
+
+
+def test_two_hop_counts_memory_is_a_chunk(traced_peak):
+    # the sub-block of a 20,000-leaf star's hub, and the next one, whose
+    # every row reaches all leaves through the hub: their sparse product
+    # alone would hold 64 x 20,000 entries
+    g = star(20_000)
+    n, keys = g.n_nodes, reconstruct._row_keys(g)
+    for s0 in (0, 1):
+        s1 = s0 + reconstruct._SUB_BLOCK
+        out = np.empty((s1 - s0, n - s0 - 1))
+        _, peak = traced_peak(lambda: reconstruct._two_hop_counts(g, keys, s0, s1, out))
+        nnz_rows = int(g.indptr[s1] - g.indptr[s0])
+        # the rows' neighbour lists, and the positions and cells of two chunks
+        assert peak < 8 * (5 * nnz_rows + 6 * (reconstruct._LOOKUP_CHUNK + n)) + (1 << 16)
+        assert peak < out.nbytes / 2
+        # two leaves share the hub, and the hub shares nothing with a leaf
+        hub = int(s0 == 0)
+        assert (out[hub:] == 1).all() and (out[:hub] == 0).all()
 
 
 # ---------------------------------------------------------------------------
