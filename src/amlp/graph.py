@@ -12,6 +12,7 @@ after graph reconstruction. Either normalization has all its eigenvalues in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,6 +42,14 @@ class SparseGraph:
     the sigmoid scores of soft reconstruction or the entries of a normalized
     adjacency. With ``self_loops`` every diagonal entry is stored (the
     GCN-style normalization); without, none is.
+
+    A graph is immutable: its three arrays, and the arrays they view, are
+    made read-only on construction. So the operators that depend on the
+    graph alone are built on first use and kept on the instance for its
+    lifetime: the scipy CSR of ``to_scipy``, whose arrays are read-only too,
+    both normalizations and ``MaxAggregator``'s neighbor layout. Nothing that
+    depends on features is kept. A copy made by ``dataclasses.replace``
+    shares the arrays but none of these.
     """
 
     n_nodes: int
@@ -50,9 +59,7 @@ class SparseGraph:
     self_loops: bool = False
 
     def __post_init__(self):
-        for a in (self.indptr, self.indices, self.values):
-            if a is not None:
-                a.setflags(write=False)
+        _freeze(self.indptr, self.indices, self.values)
 
     @property
     def n_edges(self) -> int:
@@ -73,13 +80,33 @@ class SparseGraph:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def to_scipy(self) -> sp.csr_matrix:
-        """The matrix as a scipy CSR matrix (float64 ones when ``values`` is None)."""
+        """The matrix as a scipy CSR matrix (float64 ones when ``values`` is
+        None), built once per graph; its arrays are read-only."""
+        return self._csr
+
+    @cached_property
+    def _csr(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
         data = np.ones(self.indices.size) if self.values is None else self.values
-        return sp.csr_matrix(
+        a = sp.csr_matrix(
             (data, self.indices, self.indptr), shape=(self.n_nodes, self.n_nodes)
         )
+        # scipy keeps views of these arrays, or of int32 copies of them
+        _freeze(a.data, a.indices, a.indptr)
+        return a
+
+    @cached_property
+    def _with_self_loops(self) -> SparseGraph:
+        return _normalize_with_self_loops(self)
+
+    @cached_property
+    def _no_self_loops(self) -> SparseGraph:
+        return _normalize_no_self_loops(self)
+
+    @cached_property
+    def _max_layout(self) -> tuple:
+        return _max_aggregator_layout(self)
 
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
@@ -126,6 +153,14 @@ class SparseGraph:
         a = self.to_scipy()
         if (a != a.T).nnz != 0:
             raise ValidationError("normalized adjacency not symmetric")
+
+
+def _freeze(*arrays: np.ndarray | None) -> None:
+    """Make each array, and every array it views, read-only."""
+    for a in arrays:
+        while isinstance(a, np.ndarray):
+            a.setflags(write=False)
+            a = a.base
 
 
 def _csr_from_directed_pairs(
@@ -219,11 +254,17 @@ def normalize_with_self_loops(g: SparseGraph) -> SparseGraph:
     Entry (i, j) is 1/sqrt((d_i+1)(d_j+1)) for every edge and every diagonal
     position; an isolated node gets diagonal entry 1. Values are exactly
     symmetric because each side evaluates the same product. ``g`` must be a
-    binary graph without self-loops. Each diagonal entry goes into g's
-    sorted row after the neighbors below it, so the rows stay sorted.
+    binary graph without self-loops. It is built once per graph, and every
+    call returns that one SparseGraph.
     """
     if g.values is not None or g.self_loops:
         raise ValidationError("A+I needs a binary graph without self-loops")
+    return g._with_self_loops
+
+
+def _normalize_with_self_loops(g: SparseGraph) -> SparseGraph:
+    """normalize_with_self_loops' construction. Each diagonal entry goes into
+    g's sorted row after the neighbors below it, so the rows stay sorted."""
     n = g.n_nodes
     counts = np.diff(g.indptr)
     rows = np.repeat(np.arange(n), counts)
@@ -246,8 +287,13 @@ def normalize_no_self_loops(g: SparseGraph) -> SparseGraph:
 
     Degrees are taken from ``g`` itself (row sums of its weights); rows of
     degree-0 nodes come out all-zero, which downstream code treats as "no
-    aggregation" for those nodes.
+    aggregation" for those nodes. It is built once per graph, and every call
+    returns that one SparseGraph.
     """
+    return g._no_self_loops
+
+
+def _normalize_no_self_loops(g: SparseGraph) -> SparseGraph:
     rows = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
     strength = g.degrees().astype(np.float64)
     inv_sqrt = np.zeros(g.n_nodes, dtype=np.float64)
@@ -359,12 +405,14 @@ class LinearAggregator:
 class MaxAggregator:
     """Elementwise maximum over each node's neighbor rows, with its gradient.
 
-    The neighbor layout is built once per graph. Nodes are sorted by degree,
-    highest first, and slot ``j`` lists the j-th neighbor of every node of
-    degree greater than ``j``; those nodes form a prefix of the order, so one
-    vectorized step per slot updates them all. Slots exist only for
-    ``j < L``, and the nodes of degree greater than ``L`` (hubs) are reduced
-    one by one over all their neighbors. ``L`` minimizes the Python
+    The neighbor layout (``_max_aggregator_layout``) depends on the graph
+    alone, so it is built once per graph and shared by every operator over
+    it; each operator keeps its own winners of the last forward. Nodes are
+    sorted by degree, highest first, and slot ``j`` lists the j-th neighbor
+    of every node of degree greater than ``j``; those nodes form a prefix of
+    the order, so one vectorized step per slot updates them all. Slots exist
+    only for ``j < L``, and the nodes of degree greater than ``L`` (hubs) are
+    reduced one by one over all their neighbors. ``L`` minimizes the Python
     iterations of a forward pass, L + #(degree > L). At L = h, the h-index of
     the degree sequence, at most h nodes are hubs, so a pass runs at most
     ``2h <= 2 sqrt(nnz)`` iterations whatever the degree skew.
@@ -374,30 +422,9 @@ class MaxAggregator:
     """
 
     def __init__(self, g: SparseGraph):
-        deg = g.degrees()
-        order = np.argsort(-deg, kind="stable")
-        sorted_deg = deg[order]
-        # hubs_at[L]: the nodes of degree > L, which are hubs when L slots exist
-        cut = np.arange(deg.max(initial=0) + 1)
-        hubs_at = g.n_nodes - np.searchsorted(sorted_deg[::-1], cut, side="right")
-        n_slots = int(np.argmin(cut + hubs_at))
-        n_hubs = int(hubs_at[n_slots])
-        rows = order[n_hubs : np.count_nonzero(sorted_deg)]
+        self.active, self.row_starts, self.row_rank, self.slots, self.hubs = g._max_layout
         self.indices = g.indices
-        # backward adds in ascending node order over the non-isolated nodes
-        self.active = np.flatnonzero(deg > 0)
-        self.row_starts = g.indptr[rows]
-        self.row_rank = np.searchsorted(self.active, rows)
-        self.slot_dtype = np.min_scalar_type(n_slots)
-        # slot j covers the rows of degree > j, a prefix since degrees descend
-        lengths = np.searchsorted(-deg[rows], -np.arange(n_slots))
-        self.slots = [
-            g.indices[self.row_starts[:k] + j] for j, k in enumerate(lengths)
-        ]
-        self.hubs = [
-            (g.neighbors(v), r)
-            for v, r in zip(order[:n_hubs], np.searchsorted(self.active, order[:n_hubs]))
-        ]
+        self.slot_dtype = np.min_scalar_type(len(self.slots))
         self._flat = None
 
     def forward(self, z: np.ndarray) -> np.ndarray:
@@ -436,6 +463,33 @@ class MaxAggregator:
             self._flat, weights=g_y[self.active].ravel(), minlength=n * c
         )
         return g_z.reshape(n, c)
+
+
+def _max_aggregator_layout(g: SparseGraph) -> tuple:
+    """MaxAggregator's layout of ``g``: (active, row_starts, row_rank,
+    slots, hubs), with every array read-only."""
+    deg = g.degrees()
+    order = np.argsort(-deg, kind="stable")
+    sorted_deg = deg[order]
+    # hubs_at[L]: the nodes of degree > L, which are hubs when L slots exist
+    cut = np.arange(deg.max(initial=0) + 1)
+    hubs_at = g.n_nodes - np.searchsorted(sorted_deg[::-1], cut, side="right")
+    n_slots = int(np.argmin(cut + hubs_at))
+    n_hubs = int(hubs_at[n_slots])
+    rows = order[n_hubs : np.count_nonzero(sorted_deg)]
+    # backward adds in ascending node order over the non-isolated nodes
+    active = np.flatnonzero(deg > 0)
+    row_starts = g.indptr[rows]
+    row_rank = np.searchsorted(active, rows)
+    # slot j covers the rows of degree > j, a prefix since degrees descend
+    lengths = np.searchsorted(-deg[rows], -np.arange(n_slots))
+    slots = tuple(g.indices[row_starts[:k] + j] for j, k in enumerate(lengths))
+    hubs = tuple(
+        (g.neighbors(v), r)
+        for v, r in zip(order[:n_hubs], np.searchsorted(active, order[:n_hubs]))
+    )
+    _freeze(active, row_starts, row_rank, *slots)
+    return active, row_starts, row_rank, slots, hubs
 
 
 def row_normalize(m: np.ndarray, eps_norm: float = DEFAULT_EPS_NORM) -> np.ndarray:

@@ -568,6 +568,7 @@ def train(
         kernel = _HiddenKernel(x, s_tilde, cfg.k, *loss_args)
     else:  # P = S~^k X is dropped once B and M exist
         kernel = _TrainingKernel.from_p(propagate(s_tilde, x, cfg.k), x, *loss_args)
+    del s, s_tilde  # S~ keeps its CSR, which only the hidden kernel needs from here
     w, y_hat, losses, early_stopped = kernel.fit(cfg)
     del kernel  # B and M or D_W's buffer, and the epoch buffers; Yh outlives them
     total, agg, rec = map(np.asarray, zip(*losses))

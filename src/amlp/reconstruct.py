@@ -213,23 +213,26 @@ def _row_keys(g: SparseGraph) -> np.ndarray:
     return np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr)) * n + g.indices
 
 
-def _chunked_ranges(
-    start: np.ndarray, size: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (lo, hi, pos) over the ranges start[i] .. start[i] + size[i] - 1,
-    i = lo..hi-1, whose positions ``pos`` lists in order. A chunk holds about
-    _LOOKUP_CHUNK positions, and at most that many plus one range."""
+def _chunked_ranges(size: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Yield (lo, hi) over the ranges i = 0..size.size-1 of size[i]
+    positions each: a chunk of ranges lo..hi-1 holds about _LOOKUP_CHUNK
+    positions, and at most that many plus one range. It holds no array of a
+    chunk's size, so a caller that drops its chunk's arrays before asking
+    for the next one holds one chunk at a time."""
     work = np.cumsum(size)
     if work.size == 0 or work[-1] == 0:
         return
     cuts = np.searchsorted(work, np.arange(_LOOKUP_CHUNK, work[-1], _LOOKUP_CHUNK))
     bounds = np.unique(np.concatenate(([0], cuts, [size.size])))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sz = size[lo:hi]
-        # each range's start, less the positions listed before it
-        pos = np.repeat(start[lo:hi] - (np.cumsum(sz) - sz), sz)
-        pos += np.arange(pos.size)
-        yield lo, hi, pos
+    yield from zip(bounds[:-1].tolist(), bounds[1:].tolist())
+
+
+def _range_positions(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The positions start[i] .. start[i] + size[i] - 1 of every range, in order."""
+    # each range's start, less the positions listed before it
+    pos = np.repeat(start - (np.cumsum(size) - size), size)
+    pos += np.arange(pos.size)
+    return pos
 
 
 def _common_neighbors(g: SparseGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -248,12 +251,16 @@ def _common_neighbors(g: SparseGraph, u: np.ndarray, v: np.ndarray) -> np.ndarra
     s = np.where(swap, v, u)
     t = np.where(swap, u, v)
     keys = _row_keys(g)
-    for lo, hi, pos in _chunked_ranges(g.indptr[s], deg[s]):
-        edge = np.repeat(np.arange(hi - lo), deg[s[lo:hi]])
-        query = np.repeat(t[lo:hi] * n, deg[s[lo:hi]])
-        query += g.indices[pos]
+    for lo, hi in _chunked_ranges(deg[s]):
+        sz = deg[s[lo:hi]]
+        query = np.repeat(t[lo:hi] * n, sz)
+        query += g.indices[_range_positions(g.indptr[s[lo:hi]], sz)]
         hit = keys.take(np.searchsorted(keys, query), mode="clip") == query
-        counts[lo:hi] = np.bincount(edge[hit], minlength=hi - lo)
+        del query
+        counts[lo:hi] = np.bincount(
+            np.repeat(np.arange(hi - lo), sz)[hit], minlength=hi - lo
+        )
+        del hit  # the next chunk's arrays are built without this one's
     return counts
 
 
@@ -267,8 +274,9 @@ def _two_hop_counts(
     accumulator: each neighbour w of row i adds one to (i, j) for every j in
     w's row past s0, whose start one binary search over ``keys``
     (``_row_keys(g)``) finds. The additions run in chunks of about
-    _LOOKUP_CHUNK, so that memory stays O(N + chunk) besides the rows'
-    neighbour lists. The counts are integers, so they are exact.
+    _LOOKUP_CHUNK, one chunk's arrays at a time, so that memory stays
+    O(N + chunk) besides the rows' neighbour lists. The counts are integers,
+    so they are exact.
     """
     n = g.n_nodes
     flat = out.reshape(-1)
@@ -280,10 +288,11 @@ def _two_hop_counts(
     )
     start = np.searchsorted(keys, mid * n + s0, side="right")
     size = g.indptr[mid + 1] - start
-    for lo, hi, pos in _chunked_ranges(start, size):
+    for lo, hi in _chunked_ranges(size):
         cell = np.repeat(base[lo:hi], size[lo:hi])
-        cell += g.indices[pos]
+        cell += g.indices[_range_positions(start[lo:hi], size[lo:hi])]
         np.add.at(flat, cell, 1.0)
+        del cell  # the next chunk's arrays are built without this one's
 
 
 def _score_edge_candidates(

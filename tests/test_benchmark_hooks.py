@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import amlp.cli  # noqa: F401  (loads every module the tracer rebinds)
+import amlp.graph
 import amlp.model
 from amlp.graph import build_graph
 
@@ -115,3 +116,38 @@ def test_set_up_ends_before_init_weights_and_model_calls_adam(monkeypatch, run):
     else:
         amlp.model.exp1_train(g, x, run, True, cfg=cfg)
     assert events == ["set-up", "init_weights"] + ["amlp.model"] * cfg.epochs
+
+
+def test_tracer_records_one_normalization_per_run_memoized_or_not(monkeypatch):
+    """A~ is built once per graph, yet every train and exp1_train call still
+    records one graph.normalize_with_self_loops span, ended before the run's
+    init_weights, so graph.normalize_s and setup_s keep their meaning."""
+    tracing = _tracing()
+    builds = []
+    build = amlp.graph._normalize_with_self_loops
+    monkeypatch.setattr(
+        amlp.graph, "_normalize_with_self_loops", lambda g: builds.append(g) or build(g)
+    )
+    rng = np.random.default_rng(3)
+    g = build_graph([(i, (i + 1) % 12) for i in range(12)] + [(1, 7)], 12)
+    x = rng.standard_normal((12, 5))
+    cfg = amlp.model.AMLPConfig(hidden_dim=3, epochs=2)
+    tracer = tracing.Tracer().install()
+    try:
+        for _ in range(2):
+            amlp.model.train(g, x, cfg)
+            amlp.model.exp1_train(g, x, "max", True, cfg=cfg)
+    finally:
+        tracer.uninstall()
+    assert builds == [g]
+    spans = tracer.spans
+    runs = [i for i, s in enumerate(spans) if s[0] in ("model.train", "model.exp1_train")]
+    assert [spans[i][0] for i in runs] == ["model.train", "model.exp1_train"] * 2
+    for i in runs:
+        kids = [s for s in spans if s[3] == i]
+        names = [s[0] for s in kids]
+        assert names.count("graph.normalize_with_self_loops") == 1
+        assert names.count("model.init_weights") == 1
+        normalize = kids[names.index("graph.normalize_with_self_loops")]
+        init = kids[names.index("model.init_weights")]
+        assert spans[i][1] <= normalize[1] <= normalize[2] <= init[1]

@@ -350,12 +350,29 @@ def test_two_hop_counts_memory_is_a_chunk(traced_peak):
         out = np.empty((s1 - s0, n - s0 - 1))
         _, peak = traced_peak(lambda: reconstruct._two_hop_counts(g, keys, s0, s1, out))
         nnz_rows = int(g.indptr[s1] - g.indptr[s0])
-        # the rows' neighbour lists, and the positions and cells of two chunks
-        assert peak < 8 * (5 * nnz_rows + 6 * (reconstruct._LOOKUP_CHUNK + n)) + (1 << 16)
+        # the rows' neighbour lists, and the three arrays of one chunk, which
+        # holds at most _LOOKUP_CHUNK positions and one row more
+        assert peak < 8 * (5 * nnz_rows + 3 * (reconstruct._LOOKUP_CHUNK + n)) + (1 << 16)
         assert peak < out.nbytes / 2
         # two leaves share the hub, and the hub shares nothing with a leaf
         hub = int(s0 == 0)
         assert (out[hub:] == 1).all() and (out[:hub] == 0).all()
+
+
+def test_common_neighbors_memory_is_a_chunk(traced_peak):
+    # the hub with itself, 64 times: 64 lookups of the hub's 20,000-entry
+    # row, as many as the two-hop count of a sub-block below the hub
+    g = star(20_000)
+    n = g.n_nodes
+    hub = np.zeros(reconstruct._SUB_BLOCK, dtype=np.int64)
+    counts, peak = traced_peak(lambda: _common_neighbors(g, hub, hub))
+    assert (counts == n - 1).all()
+    # the degrees and keys, a few arrays per pair, and the three arrays of
+    # one chunk, which holds at most _LOOKUP_CHUNK lookups and one row more
+    pairs = hub.size
+    assert peak < 8 * (n + g.indices.size + 8 * pairs + 3 * (reconstruct._LOOKUP_CHUNK + n)) + (
+        1 << 16
+    )
 
 
 # ---------------------------------------------------------------------------
