@@ -238,14 +238,9 @@ def _cmd_train(args) -> int:
     t0 = time.perf_counter()
     _check_out_dir(args.out)
     run_cfg = dataio.RunConfig.from_json(args.config) if args.config else dataio.RunConfig()
-    if args.seed is not None:
-        run_cfg.seed = args.seed
-    if args.k is not None:
-        run_cfg.k = args.k
-    if args.lambda_ is not None:
-        run_cfg.lambda_ = args.lambda_
-    if args.epochs is not None:
-        run_cfg.epochs = args.epochs
+    for name in ("seed", "k", "lambda_", "epochs"):
+        if getattr(args, name) is not None:
+            setattr(run_cfg, name, getattr(args, name))
     # the model and reconstruction configs refuse bad values before any read
     combos = run_cfg.grid()
     meta = dataio.load_meta(args.data)

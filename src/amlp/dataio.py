@@ -354,13 +354,9 @@ def _float32_at_rest(path, x: np.ndarray) -> np.ndarray:
     float32, the precision of features and embeddings at rest, and promoted
     back: the 9-digit text identifies the float32 value. A value beyond the
     float32 range is refused at its line."""
-    try:
-        with np.errstate(over="raise"):
-            x32 = x.astype(np.float32)
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            x32 = x.astype(np.float32)
-        _refuse_non_finite(path, x32, "non-finite value (beyond the float32 range)")
+    with np.errstate(over="ignore"):
+        x32 = x.astype(np.float32)
+    _refuse_non_finite(path, x32, "non-finite value (beyond the float32 range)")
     return x32.astype(np.float64)
 
 

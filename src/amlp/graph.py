@@ -30,6 +30,9 @@ AGGREGATORS = ("mean", "max", "sum", "weighted_sum")
 
 DEFAULT_EPS_NORM = 1e-12
 
+# bytes of a column block of _propagate_into's k hops, which hold two at most
+_HOP_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SparseGraph:
@@ -326,10 +329,26 @@ def propagate(adj: SparseGraph, x: np.ndarray, k: int) -> np.ndarray:
         raise ValidationError(
             f"matrix has {x.shape[0]} rows, adjacency expects {adj.n_nodes}"
         )
-    a = adj.to_scipy()
-    out = x
-    for _ in range(k):
-        out = a @ out
+    cols = x[:, None] if x.ndim == 1 else x  # a vector runs as one column
+    return _propagate_into(adj.to_scipy(), cols, k, np.empty(cols.shape)).reshape(x.shape)
+
+
+def _propagate_into(a: sp.csr_matrix, x: np.ndarray, k: int, out: np.ndarray, add=False):
+    """Write a^k @ x into ``out``, which may be ``x``, or add it when ``add``.
+
+    The k products run on column blocks of about _HOP_BYTES, so they hold at
+    most two blocks at a time. Each column of a sparse product is summed on
+    its own, so the bits are those of the whole product."""
+    n, c = x.shape
+    width = max(1, _HOP_BYTES // (8 * max(n, 1)))
+    for j in range(0, c, width):
+        block = x[:, j : j + width]
+        for _ in range(k):
+            block = a @ block
+        if add:
+            out[:, j : j + width] += block
+        else:
+            out[:, j : j + width] = block
     return out
 
 

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .graph import (
     DEFAULT_EPS_NORM,
+    _HOP_BYTES,
     LinearAggregator,
     SparseGraph,
     aggregator as aggregator_op,  # exp1_train's argument is named aggregator
@@ -41,6 +42,7 @@ from .graph import (
     normalize_no_self_loops,
     normalize_with_self_loops,
     propagate,
+    _propagate_into,
     _row_normalize_into,
 )
 from .reconstruct import (
@@ -64,9 +66,6 @@ EARLY_STOP_PATIENCE = 10
 # product, and 0.020 ns per flop of a 1500 x 1500 by 1500 x 500 product.
 PASS_FLOPS = 50
 HIDDEN_PASSES = 8
-# bytes of the column block of an N x c array that the hidden form's sparse
-# products run on, so that an epoch's 2k products allocate no N x c result
-_HOP_BYTES = 1 << 20
 
 
 def _propagates_hidden(n: int, d: int, k: int, nnz: int) -> bool:
@@ -380,11 +379,11 @@ class _TrainingKernel:
     max, and D = A X - X.
 
     The buffers every epoch writes into (c = hidden_dim columns): the
-    decoder's, whose Yh buffer receives Y; MW, which B^T G_Y reuses; the
-    gradient; under ``agg``, the B W that ``agg`` reads; and, in fit, W and
-    Adam's m and v, updated in place, and its two scratch chunks. So an
-    epoch allocates no array but the decoder's A Yh and, under ``agg``, what
-    ``agg`` returns."""
+    decoder's, whose Yh buffer receives Y and, under ``agg``, whose G buffer
+    receives the B W that ``agg`` reads, dead once ``agg`` has returned; MW,
+    which B^T G_Y reuses; the gradient; and, in fit, W and Adam's m and v,
+    updated in place, and its two scratch chunks. So an epoch allocates no
+    array but the decoder's A Yh and, under ``agg``, what ``agg`` returns."""
 
     def __init__(self, b, m, a_tilde, c, a, r, eps_norm, agg=None):
         self.b, self.m, self.a, self.r, self.agg = b, m, a, r, agg
@@ -392,7 +391,6 @@ class _TrainingKernel:
         self.decoder = _Decoder(a_tilde, n, c, eps_norm)
         self.mw = None if m is None else np.empty((d, c))
         self.grad = np.empty((d, c))
-        self.bw = None if agg is None else np.empty((n, c))
 
     @classmethod
     def from_p(cls, p, x, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
@@ -409,7 +407,7 @@ class _TrainingKernel:
         """Y = B W in the Yh buffer, or agg(B W)."""
         if self.agg is None:
             return np.matmul(self.b, w, out=self.decoder.y_hat)
-        return self.agg.forward(np.matmul(self.b, w, out=self.bw))
+        return self.agg.forward(np.matmul(self.b, w, out=self.decoder.g_yhat))
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, float, float, np.ndarray]:
         """(L, L_agg, L_rec, dL/dW); the gradient array is reused by the next
@@ -477,8 +475,8 @@ class _HiddenKernel(_TrainingKernel):
 
     An epoch adds 2k sparse products and HIDDEN_PASSES elementwise passes
     over N x c arrays to the P form's work, and drops M W. The products run
-    on column blocks of about _HOP_BYTES, so they hold at most two blocks.
-    Besides the decoder's buffers, it holds one N x c buffer, D_W's, which
+    in _propagate_into, two column blocks at a time, and those of H add into
+    E. Besides the decoder's buffers, it holds one N x c buffer, D_W's, which
     then takes the backward sum E. Z, and then H, live in the decoder's G
     buffer: Z is dead before the decoder's loss and H is formed after its
     grad, whose A Yh is dropped once H and E exist. X^T E goes into the Yh
@@ -493,32 +491,14 @@ class _HiddenKernel(_TrainingKernel):
         if x.shape[1] <= x.shape[0]:
             self.grad = self.decoder.y_hat.ravel()[: self.grad.size].reshape(self.grad.shape)
 
-    def _hops(self, z: np.ndarray, out: np.ndarray, add: bool = False) -> np.ndarray:
-        """S^k z written into ``out``, or added to it when ``add``, one
-        column block at a time. Each column of a sparse product is computed
-        on its own, so the bits are those of the whole product."""
-        n, c = z.shape
-        width = max(1, _HOP_BYTES // (8 * n))
-        for j in range(0, c, width):
-            block = z[:, j : j + width]
-            for _ in range(self.k):
-                block = self.s @ block
-            if add:
-                out[:, j : j + width] += block
-            else:
-                out[:, j : j + width] = block
-        return out
-
     def forward(self, w: np.ndarray) -> np.ndarray:
-        """Y = S^k X W + X W in the Yh buffer."""
+        """Y = S^k X W + X W in the Yh buffer; Z = X W in G's, S^k Z in D_W's."""
         z = np.matmul(self.b, w, out=self.decoder.g_yhat)
-        return np.add(self._hops(z, self.d_w), z, out=self.decoder.y_hat)
+        return np.add(_propagate_into(self.s, z, self.k, self.d_w), z, out=self.decoder.y_hat)
 
     def loss_and_grad(self, w: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-        z = np.matmul(self.b, w, out=self.decoder.g_yhat)
-        d_w = self._hops(z, self.d_w)
-        y = np.add(d_w, z, out=self.decoder.y_hat)
-        np.subtract(d_w, z, out=d_w)
+        y = self.forward(w)
+        d_w = np.subtract(self.d_w, self.decoder.g_yhat, out=self.d_w)
         la = float(np.vdot(d_w, d_w))
         lr_ = self.decoder.loss(y)
         # D_W's buffer becomes E = r G_Y - 2a D_W, G's takes H once G is spent
@@ -533,7 +513,7 @@ class _HiddenKernel(_TrainingKernel):
             np.copyto(h, e)
             np.negative(e, out=e)
         self.decoder.ay = g_y = None  # A Yh is spent; the hops' blocks come next
-        self._hops(h, e, add=True)
+        _propagate_into(self.s, h, self.k, e, add=True)
         np.matmul(self.b.T, e, out=self.grad)
         total = (self.a * la if self.a else 0.0) + self.r * lr_
         return total, la, lr_, self.grad

@@ -213,18 +213,27 @@ def _row_keys(g: SparseGraph) -> np.ndarray:
     return np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr)) * n + g.indices
 
 
-def _chunked_ranges(size: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Yield (lo, hi) over the ranges i = 0..size.size-1 of size[i]
-    positions each: a chunk of ranges lo..hi-1 holds about _LOOKUP_CHUNK
-    positions, and at most that many plus one range. It holds no array of a
-    chunk's size, so a caller that drops its chunk's arrays before asking
-    for the next one holds one chunk at a time."""
-    work = np.cumsum(size)
-    if work.size == 0 or work[-1] == 0:
-        return
-    cuts = np.searchsorted(work, np.arange(_LOOKUP_CHUNK, work[-1], _LOOKUP_CHUNK))
-    bounds = np.unique(np.concatenate(([0], cuts, [size.size])))
-    yield from zip(bounds[:-1].tolist(), bounds[1:].tolist())
+def _chunked_ranges(
+    start: np.ndarray, size: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Cut the positions of the ranges start[i] .. start[i] + size[i] - 1,
+    i = 0..size.size-1, taken in order, into chunks of _LOOKUP_CHUNK
+    positions, the last one fewer, splitting any range that crosses a cut.
+    Yield (lo, hi, chunk_start, chunk_size) per chunk: it holds the part
+    chunk_start[j] .. chunk_start[j] + chunk_size[j] - 1 of range lo + j,
+    j = 0..hi-lo-1. It holds no array of a chunk's size, so a caller that
+    drops its chunk's arrays before asking for the next one holds one chunk
+    at a time."""
+    end = np.cumsum(size)
+    begin = end - size
+    total = int(end[-1]) if end.size else 0
+    for a in range(0, total, _LOOKUP_CHUNK):
+        b = min(a + _LOOKUP_CHUNK, total)
+        # the ranges that end past a and begin before b
+        lo = int(np.searchsorted(end, a, side="right"))
+        hi = int(np.searchsorted(begin, b, side="left"))
+        skip = np.maximum(a - begin[lo:hi], 0)
+        yield lo, hi, start[lo:hi] + skip, np.minimum(b - begin[lo:hi], size[lo:hi]) - skip
 
 
 def _range_positions(start: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -241,8 +250,8 @@ def _common_neighbors(g: SparseGraph, u: np.ndarray, v: np.ndarray) -> np.ndarra
 
     Each neighbour w of the lower-degree endpoint is looked up in the other
     endpoint's row by one binary search over ``_row_keys``: Σ min(d_u, d_v)
-    lookups, done in chunks of about _LOOKUP_CHUNK so that memory stays
-    O(m + chunk).
+    lookups, done in chunks of at most _LOOKUP_CHUNK, which split a hub's
+    row, so that memory stays O(m + chunk).
     """
     n = g.n_nodes
     deg = g.degrees()
@@ -251,13 +260,13 @@ def _common_neighbors(g: SparseGraph, u: np.ndarray, v: np.ndarray) -> np.ndarra
     s = np.where(swap, v, u)
     t = np.where(swap, u, v)
     keys = _row_keys(g)
-    for lo, hi in _chunked_ranges(deg[s]):
-        sz = deg[s[lo:hi]]
+    for lo, hi, first, sz in _chunked_ranges(g.indptr[s], deg[s]):
         query = np.repeat(t[lo:hi] * n, sz)
-        query += g.indices[_range_positions(g.indptr[s[lo:hi]], sz)]
+        query += g.indices[_range_positions(first, sz)]
         hit = keys.take(np.searchsorted(keys, query), mode="clip") == query
         del query
-        counts[lo:hi] = np.bincount(
+        # a pair split over chunks adds up its parts
+        counts[lo:hi] += np.bincount(
             np.repeat(np.arange(hi - lo), sz)[hit], minlength=hi - lo
         )
         del hit  # the next chunk's arrays are built without this one's
@@ -273,7 +282,7 @@ def _two_hop_counts(
     Gustavson's row-by-row product (ACM TOMS, 1978) into a dense
     accumulator: each neighbour w of row i adds one to (i, j) for every j in
     w's row past s0, whose start one binary search over ``keys``
-    (``_row_keys(g)``) finds. The additions run in chunks of about
+    (``_row_keys(g)``) finds. The additions run in chunks of at most
     _LOOKUP_CHUNK, one chunk's arrays at a time, so that memory stays
     O(N + chunk) besides the rows' neighbour lists. The counts are integers,
     so they are exact.
@@ -288,9 +297,9 @@ def _two_hop_counts(
     )
     start = np.searchsorted(keys, mid * n + s0, side="right")
     size = g.indptr[mid + 1] - start
-    for lo, hi in _chunked_ranges(size):
-        cell = np.repeat(base[lo:hi], size[lo:hi])
-        cell += g.indices[_range_positions(start[lo:hi], size[lo:hi])]
+    for lo, hi, first, sz in _chunked_ranges(start, size):
+        cell = np.repeat(base[lo:hi], sz)
+        cell += g.indices[_range_positions(first, sz)]
         np.add.at(flat, cell, 1.0)
         del cell  # the next chunk's arrays are built without this one's
 

@@ -151,3 +151,34 @@ def test_tracer_records_one_normalization_per_run_memoized_or_not(monkeypatch):
         normalize = kids[names.index("graph.normalize_with_self_loops")]
         init = kids[names.index("model.init_weights")]
         assert spans[i][1] <= normalize[1] <= normalize[2] <= init[1]
+
+
+def test_tracer_records_propagate_in_the_p_form_only():
+    """The hidden form hops through graph._propagate_into every epoch, never
+    through the traced graph.propagate, while the P form records exactly one
+    graph.propagate span, ended before init_weights. So model.precompute_s,
+    init_weights' start less the last propagate span's end, stays the P
+    form's set-up after the hops."""
+    tracing = _tracing()
+    rng = np.random.default_rng(4)
+    g = build_graph([(i, (i + 1) % 12) for i in range(12)] + [(2, 9)], 12)
+    x = rng.standard_normal((12, 5))
+    x_wide = _hidden_form_features(g, rng)
+    cfg = amlp.model.AMLPConfig(hidden_dim=3, epochs=3)
+    tracer = tracing.Tracer().install()
+    try:
+        amlp.model.train(g, x_wide, cfg)
+        amlp.model.train(g, x, cfg)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    runs = [i for i, s in enumerate(spans) if s[0] == "model.train"]
+    assert len(runs) == 2
+    # the one span of the two runs is a child of the P form's
+    assert [s[0] for s in spans].count("graph.propagate") == 1
+    p_form = [s for s in spans if s[3] == runs[1]]
+    names = [s[0] for s in p_form]
+    assert names.count("graph.propagate") == 1
+    propagate = p_form[names.index("graph.propagate")]
+    init = p_form[names.index("model.init_weights")]
+    assert propagate[2] <= init[1]

@@ -398,6 +398,14 @@ def test_propagate_rejects_k0():
         propagate(st, np.zeros((2, 1)), 0)
 
 
+def test_propagate_of_a_vector_is_one_column():
+    st = normalize_no_self_loops(random_graph(30, 0.15, 13))
+    v = np.random.default_rng(14).standard_normal(30)
+    a = st.to_scipy()
+    got = propagate(st, v, 2)
+    assert got.shape == (30,) and got.tobytes() == (a @ (a @ v)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # aggregate
 # ---------------------------------------------------------------------------

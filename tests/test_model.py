@@ -578,6 +578,27 @@ def test_exp1_aggregator_call_counts(monkeypatch, agg):
         assert calls == {"forward": 1, "backward": 0}
 
 
+def test_max_reads_x_w_from_the_decoders_g_buffer(monkeypatch):
+    """Under max the kernel writes X W into the decoder's G buffer, dead
+    until the decoder's loss overwrites it, and holds no N x c buffer of its
+    own: every N x c array it keeps is the decoder's."""
+    from amlp import graph
+    from amlp.model import _TrainingKernel
+
+    seen = []
+    forward = graph.MaxAggregator.forward
+    monkeypatch.setattr(
+        graph.MaxAggregator, "forward", lambda self, z: seen.append(z) or forward(self, z)
+    )
+    n, c = 25, 4
+    g, x = small_instance(seed=84, n=n)
+    at = normalize_with_self_loops(g)
+    kernel = _TrainingKernel(x, None, at, c, 0.0, 1.0, 1e-12, graph.aggregator("max", g))
+    kernel.loss_and_grad(init_weights(x.shape[1], c, 0))
+    assert len(seen) == 1 and seen[0] is kernel.decoder.g_yhat
+    assert not [v for v in vars(kernel).values() if np.shape(v) == (n, c)]
+
+
 # ---------------------------------------------------------------------------
 # Workspace kernel against the allocating formulas it replaced
 # ---------------------------------------------------------------------------
@@ -1031,24 +1052,51 @@ def test_hidden_kernel_gradient_matches_finite_differences(lam):
         assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
 
 
+class _RecordingCsr:
+    """A CSR matrix that records the width of every dense operand."""
+
+    def __init__(self, a):
+        self.a, self.widths = a, []
+
+    def __matmul__(self, block):
+        self.widths.append(block.shape[1])
+        return self.a @ block
+
+
 @pytest.mark.parametrize("kind", ["isolated", "empty"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("width", [1, 3])
 def test_hops_by_column_block_match_propagate(monkeypatch, kind, k, width):
-    """The hidden form's hops, run on column blocks of ``width`` columns of
-    c = 8 (so the last block is narrower), write S~^k Z and add S~^k H to E
-    with the bits of propagate's whole products."""
-    from amlp import model
+    """graph._propagate_into, the k-hop loop of both training forms, runs
+    c = 8 columns in blocks of ``width`` (so the last block is narrower), k
+    products each, and with the bits of the whole products writes S~^k Z
+    into ``out``, through the P form's propagate and in place over Z, and
+    adds S~^k H to E as the hidden form's backward does."""
+    from amlp import graph
 
-    x, st, at = _hidden_form_instance(kind)
+    x, st, _ = _hidden_form_instance(kind)
     n, c = x.shape[0], 8
-    monkeypatch.setattr(model, "_HOP_BYTES", 8 * n * width)
-    kernel = model._HiddenKernel(x, st, k, at, c, 0.1, 1e-12)
+    monkeypatch.setattr(graph, "_HOP_BYTES", 8 * n * width)
+    a = st.to_scipy()
+
+    def whole(m):
+        for _ in range(k):
+            m = a @ m
+        return m
+
     rng = np.random.default_rng(172)
     z, h, e = (rng.standard_normal((n, c)) for _ in range(3))
-    assert _same_bits(kernel._hops(z, np.empty((n, c))), propagate(st, z, k))
-    want = e + propagate(st, h, k)
-    assert _same_bits(kernel._hops(h, e, add=True), want)
+    want = whole(z)
+    blocks = [width] * (c // width) + [c % width] * (c % width > 0)
+    # to_scipy() returns the graph's memoized CSR, kept in the instance dict
+    recorder = st.__dict__["_csr"] = _RecordingCsr(a)
+    out = np.empty((n, c))
+    assert graph._propagate_into(recorder, z, k, out) is out and _same_bits(out, want)
+    assert _same_bits(propagate(st, z, k), want)
+    assert recorder.widths == [w for w in blocks for _ in range(k)] * 2
+    want_e = e + whole(h)
+    assert graph._propagate_into(a, h, k, e, add=True) is e and _same_bits(e, want_e)
+    assert graph._propagate_into(a, z, k, z) is z and _same_bits(z, want)
 
 
 def test_form_selection_of_benchmark_and_test_shapes():

@@ -276,6 +276,37 @@ def test_common_neighbors_chunking(monkeypatch, chunk):
     )
 
 
+def test_chunks_split_long_ranges(monkeypatch):
+    """With chunks of 4 positions, the 9-entry rows of two adjacent hubs,
+    which share 8 leaves, are split over several chunks, and every chunk but
+    the last holds exactly 4 positions, in _common_neighbors and in
+    _two_hop_counts alike. The counts are A·A's."""
+    chunks = []
+    chunked = reconstruct._chunked_ranges
+
+    def spy(start, size):
+        for lo, hi, first, sz in chunked(start, size):
+            chunks.append(int(sz.sum()))
+            yield lo, hi, first, sz
+
+    monkeypatch.setattr(reconstruct, "_LOOKUP_CHUNK", 4)
+    monkeypatch.setattr(reconstruct, "_chunked_ranges", spy)
+    g = build_graph([(0, 1)] + [(hub, w) for hub in (0, 1) for w in range(2, 10)], 10)
+    # Σ min(d_u, d_v) = 9 + 2 + 9 lookups: hub 0's row, a leaf's, hub 1's
+    u, v = np.array([0, 2, 1]), np.array([1, 3, 0])
+    assert np.array_equal(_common_neighbors(g, u, v), [8, 2, 8])
+    assert chunks == [4, 4, 4, 4, 4]
+    chunks.clear()
+    # two-hop walks from rows 0 and 1 to columns right of node 0: through
+    # the other hub 8 and 9, through the leaves 8 each
+    n, keys = g.n_nodes, reconstruct._row_keys(g)
+    out = np.full((2, n - 1), np.nan)
+    reconstruct._two_hop_counts(g, keys, 0, 2, out)
+    a = g.to_dense()
+    assert (out == (a @ a)[0:2, 1:]).all()
+    assert chunks == [4] * 8 + [1]
+
+
 @pytest.mark.parametrize("rows", [1, 3, 50])
 def test_edge_scoring_gather_chunking(monkeypatch, rows):
     # buffers of a few rows give the same dots as one gather of every edge
@@ -329,9 +360,17 @@ def test_two_hop_counts_match_dense_square(monkeypatch, name, sub_block, chunk):
     monkeypatch.setattr(reconstruct, "_LOOKUP_CHUNK", chunk)
     g, square = TWO_HOP_GRAPHS[name], dense_square(name)
     n, keys = g.n_nodes, reconstruct._row_keys(g)
-    # of the star's 2,000 one-row sub-blocks every 7th, to keep the case short
-    step = 7 * sub_block if name == "star" and sub_block == 1 else sub_block
-    for s0 in range(0, n, step):
+    s0s = range(0, n, sub_block)
+    if name == "star" and chunk < 50:
+        # chunks of 1 or 3 positions split each leaf's reach through the hub,
+        # up to 2,000 columns, that many ways: the hub's sub-block and the
+        # next, a sample across the rows and the last 300 rows keep the case
+        # short
+        s0s = sorted({0, 1, *range(0, n, 97 * sub_block), *range(n - 300, n, sub_block)})
+    elif name == "star" and sub_block == 1:
+        # of the star's 2,000 one-row sub-blocks every 7th, to keep it short
+        s0s = range(0, n, 7)
+    for s0 in s0s:
         s1 = min(s0 + sub_block, n)
         # garbage in the buffer, which the count must overwrite
         out = np.full((s1 - s0, n - s0 - 1), np.nan)
@@ -351,8 +390,8 @@ def test_two_hop_counts_memory_is_a_chunk(traced_peak):
         _, peak = traced_peak(lambda: reconstruct._two_hop_counts(g, keys, s0, s1, out))
         nnz_rows = int(g.indptr[s1] - g.indptr[s0])
         # the rows' neighbour lists, and the three arrays of one chunk, which
-        # holds at most _LOOKUP_CHUNK positions and one row more
-        assert peak < 8 * (5 * nnz_rows + 3 * (reconstruct._LOOKUP_CHUNK + n)) + (1 << 16)
+        # holds at most _LOOKUP_CHUNK positions
+        assert peak < 8 * (5 * nnz_rows + 3 * reconstruct._LOOKUP_CHUNK) + (1 << 16)
         assert peak < out.nbytes / 2
         # two leaves share the hub, and the hub shares nothing with a leaf
         hub = int(s0 == 0)
@@ -368,11 +407,9 @@ def test_common_neighbors_memory_is_a_chunk(traced_peak):
     counts, peak = traced_peak(lambda: _common_neighbors(g, hub, hub))
     assert (counts == n - 1).all()
     # the degrees and keys, a few arrays per pair, and the three arrays of
-    # one chunk, which holds at most _LOOKUP_CHUNK lookups and one row more
+    # one chunk, which holds at most _LOOKUP_CHUNK lookups
     pairs = hub.size
-    assert peak < 8 * (n + g.indices.size + 8 * pairs + 3 * (reconstruct._LOOKUP_CHUNK + n)) + (
-        1 << 16
-    )
+    assert peak < 8 * (n + g.indices.size + 8 * pairs + 3 * reconstruct._LOOKUP_CHUNK) + (1 << 16)
 
 
 # ---------------------------------------------------------------------------
