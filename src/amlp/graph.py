@@ -30,7 +30,7 @@ AGGREGATORS = ("mean", "max", "sum", "weighted_sum")
 
 DEFAULT_EPS_NORM = 1e-12
 
-# bytes of a column block of _propagate_into's k hops, which hold two at most
+# bytes of a column block of _propagate_into's k hops (the CSR's, if more)
 _HOP_BYTES = 1 << 20
 
 
@@ -71,13 +71,8 @@ class SparseGraph:
         return (self.indices.size - self.n_nodes * self.self_loops) // 2
 
     def degrees(self) -> np.ndarray:
-        """Neighbor counts, or the weighted row sums when ``values`` is set."""
-        counts = np.diff(self.indptr)
-        if self.values is None:
-            return counts
-        out = np.zeros(self.n_nodes, dtype=np.float64)
-        np.add.at(out, np.repeat(np.arange(self.n_nodes), counts), self.values)
-        return out
+        """Neighbor counts (stored entries per row), weighted or not."""
+        return np.diff(self.indptr)
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -288,17 +283,17 @@ def _normalize_with_self_loops(g: SparseGraph) -> SparseGraph:
 def normalize_no_self_loops(g: SparseGraph) -> SparseGraph:
     """Self-loop-free normalization D^{-1/2}SD^{-1/2}.
 
-    Degrees are taken from ``g`` itself (row sums of its weights); rows of
-    degree-0 nodes come out all-zero, which downstream code treats as "no
-    aggregation" for those nodes. It is built once per graph, and every call
-    returns that one SparseGraph.
+    D holds S's row sums: the neighbor counts of a binary ``g``, else its
+    weights' sums. Rows that sum to zero come out all-zero, which downstream
+    code treats as "no aggregation" for those nodes. It is built once per
+    graph, and every call returns that one SparseGraph.
     """
     return g._no_self_loops
 
 
 def _normalize_no_self_loops(g: SparseGraph) -> SparseGraph:
     rows = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
-    strength = g.degrees().astype(np.float64)
+    strength = np.bincount(rows, g.values, g.n_nodes)
     inv_sqrt = np.zeros(g.n_nodes, dtype=np.float64)
     nz = strength > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(strength[nz])
@@ -336,11 +331,13 @@ def propagate(adj: SparseGraph, x: np.ndarray, k: int) -> np.ndarray:
 def _propagate_into(a: sp.csr_matrix, x: np.ndarray, k: int, out: np.ndarray, add=False):
     """Write a^k @ x into ``out``, which may be ``x``, or add it when ``add``.
 
-    The k products run on column blocks of about _HOP_BYTES, so they hold at
-    most two blocks at a time. Each column of a sparse product is summed on
-    its own, so the bits are those of the whole product."""
+    The k products run on column blocks of about _HOP_BYTES, or the CSR's
+    bytes if more, lest a tall x be hopped a column per read of the CSR; they
+    hold at most two blocks at a time. Each column of a sparse product is
+    summed on its own, so the bits are those of the whole product."""
     n, c = x.shape
-    width = max(1, _HOP_BYTES // (8 * max(n, 1)))
+    budget = max(_HOP_BYTES, a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
+    width = max(1, budget // (8 * max(n, 1)))
     for j in range(0, c, width):
         block = x[:, j : j + width]
         for _ in range(k):
@@ -360,8 +357,8 @@ def aggregate(
 ) -> np.ndarray:
     """Classical neighborhood aggregation over a node's neighbors.
 
-    mean/max/sum reduce over the (self-excluded) neighbor rows and give a
-    zero row to isolated nodes; weighted_sum is the GCN-style a_tilde @ x,
+    mean/max/sum reduce over the neighbor rows of the binary ``g`` and give
+    a zero row to isolated nodes; weighted_sum is the GCN-style a_tilde @ x,
     which includes the node itself through the diagonal.
     """
     op = aggregator(kind, g, a_tilde)
@@ -373,10 +370,12 @@ def aggregator(
 ) -> MaxAggregator | LinearAggregator:
     """The operator of one classical aggregator over ``g``: ``forward(z)``
     aggregates the neighbor rows of z, ``backward(G)`` maps a gradient with
-    respect to the result back to z. weighted_sum needs the self-loop
-    normalization ``a_tilde`` of ``g``."""
+    respect to the result back to z. ``g`` must be binary and without
+    self-loops; weighted_sum needs its self-loop normalization ``a_tilde``."""
     if kind not in AGGREGATORS:
         raise ValidationError(f"unknown aggregator {kind!r}; expected one of {AGGREGATORS}")
+    if g.values is not None or g.self_loops:
+        raise ValidationError("aggregation needs a binary graph without self-loops")
     if kind == "max":
         return MaxAggregator(g)
     if kind == "weighted_sum":
@@ -569,7 +568,7 @@ def dirichlet_energy(a_tilde: SparseGraph, y_hat: np.ndarray) -> float:
 
 def homophily_ratio(g: SparseGraph, labels: np.ndarray) -> float:
     """Node homophily: mean, over labeled nodes of degree >= 1, of the
-    fraction of neighbors sharing the node's label. In [0, 1]."""
+    fraction of neighbors sharing the node's label, weights aside. In [0, 1]."""
     labels = check_labels(labels, g.n_nodes)
     deg = g.degrees()
     eligible = (labels >= 0) & (deg > 0)

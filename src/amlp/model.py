@@ -289,10 +289,10 @@ def total_loss(
     a_tilde: SparseGraph,
     cfg: AMLPConfig,
 ) -> tuple[float, float, float]:
-    """(L, L_agg, L_rec) with L = L_agg + lambda * L_rec."""
+    """(L, L_agg, L_rec), L = L_agg + lambda * L_rec; L_agg only under use_agg_loss."""
     la = loss_agg(p, x, w)
     lr = loss_rec(forward(p, x, w), a_tilde, cfg.eps_norm)
-    return la + cfg.lambda_ * lr, la, lr
+    return (la if cfg.use_agg_loss else 0.0) + cfg.lambda_ * lr, la, lr
 
 
 def gradient(
@@ -302,15 +302,15 @@ def gradient(
     a_tilde: SparseGraph,
     cfg: AMLPConfig,
 ) -> np.ndarray:
-    """Analytic dL/dW for L = L_agg + lambda * L_rec.
+    """Analytic dL/dW of total_loss's L.
 
-    The aggregation term contributes 2 M W with M = (P-X)^T (P-X); the
-    decoder term is chained through row normalization and Y = (P+X) W.
+    The aggregation term, if on, contributes 2 M W with M = (P-X)^T (P-X);
+    the decoder term is chained through row normalization and Y = (P+X) W.
     """
     p = np.asarray(p, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    kernel = _TrainingKernel.from_p(p, x, a_tilde, w.shape[1], cfg.lambda_, cfg.eps_norm)
-    return kernel.loss_and_grad(w)[3]
+    loss_args = (a_tilde, w.shape[1], cfg.lambda_, cfg.eps_norm, cfg.use_agg_loss)
+    return _TrainingKernel.from_p(p, x, *loss_args).loss_and_grad(w)[3]
 
 
 def adam_step(

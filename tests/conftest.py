@@ -51,3 +51,15 @@ def epoch_peak(traced_peak):
         return max(peaks)
 
     return run
+
+
+@pytest.fixture(scope="session", params=["homophilic", "heterophilic"])
+def soft_preset(request):
+    """(S, X, labels) of an SBM preset at seed 0, S its soft reconstruction:
+    a weighted graph on the preset's edges."""
+    from amlp import synth
+    from amlp.reconstruct import ReconstructionConfig, reconstruct_soft
+
+    g, x, labels = synth.generate_dataset(getattr(synth, f"{request.param}_preset")(0))
+    s, _ = reconstruct_soft(g, x, ReconstructionConfig(mode="soft"))
+    return s, x, labels

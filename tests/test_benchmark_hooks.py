@@ -5,10 +5,12 @@ so renaming or inlining one of them silently breaks the benchmark. These tests
 load that file as it stands and check that its names still resolve and that
 its untraced recorder still sees every epoch. The last one checks that the
 marks still bound the same spans: set-up ends before init_weights, and each
-epoch ends at an adam_step call made from amlp.model.
+epoch ends at an adam_step call made from amlp.model. The harness's own
+self-test runs last, every workload at smoke shape.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,7 +22,8 @@ import amlp.graph
 import amlp.model
 from amlp.graph import build_graph
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -182,3 +185,18 @@ def test_tracer_records_propagate_in_the_p_form_only():
     propagate = p_form[names.index("graph.propagate")]
     init = p_form[names.index("model.init_weights")]
     assert propagate[2] <= init[1]
+
+
+def test_harness_selftest_passes():
+    """``perfbench/run.py --selftest``: the harness arithmetic, its metric
+    lists against BENCHMARK.json, and every workload at smoke shape, traced
+    twice and untraced once, with no operation failing."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--selftest"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "selftest: ok"

@@ -302,7 +302,8 @@ def test_normalize_weighted_graph():
     rows = np.repeat(np.arange(3), g.degrees())
     vals = np.array([w[tuple(sorted((int(r), int(c))))] for r, c in zip(rows, g.indices)])
     wg = SparseGraph(n_nodes=3, indptr=g.indptr, indices=g.indices, values=vals)
-    assert np.allclose(wg.degrees(), [1.5, 0.75, 1.25])
+    # degrees count neighbors; only the normalization sums the weights
+    assert np.array_equal(wg.degrees(), [2, 2, 2])
     st = normalize_no_self_loops(wg)
     dense = st.to_dense()
     assert np.array_equal(dense, dense.T)
@@ -336,6 +337,37 @@ def test_spectral_bound_random_graphs(seed):
     at = normalize_with_self_loops(g)
     eig = np.linalg.eigvalsh(at.to_dense())
     assert np.abs(eig).max() <= 1.0 + 1e-9
+
+
+def _strength_no_self_loops_values(g):
+    """The reference for S~'s values on a weighted graph: the strengths
+    summed by np.add.at, in the order of the stored entries."""
+    counts = np.diff(g.indptr)
+    rows = np.repeat(np.arange(g.n_nodes), counts)
+    strength = np.zeros(g.n_nodes)
+    np.add.at(strength, rows, g.values)
+    inv_sqrt = np.zeros(g.n_nodes)
+    nz = strength > 0
+    inv_sqrt[nz] = 1.0 / np.sqrt(strength[nz])
+    vals = inv_sqrt[rows] * inv_sqrt[g.indices]
+    vals *= g.values
+    return vals
+
+
+def test_normalize_soft_graph_keeps_strength_bits(soft_preset):
+    s = soft_preset[0]
+    assert s.values is not None and s.n_edges > 0
+    st = normalize_no_self_loops(s)
+    assert st.values.tobytes() == _strength_no_self_loops_values(s).tobytes()
+
+
+def test_degrees_count_neighbors_of_weighted_graphs(soft_preset):
+    s = soft_preset[0]
+    b = replace(s, values=None)
+    assert s.degrees().dtype == np.int64
+    assert np.array_equal(s.degrees(), b.degrees())
+    at = normalize_with_self_loops(b)
+    assert np.array_equal(at.degrees(), b.degrees() + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +480,18 @@ def test_aggregate_requires_a_tilde_for_weighted_sum():
     g = build_graph([(0, 1)], 2)
     with pytest.raises(ValidationError):
         aggregate("weighted_sum", g, np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("kind", AGGREGATORS)
+def test_aggregators_refuse_weighted_or_self_looped_graphs(kind):
+    g = build_graph([(0, 1), (1, 2)], 3)
+    at = normalize_with_self_loops(g)
+    weighted = SparseGraph(3, g.indptr, g.indices, np.full(g.indices.size, 0.5))
+    for bad in (weighted, at, replace(at, values=None)):
+        with pytest.raises(ValidationError, match="binary graph without self-loops"):
+            aggregator(kind, bad, at)
+        with pytest.raises(ValidationError, match="binary graph without self-loops"):
+            aggregate(kind, bad, np.zeros((3, 2)), at)
 
 
 def _adjoint_graph(name):
@@ -638,6 +682,16 @@ def test_max_aggregator_slot_count_minimizes_iterations(preset):
     assert len(op.slots) + len(op.hubs) == min(steps)
 
 
+def test_max_aggregator_on_weighted_graph_is_structural(soft_preset):
+    s, x, _ = soft_preset
+    rng = np.random.default_rng(530)
+    z = np.round(np.column_stack([x, rng.standard_normal((s.n_nodes, 8))]), 1)
+    g_y = rng.standard_normal(z.shape)
+    got, want = MaxAggregator(s), MaxAggregator(replace(s, values=None))
+    assert got.forward(z).tobytes() == want.forward(z).tobytes()
+    assert got.backward(g_y).tobytes() == want.backward(g_y).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # row_normalize
 # ---------------------------------------------------------------------------
@@ -792,3 +846,10 @@ def test_homophily_no_eligible_node():
     g = build_graph([], 3)
     with pytest.raises(ValidationError):
         homophily_ratio(g, np.array([0, 1, 0]))
+
+
+def test_homophily_ratio_of_weighted_graph_is_structural(soft_preset):
+    s, _, labels = soft_preset
+    want = homophily_ratio(replace(s, values=None), labels)
+    assert homophily_ratio(s, labels) == want
+    assert 0.0 < want < 1.0

@@ -214,6 +214,38 @@ def test_gradient_matches_finite_differences(lam):
         assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
 
 
+@pytest.mark.parametrize("use_agg_loss", [True, False])
+def test_total_loss_and_gradient_match_the_training_kernel(use_agg_loss):
+    """Both follow the ablation flag with the bits of the kernel train() runs."""
+    from amlp.model import _TrainingKernel
+
+    _, x, w, p_mat, at = random_setup(25, 5, 3, seed=23)
+    cfg = AMLPConfig(lambda_=0.3, hidden_dim=3, use_agg_loss=use_agg_loss)
+    kernel = _TrainingKernel.from_p(
+        p_mat, x, at, w.shape[1], cfg.lambda_, cfg.eps_norm, use_agg_loss
+    )
+    want = kernel.loss_and_grad(w)
+    assert total_loss(p_mat, x, w, at, cfg) == want[:3]
+    assert _same_bits(gradient(p_mat, x, w, at, cfg), want[3])
+    total, la, lr_ = want[:3]
+    assert la > 0.0 and total == (la if use_agg_loss else 0.0) + cfg.lambda_ * lr_
+
+
+def test_ablated_gradient_matches_finite_differences():
+    for seed in range(3):
+        rng = np.random.default_rng(140 + seed)
+        n, d, c = int(rng.integers(8, 16)), int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        _, x, _, p_mat, at = random_setup(n, d, c, seed=150 + seed)
+        w = init_weights(d, c, seed) * 2.0
+        cfg = AMLPConfig(lambda_=1.0, use_agg_loss=False)
+        analytic = gradient(p_mat, x, w, at, cfg)
+        numeric = fd_gradient(p_mat, x, w, at, cfg)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+        assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
+        full = gradient(p_mat, x, w, at, replace(cfg, use_agg_loss=True))
+        assert not np.allclose(analytic, full)
+
+
 def test_gradient_rec_matches_dense_path():
     # decoder gradient through the dense N x N formulation as an oracle
     g, x, w, p_mat, at = random_setup(20, 5, 3, seed=40)
@@ -1057,6 +1089,7 @@ class _RecordingCsr:
 
     def __init__(self, a):
         self.a, self.widths = a, []
+        self.data, self.indices, self.indptr = a.data, a.indices, a.indptr
 
     def __matmul__(self, block):
         self.widths.append(block.shape[1])
@@ -1068,16 +1101,22 @@ class _RecordingCsr:
 @pytest.mark.parametrize("width", [1, 3])
 def test_hops_by_column_block_match_propagate(monkeypatch, kind, k, width):
     """graph._propagate_into, the k-hop loop of both training forms, runs
-    c = 8 columns in blocks of ``width`` (so the last block is narrower), k
-    products each, and with the bits of the whole products writes S~^k Z
-    into ``out``, through the P form's propagate and in place over Z, and
-    adds S~^k H to E as the hidden form's backward does."""
+    c = 8 columns in blocks of ``width`` (so the last block is narrower), or
+    of the columns that the CSR's bytes fill if they are more, k products
+    each, and with the bits of the whole products writes S~^k Z into
+    ``out``, through the P form's propagate and in place over Z, and adds
+    S~^k H to E as the hidden form's backward does."""
     from amlp import graph
 
     x, st, _ = _hidden_form_instance(kind)
     n, c = x.shape[0], 8
     monkeypatch.setattr(graph, "_HOP_BYTES", 8 * n * width)
     a = st.to_scipy()
+    # kind "isolated" has a 956-byte CSR, more than one 320-byte column: at
+    # width 1 the blocks are the CSR's 2 columns
+    csr_columns = (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes) // (8 * n)
+    assert csr_columns == {"isolated": 2, "empty": 0}[kind]
+    width = max(width, csr_columns)
 
     def whole(m):
         for _ in range(k):

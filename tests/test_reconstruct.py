@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,6 +215,25 @@ def test_soft_stats_consistent_with_hard():
     assert hard_stats.candidates_scored == soft_stats.candidates_scored
     assert hard_stats.edges_kept == soft_stats.edges_kept
     assert np.isclose(hard_stats.mean_score, soft_stats.mean_score)
+
+
+@pytest.mark.parametrize("policy", ["original_edges", "all_pairs"])
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_reconstruction_of_weighted_graph_reads_its_structure(soft_preset, policy, mode):
+    """Reconstructing a weighted S scores its neighbor structure alone, as
+    it scores that of the binary graph with S's edges."""
+    s, x, _ = soft_preset
+    cfg = ReconstructionConfig(candidate_policy=policy, mode=mode)
+    fn = reconstruct_soft if mode == "soft" else reconstruct_hard
+    got, got_stats = fn(s, x, cfg)
+    want, want_stats = fn(replace(s, values=None), x, cfg)
+    assert got_stats == want_stats
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    if mode == "soft":
+        assert got.values.tobytes() == want.values.tobytes()
+    else:
+        assert got.values is None and want.values is None
 
 
 # ---------------------------------------------------------------------------
