@@ -39,12 +39,7 @@ from .graph import (
     row_normalize,
 )
 from .model import AMLPConfig, exp1_train, train
-from .reconstruct import (
-    CANDIDATE_POLICIES,
-    ReconstructionConfig,
-    reconstruct_hard,
-    reconstruct_soft,
-)
+from .reconstruct import CANDIDATE_POLICIES, ReconstructionConfig, reconstruct
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("sbm", help="generate a synthetic SBM dataset dir")
-    p.add_argument("--preset", choices=["homophilic", "heterophilic"], required=True)
+    p.add_argument("--preset", choices=list(synth.PRESETS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-nodes", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -90,14 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emb", required=True, help="embeddings CSV")
     p.add_argument("--k", type=int, default=None, help="cluster count (default: meta num_classes)")
     p.add_argument("--seeds", type=int, default=1, help="number of K-means seeds")
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, default=evaluate.KMEANS_RESTARTS)
     p.add_argument("--out", default=None, help="metrics JSON path (default: stdout only)")
 
     p = sub.add_parser("classify", help="linear probe on frozen embeddings")
     p.add_argument("--data", required=True)
     p.add_argument("--emb", required=True)
-    p.add_argument("--ratios", default="0.48,0.32,0.20", help="train,val,test fractions")
-    p.add_argument("--n-splits", type=int, default=10)
+    p.add_argument("--ratios", default=",".join(map(str, evaluate.SPLIT_RATIOS)), help="train,val,test fractions")
+    p.add_argument("--n-splits", type=int, default=evaluate.N_SPLITS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
@@ -110,11 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--aggregator", choices=list(AGGREGATORS) + ["all"], default="all")
     p.add_argument("--with-agg-loss", choices=["true", "false", "both"], default="both")
-    p.add_argument("--lambda", dest="lambda_", type=float, default=0.1)
+    p.add_argument("--lambda", dest="lambda_", type=float, default=AMLPConfig.lambda_)
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=int, default=AMLPConfig.epochs)
     p.add_argument("--hidden-dim", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--learning-rate", type=float, default=AMLPConfig.learning_rate)
     p.add_argument("--out", required=True, help="CSV of Dr values")
 
     return parser
@@ -179,11 +174,8 @@ def _cmd_prep(args) -> int:
 
 def _cmd_sbm(args) -> int:
     _check_out_dir(args.out)
-    preset = synth.homophilic_preset if args.preset == "homophilic" else synth.heterophilic_preset
-    overrides = {}
-    if args.n_nodes is not None:
-        overrides["n_nodes"] = args.n_nodes
-    spec = preset(seed=args.seed, **overrides)
+    overrides = {} if args.n_nodes is None else {"n_nodes": args.n_nodes}
+    spec = synth.preset(args.preset, seed=args.seed, **overrides)
     g, x, labels = synth.generate_dataset(spec)
     dataio.save_dataset(args.out, g, x, labels, name=f"sbm-{args.preset}-{args.seed}")
     print(
@@ -203,7 +195,6 @@ def _cmd_reconstruct(args) -> int:
         steepness=args.steepness,
     )
     g, x, labels = dataio.load_dataset(args.data)
-    reconstruct = reconstruct_soft if args.soft else reconstruct_hard
     s, stats = reconstruct(g, x, cfg)
     # in soft mode the dataset dir carries the full candidate support, and the
     # sigmoid weights go in a sidecar edge_weights.tsv (u, v, weight; u < v)
@@ -216,12 +207,7 @@ def _cmd_reconstruct(args) -> int:
         with open(os.path.join(args.out, "edge_weights.tsv"), "w") as f:
             dataio.write_rows(f, "%d\t%d\t%.9g\n", table)
     report = dataio.make_report(
-        config={
-            "epsilon": cfg.epsilon,
-            "candidate_policy": cfg.candidate_policy,
-            "mode": cfg.mode,
-            "steepness": cfg.steepness,
-        },
+        config=dataio.RunConfig.echo(cfg),
         seed=0,
         metrics=stats.as_dict(),
         wall_clock_seconds=time.perf_counter() - t0,
@@ -270,10 +256,7 @@ def _cmd_train(args) -> int:
                 acc = evaluate.hungarian_acc(res.assignments, labels)
             grid_rows.append(
                 {
-                    "k": cfg_s.k,
-                    "lambda": cfg_s.lambda_,
-                    "learning_rate": cfg_s.learning_rate,
-                    "seed": cfg_s.seed,
+                    **dataio.RunConfig.echo(cfg_s, [*dataio.RunConfig.grid_axes(), "seed"]),
                     "acc": acc,
                     "final_loss": float(report.losses_total[-1]),
                 }
@@ -380,7 +363,7 @@ def _cmd_diagnose(args) -> int:
         "n_nodes": g.n_nodes,
         "n_edges": g.n_edges,
     }
-    if (labels >= 0).any() and (g.degrees() > 0).any():
+    if ((labels >= 0) & (g.degrees() > 0)).any():
         metrics["homophily_ratio"] = homophily_ratio(g, labels)
     if args.emb:
         y_hat = _load_embeddings(args.emb, g.n_nodes)

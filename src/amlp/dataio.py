@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .evaluate import KMEANS_RESTARTS
 from .graph import SparseGraph, build_graph, check_features, check_labels
 from .model import AMLPConfig, AMLPModel, config_as_dict, config_keys
 from .reconstruct import ReconstructionConfig
@@ -117,9 +118,10 @@ def _read_config(cls, raw: dict, source):
 
 @dataclass
 class RunConfig:
-    """Flat bag of pipeline settings; k / lambda / learning_rate may be lists,
-    in which case the trainer runs the grid. The fields that AMLPConfig or
-    ReconstructionConfig also declare take their defaults from there."""
+    """Flat bag of pipeline settings; the grid keys, whose declared type
+    admits a list, may be lists, in which case the trainer runs the grid. The
+    fields that AMLPConfig or ReconstructionConfig also declare take their
+    defaults from there."""
 
     k: int | list = AMLPConfig.k
     lambda_: float | list = AMLPConfig.lambda_
@@ -133,7 +135,7 @@ class RunConfig:
     candidate_policy: str = ReconstructionConfig.candidate_policy
     mode: str = ReconstructionConfig.mode
     steepness: float = ReconstructionConfig.steepness
-    kmeans_restarts: int = 10
+    kmeans_restarts: int = KMEANS_RESTARTS
     n_seeds: int = 1
     output: str | None = None
 
@@ -162,29 +164,39 @@ class RunConfig:
         mine = {f.name for f in fields(self)}
         return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in mine}
 
-    def grid(self) -> list[tuple["AMLPConfig", "ReconstructionConfig"]]:
-        """Expand list-valued keys into the cartesian product of settings."""
-        def as_list(v):
-            return list(v) if isinstance(v, (list, tuple)) else [v]
+    @classmethod
+    def grid_axes(cls) -> dict:
+        """Name -> scalar type of each grid key: each field whose declared
+        type admits a list, in declaration order."""
+        hints = {name: typing.get_args(t) for name, t in typing.get_type_hints(cls).items()}
+        return {name: args[0] for name, args in hints.items() if list in args}
 
-        # the casts keep an integer learning rate in JSON a float (1.0) in
-        # checkpoint.json
+    @classmethod
+    def echo(cls, cfg, names=None) -> dict:
+        """The fields of ``cfg`` named in ``names``, by default those RunConfig
+        declares, under their JSON keys: what a report repeats of ``cfg``."""
+        names = names or config_keys(cls).values()
+        return {k: getattr(cfg, n) for k, n in config_keys(type(cfg)).items() if n in names}
+
+    def grid(self) -> list[tuple["AMLPConfig", "ReconstructionConfig"]]:
+        """Expand list-valued keys into the cartesian product of settings,
+        each value cast to its key's scalar type: an integer learning rate in
+        JSON stays a float (1.0) in checkpoint.json."""
+        axes = self.grid_axes()
+        values = [getattr(self, name) for name in axes]
+        lists = [v if isinstance(v, (list, tuple)) else [v] for v in values]
         amlp = self._shared(AMLPConfig)
         recon = self._shared(ReconstructionConfig)
         return [
             (
-                AMLPConfig(
-                    **{**amlp, "k": int(k), "lambda_": float(lam), "learning_rate": float(lr)}
-                ),
+                AMLPConfig(**{**amlp, **{n: t(v) for (n, t), v in zip(axes.items(), combo)}}),
                 ReconstructionConfig(**recon),
             )
-            for k, lam, lr in itertools.product(
-                as_list(self.k), as_list(self.lambda_), as_list(self.learning_rate)
-            )
+            for combo in itertools.product(*lists)
         ]
 
     def is_grid(self) -> bool:
-        return any(isinstance(getattr(self, a), (list, tuple)) for a in ("k", "lambda_", "learning_rate"))
+        return any(isinstance(getattr(self, name), (list, tuple)) for name in self.grid_axes())
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ from .errors import ValidationError
 from .graph import SparseGraph, check_labels, row_normalize
 from .model import AdamState, _adam_scratch, adam_step
 
+KMEANS_RESTARTS = 10
+SPLIT_RATIOS = (0.48, 0.32, 0.20)
+N_SPLITS = 10
+
 
 @dataclass
 class ClusterResult:
@@ -177,7 +181,7 @@ def kmeans(
     x: np.ndarray,
     k: int,
     seed: int = 0,
-    restarts: int = 10,
+    restarts: int = KMEANS_RESTARTS,
     max_iter: int = 300,
 ) -> ClusterResult:
     """K-means with k-means++ seeding; best inertia over restarts.
@@ -346,8 +350,8 @@ def _largest_remainder(total: int, ratios: np.ndarray) -> np.ndarray:
 
 def make_splits(
     labels: np.ndarray,
-    ratios: tuple[float, float, float] = (0.48, 0.32, 0.20),
-    n_splits: int = 10,
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
+    n_splits: int = N_SPLITS,
     seed: int = 0,
 ) -> SplitSet:
     """Stratified random (train, val, test) partitions of the labeled nodes.

@@ -45,12 +45,7 @@ from .graph import (
     _propagate_into,
     _row_normalize_into,
 )
-from .reconstruct import (
-    ReconstructionConfig,
-    ReconstructionStats,
-    reconstruct_hard,
-    reconstruct_soft,
-)
+from .reconstruct import ReconstructionConfig, ReconstructionStats, reconstruct
 
 # Early-stop rule for "train until convergence": relative total-loss change
 # below EARLY_STOP_REL_TOL for EARLY_STOP_PATIENCE consecutive epochs.
@@ -139,14 +134,16 @@ class AMLPModel:
     config: AMLPConfig
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros_like(cls, w: np.ndarray) -> "AdamState":
@@ -190,14 +187,20 @@ def init_weights(d: int, c: int, seed: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(d, c))
 
 
-def forward(p: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Y = (P + X) W, the propagated projection plus the raw-information term."""
+def _checked_p_x(p, x, w) -> tuple[np.ndarray, np.ndarray]:
+    """P and X as float64 arrays, after checking that P, X and W agree in shape."""
     p = np.asarray(p, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if p.shape != x.shape:
         raise ValidationError(f"P shape {p.shape} != X shape {x.shape}")
     if w.shape[0] != x.shape[1]:
         raise ValidationError(f"W has {w.shape[0]} rows, features have {x.shape[1]} columns")
+    return p, x
+
+
+def forward(p: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Y = (P + X) W, the propagated projection plus the raw-information term."""
+    p, x = _checked_p_x(p, x, w)
     return (p + x) @ w
 
 
@@ -222,6 +225,10 @@ class _Decoder:
     its own, and grad() writes dL_rec/dY into it."""
 
     def __init__(self, a_tilde: SparseGraph, n: int, c: int, eps_norm: float):
+        if not a_tilde.self_loops:
+            raise ValidationError("loss_rec expects the self-loop normalization")
+        if n != a_tilde.n_nodes:
+            raise ValidationError("embedding row count does not match adjacency")
         self.a_sp = a_tilde.to_scipy()
         self.a_frob2 = float(np.sum(a_tilde.values**2))
         self.eps_norm = eps_norm
@@ -275,11 +282,14 @@ def loss_rec(
 ) -> float:
     """Inner-product decoder loss ||Yh Yh^T - A||_F^2 / N^2, never forming N x N."""
     y = np.asarray(y, dtype=np.float64)
-    if not a_tilde.self_loops:
-        raise ValidationError("loss_rec expects the self-loop normalization")
-    if y.shape[0] != a_tilde.n_nodes:
-        raise ValidationError("embedding row count does not match adjacency")
     return _Decoder(a_tilde, *y.shape, eps_norm).loss(y)
+
+
+def _p_kernel(p, x, w, a_tilde: SparseGraph, cfg: AMLPConfig) -> "_TrainingKernel":
+    """train()'s P-form kernel for ``cfg`` and a W of any width, after the
+    checks of forward; _Decoder makes those of loss_rec."""
+    p, x = _checked_p_x(p, x, w)
+    return _TrainingKernel.from_p(p, x, a_tilde, replace(cfg, hidden_dim=w.shape[1]))
 
 
 def total_loss(
@@ -290,9 +300,7 @@ def total_loss(
     cfg: AMLPConfig,
 ) -> tuple[float, float, float]:
     """(L, L_agg, L_rec), L = L_agg + lambda * L_rec; L_agg only under use_agg_loss."""
-    la = loss_agg(p, x, w)
-    lr = loss_rec(forward(p, x, w), a_tilde, cfg.eps_norm)
-    return (la if cfg.use_agg_loss else 0.0) + cfg.lambda_ * lr, la, lr
+    return _p_kernel(p, x, w, a_tilde, cfg).loss_and_grad(w)[:3]
 
 
 def gradient(
@@ -307,10 +315,7 @@ def gradient(
     The aggregation term, if on, contributes 2 M W with M = (P-X)^T (P-X);
     the decoder term is chained through row normalization and Y = (P+X) W.
     """
-    p = np.asarray(p, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    loss_args = (a_tilde, w.shape[1], cfg.lambda_, cfg.eps_norm, cfg.use_agg_loss)
-    return _TrainingKernel.from_p(p, x, *loss_args).loss_and_grad(w)[3]
+    return _p_kernel(p, x, w, a_tilde, cfg).loss_and_grad(w)[3]
 
 
 def adam_step(
@@ -343,18 +348,18 @@ def adam_step(
         # the textbook update m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
         # w - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) in its operand
         # order; each output is written after the last read of what it replaces
-        np.multiply(1.0 - state.beta1, g, out=s_r)
-        np.multiply(state.beta1, state.m[r], out=m_r)
+        np.multiply(1.0 - ADAM_BETA1, g, out=s_r)
+        np.multiply(ADAM_BETA1, state.m[r], out=m_r)
         m_r += s_r
-        np.multiply(state.beta2, state.v[r], out=s_r)
-        np.multiply(1.0 - state.beta2, g, out=v_r)
+        np.multiply(ADAM_BETA2, state.v[r], out=s_r)
+        np.multiply(1.0 - ADAM_BETA2, g, out=v_r)
         v_r *= g
         v_r += s_r
-        np.divide(m_r, 1.0 - state.beta1**t, out=s_r)
+        np.divide(m_r, 1.0 - ADAM_BETA1**t, out=s_r)
         s_r *= lr
-        np.divide(v_r, 1.0 - state.beta2**t, out=u_r)
+        np.divide(v_r, 1.0 - ADAM_BETA2**t, out=u_r)
         np.sqrt(u_r, out=u_r)
-        u_r += state.eps
+        u_r += ADAM_EPS
         np.divide(s_r, u_r, out=s_r)
         np.subtract(w[r], s_r, out=w_new[r])
     return w_new, replace(state, m=m, v=v, step=t)
@@ -373,7 +378,7 @@ class _TrainingKernel:
     Y = B W, or Y = agg(B W) under a nonlinear aggregator operator ``agg``;
     L_agg = ||D W||^2 = sum(W * M W) with the d x d matrix M = D^T D, or no
     aggregation term when ``m`` is None. train()'s P form (from_p) weighs
-    the terms (1 or 0, lambda) with B = P + X and D = P - X; its hidden form
+    the terms by term_weights(cfg) with B = P + X and D = P - X; its hidden form
     is the subclass _HiddenKernel. exp1_train weighs them
     (lambda or 0, 1) with B = M X for a linear aggregator M, or B = X under
     max, and D = A X - X.
@@ -392,16 +397,21 @@ class _TrainingKernel:
         self.mw = None if m is None else np.empty((d, c))
         self.grad = np.empty((d, c))
 
+    @staticmethod
+    def term_weights(cfg: AMLPConfig) -> tuple[float, float]:
+        """train()'s (a, r): 1, or 0 under the use_agg_loss ablation, and lambda."""
+        return 1.0 if cfg.use_agg_loss else 0.0, cfg.lambda_
+
     @classmethod
-    def from_p(cls, p, x, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
-        """The kernel of train(): B = P + X and M = (P-X)^T(P-X), weighed
-        (1 or 0, lambda). Set-up holds one N x d array besides ``p`` and
-        ``x``: B is written into the buffer of P - X once M is formed from it.
-        ``p`` is only read."""
+    def from_p(cls, p, x, a_tilde, cfg: AMLPConfig):
+        """The kernel of train() for ``cfg``: B = P + X and M = (P-X)^T(P-X),
+        weighed by term_weights(cfg), with c = cfg.hidden_dim. Set-up holds one
+        N x d array besides ``p`` and ``x``: B is written into the buffer of
+        P - X once M is formed from it. ``p`` is only read."""
         diff = p - x
         m = diff.T @ diff
         b = np.add(p, x, out=diff)
-        return cls(b, m, a_tilde, c, 1.0 if use_agg_loss else 0.0, lambda_, eps_norm)
+        return cls(b, m, a_tilde, cfg.hidden_dim, *cls.term_weights(cfg), cfg.eps_norm)
 
     def forward(self, w: np.ndarray) -> np.ndarray:
         """Y = B W in the Yh buffer, or agg(B W)."""
@@ -430,8 +440,7 @@ class _TrainingKernel:
                 np.matmul(self.b.T, g_y, out=g)
             else:
                 btg = np.matmul(self.b.T, g_y, out=mw)  # MW is spent by now
-                if self.r != 1.0:
-                    np.multiply(self.r, btg, out=btg)
+                np.multiply(self.r, btg, out=btg)
                 np.add(g, btg, out=g)
         total = (self.a * la if self.a else 0.0) + self.r * lr_
         return total, la, lr_, g
@@ -469,7 +478,7 @@ class _TrainingKernel:
 class _HiddenKernel(_TrainingKernel):
     """train()'s kernel in the hidden form, which propagates after
     projecting: Z = X W, Y = S^k Z + Z and L_agg = ||D_W||^2 with
-    D_W = S^k Z - Z, weighed (1 or 0, lambda) as from_p weighs them. It holds
+    D_W = S^k Z - Z, weighed by term_weights(cfg) as from_p weighs them. It holds
     X and S = S~ as a scipy CSR matrix, never P = S^k X, B or M. As S is
     symmetric, dL/dW = X^T (S^k H + r G_Y - 2a D_W) with H = 2a D_W + r G_Y.
 
@@ -482,12 +491,12 @@ class _HiddenKernel(_TrainingKernel):
     grad, whose A Yh is dropped once H and E exist. X^T E goes into the Yh
     buffer, dead until the next forward, unless d > N."""
 
-    def __init__(self, x, s_tilde, k, a_tilde, c, lambda_, eps_norm, use_agg_loss=True):
+    def __init__(self, x, s_tilde, a_tilde, cfg: AMLPConfig):
         super().__init__(
-            x, None, a_tilde, c, 1.0 if use_agg_loss else 0.0, lambda_, eps_norm
+            x, None, a_tilde, cfg.hidden_dim, *self.term_weights(cfg), cfg.eps_norm
         )
-        self.s, self.k = s_tilde.to_scipy(), k
-        self.d_w = np.empty((x.shape[0], c))
+        self.s, self.k = s_tilde.to_scipy(), cfg.k
+        self.d_w = np.empty((x.shape[0], cfg.hidden_dim))
         if x.shape[1] <= x.shape[0]:
             self.grad = self.decoder.y_hat.ravel()[: self.grad.size].reshape(self.grad.shape)
 
@@ -503,15 +512,10 @@ class _HiddenKernel(_TrainingKernel):
         lr_ = self.decoder.loss(y)
         # D_W's buffer becomes E = r G_Y - 2a D_W, G's takes H once G is spent
         e, h = np.multiply(2.0 * self.a, d_w, out=d_w), self.decoder.g_yhat
-        if self.r:
-            g_y = self.decoder.grad()
-            if self.r != 1.0:
-                np.multiply(self.r, g_y, out=g_y)
-            np.add(e, g_y, out=h)
-            np.subtract(g_y, e, out=e)
-        else:
-            np.copyto(h, e)
-            np.negative(e, out=e)
+        g_y = self.decoder.grad()
+        np.multiply(self.r, g_y, out=g_y)
+        np.add(e, g_y, out=h)
+        np.subtract(g_y, e, out=e)
         self.decoder.ay = g_y = None  # A Yh is spent; the hops' blocks come next
         _propagate_into(self.s, h, self.k, e, add=True)
         np.matmul(self.b.T, e, out=self.grad)
@@ -539,15 +543,13 @@ def train(
         raise ValidationError("training needs at least 2 nodes")
     x = check_features(x, g.n_nodes)
     t0 = time.perf_counter()
-    reconstruct = reconstruct_hard if recon_cfg.mode == "hard" else reconstruct_soft
     s, stats = reconstruct(g, x, recon_cfg)
     s_tilde = normalize_no_self_loops(s)
     a_tilde = normalize_with_self_loops(g)
-    loss_args = (a_tilde, cfg.hidden_dim, cfg.lambda_, cfg.eps_norm, cfg.use_agg_loss)
     if _propagates_hidden(*x.shape, cfg.k, s_tilde.indices.size):
-        kernel = _HiddenKernel(x, s_tilde, cfg.k, *loss_args)
+        kernel = _HiddenKernel(x, s_tilde, a_tilde, cfg)
     else:  # P = S~^k X is dropped once B and M exist
-        kernel = _TrainingKernel.from_p(propagate(s_tilde, x, cfg.k), x, *loss_args)
+        kernel = _TrainingKernel.from_p(propagate(s_tilde, x, cfg.k), x, a_tilde, cfg)
     del s, s_tilde  # S~ keeps its CSR, which only the hidden kernel needs from here
     w, y_hat, losses, early_stopped = kernel.fit(cfg)
     del kernel  # B and M or D_W's buffer, and the epoch buffers; Yh outlives them
@@ -575,7 +577,7 @@ def exp1_train(
     x: np.ndarray,
     aggregator: str,
     use_agg_loss: bool,
-    lambda_: float = 0.1,
+    lambda_: float = AMLPConfig.lambda_,
     cfg: AMLPConfig | None = None,
 ) -> tuple[float, np.ndarray]:
     """Train the autoencoder variant Y = agg(X W) and report Dirichlet energy.

@@ -417,3 +417,8 @@ def reconstruct_soft(
     x = check_features(x, g.n_nodes)
     u, v, w, stats = _scored_pairs(g, x, cfg)
     return _graph_from_sorted_pairs(g.n_nodes, u, v, w), stats
+
+
+def reconstruct(g: SparseGraph, x: np.ndarray, cfg: ReconstructionConfig):
+    """reconstruct_hard or reconstruct_soft, as cfg.mode names, looked up at each call."""
+    return (reconstruct_hard if cfg.mode == "hard" else reconstruct_soft)(g, x, cfg)

@@ -6,7 +6,7 @@ the scale of small web-graph benchmarks while keeping runtimes in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,36 +36,28 @@ class SbmSpec:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
+# name -> the SbmSpec fields each preset sets; the rest keep their defaults.
+# Homophilic: mostly intra-class edges at web-graph sparsity (mean degree ~4,
+# like the small university webgraphs); heterophilic: sparse intra-class,
+# dense inter-class. Features are noisy enough that raw feature clustering is
+# weak and the graph carries the class signal.
+PRESETS = {
+    "homophilic": dict(n_nodes=400, n_classes=4, p_in=0.03, p_out=0.003, noise_sigma=0.8),
+    "heterophilic": dict(n_nodes=400, n_classes=4, p_in=0.01, p_out=0.10, noise_sigma=0.8),
+}
+
+
+def preset(name: str, seed: int = 0, **overrides) -> SbmSpec:
+    """The spec of the preset ``name`` with ``seed`` and the given fields overridden."""
+    return SbmSpec(**{**PRESETS[name], "seed": seed, **overrides})
+
+
 def homophilic_preset(seed: int = 0, **overrides) -> SbmSpec:
-    """Mostly intra-class edges at web-graph sparsity (mean degree ~4, like
-    the small university webgraphs); features noisy enough that raw feature
-    clustering is weak and the graph carries the class signal."""
-    spec = SbmSpec(
-        n_nodes=400,
-        n_classes=4,
-        p_in=0.03,
-        p_out=0.003,
-        feature_dim=16,
-        class_separation=1.0,
-        noise_sigma=0.8,
-        seed=seed,
-    )
-    return replace(spec, **overrides) if overrides else spec
+    return preset("homophilic", seed, **overrides)
 
 
 def heterophilic_preset(seed: int = 0, **overrides) -> SbmSpec:
-    """Sparse intra-class / dense inter-class."""
-    spec = SbmSpec(
-        n_nodes=400,
-        n_classes=4,
-        p_in=0.01,
-        p_out=0.10,
-        feature_dim=16,
-        class_separation=1.0,
-        noise_sigma=0.8,
-        seed=seed,
-    )
-    return replace(spec, **overrides) if overrides else spec
+    return preset("heterophilic", seed, **overrides)
 
 
 def _class_sizes(n_nodes: int, n_classes: int) -> np.ndarray:

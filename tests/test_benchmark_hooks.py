@@ -187,6 +187,39 @@ def test_tracer_records_propagate_in_the_p_form_only():
     assert propagate[2] <= init[1]
 
 
+def test_tracer_records_one_reconstruction_span_per_refinement(tmp_path):
+    """train() and amlp reconstruct refine through reconstruct.reconstruct,
+    which finds reconstruct_hard or reconstruct_soft among its module's
+    globals when called, so the tracer's rebinding of those two records each
+    run's one reconstruct.* span."""
+    from amlp import dataio
+    from amlp.reconstruct import ReconstructionConfig
+
+    tracing = _tracing()
+    rng = np.random.default_rng(5)
+    g = build_graph([(i, (i + 1) % 12) for i in range(12)] + [(3, 8)], 12)
+    x = rng.standard_normal((12, 5))
+    dataio.save_dataset(tmp_path / "data", g, x, np.arange(12) % 2)
+    cfg = amlp.model.AMLPConfig(hidden_dim=3, epochs=2)
+    runs = [
+        (lambda: amlp.model.train(g, x, cfg), "hard"),
+        (lambda: amlp.model.train(g, x, cfg, ReconstructionConfig(mode="soft")), "soft"),
+        (lambda: amlp.cli.main(["reconstruct", "--data", str(tmp_path / "data"),
+                                "--out", str(tmp_path / "hard")]), "hard"),
+        (lambda: amlp.cli.main(["reconstruct", "--data", str(tmp_path / "data"),
+                                "--out", str(tmp_path / "soft"), "--soft"]), "soft"),
+    ]
+    for run, mode in runs:
+        tracer = tracing.Tracer().install()
+        try:
+            out = run()
+        finally:
+            tracer.uninstall()
+        assert out == 0 or isinstance(out, tuple)  # an exit code or train()'s result
+        names = [s[0] for s in tracer.spans if s[0].startswith("reconstruct.")]
+        assert names == [f"reconstruct.reconstruct_{mode}"], (mode, names)
+
+
 def test_harness_selftest_passes():
     """``perfbench/run.py --selftest``: the harness arithmetic, its metric
     lists against BENCHMARK.json, and every workload at smoke shape, traced

@@ -213,16 +213,16 @@ def test_reconstruct_emits_dataset_and_stats(sbm_dir, tmp_path):
 def test_reconstruct_defaults_are_the_config_defaults(sbm_dir, tmp_path, monkeypatch):
     """amlp reconstruct retypes ReconstructionConfig's defaults as flag
     defaults; with no flags it runs that config."""
-    from amlp import cli
+    from amlp import reconstruct
 
     seen = []
-    real = cli.reconstruct_hard
+    real = reconstruct.reconstruct_hard
 
     def spy(g, x, cfg):
         seen.append(cfg)
         return real(g, x, cfg)
 
-    monkeypatch.setattr(cli, "reconstruct_hard", spy)
+    monkeypatch.setattr(reconstruct, "reconstruct_hard", spy)
     assert main(["reconstruct", "--data", str(sbm_dir), "--out", str(tmp_path / "r")]) == 0
     assert seen == [ReconstructionConfig()]
 
@@ -784,7 +784,7 @@ def test_unusable_out_path_refused_before_any_work(sbm_dir, tmp_path, capsys, mo
     def spy(name):
         return lambda *args, **kwargs: calls.append(name)
 
-    for name in ("exp1_train", "train", "reconstruct_hard", "reconstruct_soft"):
+    for name in ("exp1_train", "train", "reconstruct"):
         monkeypatch.setattr(cli, name, spy(name))
     monkeypatch.setattr(synth, "generate_dataset", spy("generate_dataset"))
     for name in ("load_dataset", "load_meta", "load_labels", "load_embeddings_csv",
@@ -836,3 +836,63 @@ def test_non_finite_loss_exits_2(sbm_dir, tmp_path, capsys, command):
     assert "agg=" in last and "rec=" in last, last
     # the error line is all a user sees: no numpy warning precedes it
     assert err == last + "\n" and [str(w.message) for w in caught] == [], (err, caught)
+
+
+def test_diagnose_skips_homophily_when_no_labeled_node_has_an_edge(tmp_path, capsys):
+    """Only unlabeled nodes have edges: diagnose reports the graph without a
+    homophily ratio, whose eligible nodes are the labeled ones with an edge."""
+    (tmp_path / "edges.txt").write_text("0 1\n")
+    (tmp_path / "feats.csv").write_text("1.0\n2.0\n3.0\n")
+    (tmp_path / "labels.csv").write_text("-1\n-1\n0\n")
+    data, diag = tmp_path / "data", tmp_path / "diag.json"
+    assert main(["prep", "--edges", str(tmp_path / "edges.txt"),
+                 "--features", str(tmp_path / "feats.csv"),
+                 "--labels", str(tmp_path / "labels.csv"), "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--data", str(data), "--out", str(diag)]) == 0
+    assert capsys.readouterr().out == "n_nodes: 3\nn_edges: 1\n"
+    assert json.loads(diag.read_text())["metrics"] == {"n_nodes": 3, "n_edges": 1}
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        ([], '{"epsilon": 0.001, "candidate_policy": "original_edges", "mode": "hard", '
+             '"steepness": 100.0}'),
+        (["--soft", "--steepness", "50", "--policy", "all_pairs"],
+         '{"epsilon": 0.001, "candidate_policy": "all_pairs", "mode": "soft", '
+         '"steepness": 50.0}'),
+    ],
+    ids=["hard", "soft"],
+)
+def test_reconstruction_report_config_echo(sbm_dir, tmp_path, flags, want):
+    """reconstruction.json echoes the settings a run config can set, in
+    ReconstructionConfig's order, and not all_pairs_cap."""
+    out = tmp_path / "r"
+    assert main(["reconstruct", "--data", str(sbm_dir), "--out", str(out), *flags]) == 0
+    assert json.dumps(json.loads((out / "reconstruction.json").read_text())["config"]) == want
+
+
+def test_train_report_config_echo_and_grid_rows(sbm_dir, tmp_path):
+    """report.json echoes the whole run config, and each grid row the grid
+    keys and the seed of its run, in AMLPConfig's order, then its scores."""
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(
+        {"k": [1, 2], "lambda": [0.1, 0.5], "n_seeds": 2, "hidden_dim": 4, "epochs": 5}
+    ))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(sbm_dir), "--out", str(out), "--config", str(cfg)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert json.dumps(report["config"]) == (
+        '{"k": [1, 2], "lambda": [0.1, 0.5], "hidden_dim": 4, "learning_rate": 0.001, '
+        '"epochs": 5, "seed": 0, "eps_norm": 1e-12, "early_stop": false, "epsilon": 0.001, '
+        '"candidate_policy": "original_edges", "mode": "hard", "steepness": 100.0, '
+        '"kmeans_restarts": 10, "n_seeds": 2, "output": null}'
+    )
+    assert all(isinstance(row["acc"], float) for row in report["grid"])
+    rows = [{**row, "acc": "A", "final_loss": "L"} for row in report["grid"]]
+    assert json.dumps(rows) == "[" + ", ".join(
+        f'{{"k": {k}, "lambda": {lam}, "learning_rate": 0.001, "seed": {seed}, '
+        '"acc": "A", "final_loss": "L"}'
+        for k in (1, 2) for lam in (0.1, 0.5) for seed in (0, 1)
+    ) + "]"

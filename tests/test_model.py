@@ -221,14 +221,31 @@ def test_total_loss_and_gradient_match_the_training_kernel(use_agg_loss):
 
     _, x, w, p_mat, at = random_setup(25, 5, 3, seed=23)
     cfg = AMLPConfig(lambda_=0.3, hidden_dim=3, use_agg_loss=use_agg_loss)
-    kernel = _TrainingKernel.from_p(
-        p_mat, x, at, w.shape[1], cfg.lambda_, cfg.eps_norm, use_agg_loss
-    )
+    kernel = _TrainingKernel.from_p(p_mat, x, at, cfg)
     want = kernel.loss_and_grad(w)
     assert total_loss(p_mat, x, w, at, cfg) == want[:3]
     assert _same_bits(gradient(p_mat, x, w, at, cfg), want[3])
     total, la, lr_ = want[:3]
     assert la > 0.0 and total == (la if use_agg_loss else 0.0) + cfg.lambda_ * lr_
+
+
+@pytest.mark.parametrize("fn", [total_loss, gradient])
+@pytest.mark.parametrize("bad", ["p-shape", "w-rows", "no-self-loops", "other-graph"])
+def test_total_loss_and_gradient_refuse_mismatched_inputs(fn, bad):
+    """Both make the checks of forward and loss_rec before any product."""
+    g, x, w, p_mat, at = random_setup(12, 4, 3, seed=24)
+    args = {
+        "p-shape": (p_mat[:-1], x, w, at),
+        "w-rows": (p_mat, x, w[:-1], at),
+        "no-self-loops": (p_mat, x, w, normalize_no_self_loops(g)),
+        "other-graph": (p_mat, x, w, random_setup(13, 4, 3, seed=25)[4]),
+    }[bad]
+    message = {
+        "p-shape": "P shape", "w-rows": "W has 3 rows", "no-self-loops": "self-loop normalization",
+        "other-graph": "row count does not match adjacency",
+    }[bad]
+    with pytest.raises(ValidationError, match=message):
+        fn(*args, AMLPConfig(hidden_dim=3))
 
 
 def test_ablated_gradient_matches_finite_differences():
@@ -659,11 +676,12 @@ def _ref_chain_row_normalize(g_yhat, y_hat, norms, nz):
 
 def _ref_adam_step(state, w, grad, lr):
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    w_new = w - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = beta1 * state.m + (1.0 - beta1) * grad
+    v = beta2 * state.v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    w_new = w - lr * m_hat / (np.sqrt(v_hat) + eps)
     return w_new, AdamState(m=m, v=v, step=t)
 
 
@@ -736,7 +754,10 @@ def test_workspace_kernel_matches_reference_bitwise(lambda_, use_agg_loss, zero_
     x, w, p_mat, at = _kernel_setup(zero_rows)
     if zero_rows:
         assert not np.linalg.norm((p_mat + x) @ w, axis=1).all()
-    kernel = _TrainingKernel.from_p(p_mat, x, at, w.shape[1], lambda_, 1e-12, use_agg_loss)
+    kernel = _TrainingKernel.from_p(
+        p_mat, x, at,
+        AMLPConfig(lambda_=lambda_, hidden_dim=w.shape[1], eps_norm=1e-12, use_agg_loss=use_agg_loss),
+    )
     got = kernel.loss_and_grad(w)
     want = _ref_loss_and_grad(p_mat, x, at, w, lambda_, use_agg_loss)
     assert got[:3] == want[:3]
@@ -791,7 +812,7 @@ def test_epoch_allocates_only_the_sparse_product(epoch_peak):
 
     n, d, c = 2000, 8, 16
     _, x, w, p_mat, at = random_setup(n, d, c, seed=130, p=0.002)
-    kernel = _TrainingKernel.from_p(p_mat, x, at, c, 0.1, 1e-12)
+    kernel = _TrainingKernel.from_p(p_mat, x, at, AMLPConfig(lambda_=0.1, hidden_dim=c, eps_norm=1e-12))
     peak = epoch_peak(kernel, w)
     # A Yh is the one N x c array an epoch allocates; Adam writes into W,
     # m, v and the two scratch chunks. The divisions by the row norms are
@@ -809,7 +830,9 @@ def test_hidden_epoch_allocates_the_sparse_product_and_two_blocks(epoch_peak):
 
     n, d, c = 2000, 8, 512
     g, x, w, _, at = random_setup(n, d, c, seed=131, p=0.002)
-    kernel = _HiddenKernel(x, normalize_no_self_loops(g), 2, at, c, 0.1, 1e-12)
+    kernel = _HiddenKernel(
+        x, normalize_no_self_loops(g), at, AMLPConfig(k=2, lambda_=0.1, hidden_dim=c, eps_norm=1e-12)
+    )
     block = 8 * n * min(c, max(1, _HOP_BYTES // (8 * n)))
     assert 4 * block < n * c * 8  # a block is a small share of Z's columns
     peak = epoch_peak(kernel, w)
@@ -973,7 +996,9 @@ def test_kernel_leaves_p_alone():
 
     x, w, p_mat, at = _isolated_zero_rows_setup()
     before = p_mat.copy()
-    kernel = _TrainingKernel.from_p(p_mat, x, at, w.shape[1], 0.1, 1e-12)
+    kernel = _TrainingKernel.from_p(
+        p_mat, x, at, AMLPConfig(lambda_=0.1, hidden_dim=w.shape[1], eps_norm=1e-12)
+    )
     assert _same_bits(p_mat, before)
     assert _same_bits(kernel.b, p_mat + x)
     assert not np.shares_memory(kernel.b, p_mat)
@@ -1050,8 +1075,9 @@ def test_hidden_kernel_matches_p_form(kind, k, lambda_, use_agg_loss):
     assert _propagates_hidden(n, d, k, st.indices.size)
     w = np.random.default_rng(171).standard_normal((d, c)) * 0.3
     before = x.copy()
-    hidden = _HiddenKernel(x, st, k, at, c, lambda_, 1e-12, use_agg_loss)
-    p_form = _TrainingKernel.from_p(propagate(st, x, k), x, at, c, lambda_, 1e-12, use_agg_loss)
+    cfg = AMLPConfig(k=k, lambda_=lambda_, hidden_dim=c, eps_norm=1e-12, use_agg_loss=use_agg_loss)
+    hidden = _HiddenKernel(x, st, at, cfg)
+    p_form = _TrainingKernel.from_p(propagate(st, x, k), x, at, cfg)
     y = p_form.forward(w).copy()
     assert _max_rel(hidden.forward(w), y) <= 1e-12
     if kind == "isolated":
@@ -1072,7 +1098,8 @@ def test_hidden_kernel_gradient_matches_finite_differences(lam):
         rng = np.random.default_rng(180 + seed)
         n, d, c = int(rng.integers(8, 16)), int(rng.integers(3, 7)), int(rng.integers(2, 4))
         g, x, w, _, at = random_setup(n, d, c, seed=190 + seed)
-        kernel = _HiddenKernel(x, normalize_no_self_loops(g), 1 + seed % 3, at, c, lam, 1e-12)
+        cfg = AMLPConfig(k=1 + seed % 3, lambda_=lam, hidden_dim=c, eps_norm=1e-12)
+        kernel = _HiddenKernel(x, normalize_no_self_loops(g), at, cfg)
         analytic = kernel.loss_and_grad(w)[3].copy()
         numeric = np.zeros_like(w)
         for idx in np.ndindex(*w.shape):
