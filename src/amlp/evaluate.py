@@ -84,14 +84,15 @@ def _sq_dists(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndar
     sets (A x k x c), as an A x k x N block; ``x_sq`` holds the squared row
     norms of x, computed once per k-means call.
 
-    np.matmul runs one (N x c)(c x k) GEMM per set, so each set's products
-    round exactly as ``x @ centroids[a].T`` does; one wide product over all
-    sets rounds differently on some shapes. ``-2p + |x|^2`` equals
-    ``|x|^2 - 2p`` bit for bit, and the k x N layout keeps the elementwise
-    passes and the argmin chain on rows of length N.
+    One (N x c)(c x A*k) product serves every set, so block a rounds as
+    columns a*k to (a+1)*k of ``x @ centroids.reshape(-1, c).T`` do, and a
+    single set as ``x @ centroids[0].T`` (k-means++ seeding relies on this).
+    ``-2p + |x|^2`` equals ``|x|^2 - 2p`` bit for bit, and the k x N layout
+    keeps the elementwise passes and the argmin chain on rows of length N.
     """
-    prod = np.matmul(x, centroids.transpose(0, 2, 1))
-    d2 = np.multiply(prod.transpose(0, 2, 1), -2.0, order="C")
+    sets, k, c = centroids.shape
+    prod = x @ centroids.reshape(-1, c).T
+    d2 = np.multiply(prod.T, -2.0, order="C").reshape(sets, k, -1)
     d2 += x_sq
     d2 += np.einsum("aij,aij->ai", centroids, centroids)[:, :, None]
     return np.maximum(d2, 0.0, out=d2)
@@ -130,6 +131,21 @@ def _kmeanspp_init(
     return centroids
 
 
+def _cluster_means(x: np.ndarray, labels: np.ndarray, costs: np.ndarray, out: np.ndarray) -> None:
+    """Each cluster's exact mean into ``out``, in np.mean's arithmetic (row
+    sum, then / count) without its overhead. An empty cluster seizes the
+    costliest point; zeroing its cost keeps a later one from seizing it."""
+    for j in range(out.shape[0]):
+        members = np.flatnonzero(labels == j)
+        if members.size:
+            out[j] = x.take(members, axis=0).sum(axis=0) / members.size
+        else:
+            far = int(costs.argmax())
+            out[j] = x[far]
+            labels[far] = j
+            costs[far] = 0.0
+
+
 def _lloyd(
     x: np.ndarray,
     centroids: np.ndarray,
@@ -140,34 +156,34 @@ def _lloyd(
     reaches a fixpoint.
 
     ``centroids`` (R x k x c) holds each restart's initial centroids and is
-    updated in place. The restarts advance together, one distance block per
-    iteration, and a restart drops out at its fixpoint. Returns (assignments
-    R x N, centroids, inertia_history), one history list per restart with one
-    entry per iteration (computed from that iteration's assignment).
+    updated in place. The A active restarts advance together: one distance
+    product per iteration, and one (A*k x N)(N x c) product of the one-hot
+    assignments with x, whose sums / counts are the next centroids. A restart
+    that empties a cluster, reaches its fixpoint or ``max_iter`` takes
+    ``_cluster_means`` instead, so it drops out with exact means. Returns
+    (assignments R x N, centroids, inertia_history), one history list per
+    restart with one entry per iteration, from that iteration's assignment.
     """
     if x_sq is None:
         x_sq = np.einsum("ij,ij->i", x, x)
-    restarts, k, _ = centroids.shape
-    assign = np.empty((restarts, x.shape[0]), dtype=np.intp)
+    restarts, k, c = centroids.shape
+    n = x.shape[0]
+    assign = np.empty((restarts, n), dtype=np.intp)
     history: list[list[float]] = [[] for _ in range(restarts)]
     active = list(range(restarts))
     for it in range(max_iter):
         new_assign, costs = _nearest(_sq_dists(x, x_sq, centroids[active]))
+        onehot = (new_assign[:, None] == np.arange(k)[:, None]).astype(np.float64)
+        counts = onehot.sum(axis=2)
+        sums = (onehot.reshape(-1, n) @ x).reshape(-1, k, c)
+        del onehot  # so it never meets the next iteration's distance block
         still = []
-        for new, point_costs, r in zip(new_assign, costs, active):
+        for new, point_costs, total, count, r in zip(new_assign, costs, sums, counts, active):
             history[r].append(float(point_costs.sum()))
-            for j in range(k):
-                members = np.flatnonzero(new == j)
-                if members.size:
-                    # np.mean's arithmetic (row sum, then / count) without its overhead
-                    centroids[r, j] = x.take(members, axis=0).sum(axis=0) / members.size
-                else:
-                    # deterministically seize the costliest point; zeroing its
-                    # cost keeps a later empty cluster from seizing it again
-                    far = int(point_costs.argmax())
-                    centroids[r, j] = x[far]
-                    new[far] = j
-                    point_costs[far] = 0.0
+            if it == max_iter - 1 or not count.all() or (it > 0 and np.array_equal(assign[r], new)):
+                _cluster_means(x, new, point_costs, centroids[r])
+            else:
+                np.divide(total, count[:, None], out=centroids[r])
             if it == 0 or not np.array_equal(assign[r], new):
                 assign[r] = new
                 still.append(r)
@@ -188,9 +204,11 @@ def kmeans(
 
     All randomness flows from one generator seeded with ``seed``: every
     restart's seeding is drawn first, then the restarts run together in
-    groups of max(1, c // k), so a group's distance block and assignments
-    take O(N * (c + k)) memory however many restarts there are. Results are
-    deterministic; ties between restarts keep the earlier one.
+    groups of A = max(1, c // k), so a group's distance and one-hot blocks,
+    A*k x N <= max(c, k) x N, take O(N * (c + k)) memory however many
+    restarts there are. Each restart ends on the exact means of its last
+    assignment. Results are deterministic; ties between restarts keep the
+    earlier one.
     """
     x = np.asarray(x, dtype=np.float64)
     if k < 1:
@@ -217,12 +235,7 @@ def kmeans(
             diffs = x - cents[labels]
             inertia = float(np.einsum("ij,ij->", diffs, diffs))
             if best is None or inertia < best.inertia:
-                best = ClusterResult(
-                    assignments=labels.copy(),
-                    centroids=cents.copy(),
-                    inertia=inertia,
-                    restarts_used=restarts,
-                )
+                best = ClusterResult(labels.copy(), cents.copy(), inertia, restarts)
     return best
 
 
@@ -374,6 +387,8 @@ def make_splits(
         raise ValidationError("ratios must sum to 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    if n_splits < 1:
+        raise ValidationError(f"n_splits must be >= 1, got {n_splits}")
     labeled = np.flatnonzero(labels >= 0)
     if labeled.size == 0:
         raise ValidationError("no labeled nodes to split")
@@ -516,6 +531,10 @@ def linear_probe(
 ) -> float:
     """Frozen-embedding linear classifier; returns test accuracy at the
     best-validation checkpoint."""
+    if max_epochs < 1:
+        raise ValidationError(f"max_epochs must be >= 1, got {max_epochs}")
+    if not 0 < lr < np.inf:
+        raise ValidationError(f"lr must be a finite number > 0, got {lr}")
     y_hat = np.asarray(y_hat)
     if not np.isfinite(y_hat).all():
         raise ValidationError("linear-probe input must be finite: y_hat holds NaN or inf")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from amlp import evaluate
 from amlp.errors import ValidationError
 from amlp.evaluate import (
     ClusterResult,
@@ -183,16 +184,20 @@ def _reference_kmeans(x, k, seed, restarts, max_iter=300):
     [(7, 3, 2, 1), (50, 16, 3, 5), (400, 64, 4, 16), (1000, 100, 1, 10), (4000, 64, 4, 10)],
 )
 def test_sq_dists_round_like_one_product_per_set(n, c, k, sets):
-    """Each centroid set's block equals its own (N x c)(c x k) product chain
-    bit for bit; a single wide product over all sets rounds differently on
-    some of these shapes."""
+    """A single set's block equals its own (N x c)(c x k) product chain bit
+    for bit, which k-means++ seeding relies on; block a of a stack equals
+    columns a*k to (a+1)*k of one (N x c)(c x A*k) product chain over the
+    stacked centroids."""
     rng = np.random.default_rng(n + c)
     x = rng.standard_normal((n, c))
     x_sq = np.einsum("ij,ij->i", x, x)
     centroids = rng.standard_normal((sets, k, c))
     got = _sq_dists(x, x_sq, centroids)
+    wide = _reference_sq_dists(x, x_sq, centroids.reshape(-1, c)).T
     for a in range(sets):
-        assert np.array_equal(got[a], _reference_sq_dists(x, x_sq, centroids[a]).T)
+        one = _sq_dists(x, x_sq, centroids[a : a + 1])[0]
+        assert np.array_equal(one, _reference_sq_dists(x, x_sq, centroids[a]).T)
+        assert np.array_equal(got[a], wide[a * k : (a + 1) * k])
 
 
 def assert_same_clustering(got, want):
@@ -222,6 +227,13 @@ def _kmeans_cases():
     cases.append(("rounded", np.round(rng.standard_normal((200, 3)), 1), 6, 10, 300))
     for max_iter in (1, 2, 4):  # stops before the fixpoint
         cases.append((f"max_iter{max_iter}", rng.standard_normal((300, 5)), 7, 10, max_iter))
+    # one group of 4 restarts (c // k = 4); at seed 5 one restart's cluster
+    # empties mid-run and seizes a point, while the other three update by
+    # the one-hot product until their last, exact, update
+    mix = np.random.default_rng(45)
+    centers = mix.standard_normal((8, 24))
+    x = centers[mix.integers(0, 8, 60)] + mix.standard_normal((60, 24)) * 0.3
+    cases.append(("mixed_group", x, 6, 4, 300))
     return cases
 
 
@@ -241,6 +253,35 @@ def test_kmeans_matches_one_restart_at_a_time(x, k, restarts, max_iter):
         )
 
 
+def test_kmeans_mixed_group_takes_both_paths(monkeypatch):
+    """The mixed_group case at seed 5 runs as one _lloyd group in which some
+    centroid updates seize a point for an empty cluster and others are the
+    one-hot product's sums / counts, which never reach _cluster_means."""
+    x, k, restarts, max_iter = next(case[1:] for case in _KMEANS_CASES if case[0] == "mixed_group")
+    counts = {"groups": 0, "iterations": 0, "exact": 0, "seizing": 0}
+    lloyd, cluster_means = evaluate._lloyd, evaluate._cluster_means
+
+    def counted_lloyd(*args):
+        assign, centroids, history = lloyd(*args)
+        counts["groups"] += 1
+        counts["iterations"] += sum(len(h) for h in history)
+        return assign, centroids, history
+
+    def counted_cluster_means(x, labels, costs, out):
+        counts["exact"] += 1
+        counts["seizing"] += int(np.bincount(labels, minlength=out.shape[0]).min() == 0)
+        cluster_means(x, labels, costs, out)
+
+    monkeypatch.setattr(evaluate, "_lloyd", counted_lloyd)
+    monkeypatch.setattr(evaluate, "_cluster_means", counted_cluster_means)
+    got = kmeans(x, k, seed=5, restarts=restarts, max_iter=max_iter)
+    assert counts["groups"] == 1
+    assert counts["seizing"] >= 1
+    # every restart's last update is exact; the rest took the product path
+    assert restarts <= counts["exact"] < counts["iterations"]
+    assert_same_clustering(got, _reference_kmeans(x, k, 5, restarts, max_iter))
+
+
 def test_kmeans_matches_reference_on_embedding_shape():
     """An N=4000, c=64, k=4 embedding: the CLI's clustering shape, where the
     restarts advance in one group."""
@@ -251,10 +292,15 @@ def test_kmeans_matches_reference_on_embedding_shape():
     assert_same_clustering(kmeans(y, 4, seed=3), _reference_kmeans(y, 4, 3, 10))
 
 
-@pytest.mark.parametrize("n, c, k, restarts", [(4000, 64, 4, 10), (2000, 8, 4, 60), (1000, 2, 9, 5)])
+@pytest.mark.parametrize(
+    "n, c, k, restarts",
+    [(4000, 64, 4, 10), (2000, 8, 4, 60), (1000, 2, 9, 5), (4000, 64, 4, 16), (3000, 500, 4, 10)],
+)
 def test_kmeans_memory_is_linear_in_x(traced_peak, n, c, k, restarts):
     """Restarts run in groups of c // k, so the traced peak stays within a
-    constant times N * (c + k) however many restarts there are."""
+    constant times N * (c + k) however many restarts there are. At
+    (4000, 64, 4, 16) one group fills A*k = c, the widest one-hot block and
+    distance product; (3000, 500, 4, 10) is wide_train's clustering."""
     rng = np.random.default_rng(42)
     x = rng.standard_normal((n, c)) + rng.integers(0, k, n)[:, None]
     _, peak = traced_peak(lambda: kmeans(x, k, restarts=restarts, max_iter=20))
@@ -476,6 +522,28 @@ def test_probe_refuses_empty_test_split():
     split = (np.arange(10), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     with pytest.raises(ValidationError, match="test split is empty"):
         linear_probe(np.eye(2)[labels], labels, split)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda labels, split: make_splits(labels, n_splits=0), "n_splits must be >= 1, got 0"),
+        (lambda labels, split: linear_probe(np.eye(2)[labels], labels, split, max_epochs=0),
+         "max_epochs must be >= 1, got 0"),
+        (lambda labels, split: linear_probe(np.eye(2)[labels], labels, split, lr=float("nan")),
+         "lr must be a finite number > 0, got nan"),
+        (lambda labels, split: linear_probe(np.eye(2)[labels], labels, split, lr=-1),
+         "lr must be a finite number > 0, got -1"),
+    ],
+    ids=["n_splits=0", "max_epochs=0", "lr=nan", "lr=-1"],
+)
+def test_evaluation_refuses_bad_parameters(call, named):
+    """Unchecked, each of these returns a result: no splits, or the test
+    accuracy of untrained or loss-ascending weights."""
+    labels = np.repeat(np.arange(2), 10)
+    split = make_splits(labels, n_splits=1).splits[0]
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        call(labels, split)
 
 
 def test_probe_linearly_separable():
