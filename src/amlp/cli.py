@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 _threads = os.environ.get("AMLP_THREADS")
 if _threads:
@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the model; write checkpoint, embeddings, report")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="JSON run config; lists for k/lambda/learning_rate run a grid")
+    grid_keys = dataio.RunConfig.echo(dataio.RunConfig(), dataio.RunConfig.grid_axes())
+    p.add_argument("--config", default=None, help=f"JSON run config; lists for {'/'.join(grid_keys)} run a grid")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--k", type=int, default=None, help="override hop count")
     p.add_argument("--lambda", dest="lambda_", type=float, default=None, help="override trade-off")
@@ -153,6 +154,14 @@ def _load_embeddings(path, n_nodes: int) -> np.ndarray:
     return y_hat
 
 
+def _write_report(path, t0: float, **report) -> None:
+    """Write ``make_report(**report)``, timed from a command's start ``t0``, to
+    ``path``; write nothing without a path (no ``--out``)."""
+    if path:
+        report["wall_clock_seconds"] = time.perf_counter() - t0
+        dataio.write_report(path, dataio.make_report(**report))
+
+
 def _cmd_prep(args) -> int:
     _check_out_dir(args.out)
     edges = dataio.parse_int_lines(args.edges, 2)
@@ -206,13 +215,10 @@ def _cmd_reconstruct(args) -> int:
         table = np.column_stack([rows[mask], s.indices[mask], s.values[mask]])
         with open(os.path.join(args.out, "edge_weights.tsv"), "w") as f:
             dataio.write_rows(f, "%d\t%d\t%.9g\n", table)
-    report = dataio.make_report(
-        config=dataio.RunConfig.echo(cfg),
-        seed=0,
-        metrics=stats.as_dict(),
-        wall_clock_seconds=time.perf_counter() - t0,
+    _write_report(
+        os.path.join(args.out, "reconstruction.json"), t0,
+        config=dataio.RunConfig.echo(cfg), seed=0, metrics=stats.as_dict(),
     )
-    dataio.write_report(os.path.join(args.out, "reconstruction.json"), report)
     print(
         f"scored {stats.candidates_scored} candidates, kept {stats.edges_kept}, "
         f"removed {stats.edges_removed} (mean score {stats.mean_score:.4g})"
@@ -224,9 +230,10 @@ def _cmd_train(args) -> int:
     t0 = time.perf_counter()
     _check_out_dir(args.out)
     run_cfg = dataio.RunConfig.from_json(args.config) if args.config else dataio.RunConfig()
-    for name in ("seed", "k", "lambda_", "epochs"):
-        if getattr(args, name) is not None:
-            setattr(run_cfg, name, getattr(args, name))
+    # each train flag that names a RunConfig field overrides it when given
+    for f in fields(dataio.RunConfig):
+        if getattr(args, f.name, None) is not None:
+            setattr(run_cfg, f.name, getattr(args, f.name))
     # the model and reconstruction configs refuse bad values before any read
     combos = run_cfg.grid()
     meta = dataio.load_meta(args.data)
@@ -254,13 +261,8 @@ def _cmd_train(args) -> int:
                     restarts=run_cfg.kmeans_restarts,
                 )
                 acc = evaluate.hungarian_acc(res.assignments, labels)
-            grid_rows.append(
-                {
-                    **dataio.RunConfig.echo(cfg_s, [*dataio.RunConfig.grid_axes(), "seed"]),
-                    "acc": acc,
-                    "final_loss": float(report.losses_total[-1]),
-                }
-            )
+            row = dataio.RunConfig.echo(cfg_s, [*dataio.RunConfig.grid_axes(), "seed"])
+            grid_rows.append({**row, "acc": acc, "final_loss": float(report.losses_total[-1])})
             key = acc if acc is not None else -float(report.losses_total[-1])
             if best is None or key > best[0]:
                 best = (key, len(grid_rows) - 1, model, y_hat, report)
@@ -274,14 +276,10 @@ def _cmd_train(args) -> int:
     if len(grid_rows) > 1:
         extra["grid"] = grid_rows
         extra["best_index"] = best_idx
-    out_report = dataio.make_report(
-        config=run_cfg.as_dict(),
-        seed=run_cfg.seed,
-        metrics=metrics,
-        wall_clock_seconds=time.perf_counter() - t0,
-        **extra,
+    _write_report(
+        os.path.join(args.out, "report.json"), t0,
+        config=run_cfg.as_dict(), seed=run_cfg.seed, metrics=metrics, **extra,
     )
-    dataio.write_report(os.path.join(args.out, "report.json"), out_report)
     print(
         f"trained {len(combos)} configuration(s); "
         f"artifacts in {args.out} (best index {best_idx})"
@@ -304,14 +302,8 @@ def _cmd_cluster(args) -> int:
         accs.append(evaluate.hungarian_acc(res.assignments, labels))
         nmis.append(evaluate.nmi(res.assignments, labels))
     record = evaluate.MetricsRecord(acc_values=accs, nmi_values=nmis)
-    report = dataio.make_report(
-        config={"k": k, "seeds": args.seeds, "restarts": args.restarts},
-        seed=0,
-        metrics=record.as_dict(),
-        wall_clock_seconds=time.perf_counter() - t0,
-    )
-    if args.out:
-        dataio.write_report(args.out, report)
+    config = {"k": k, "seeds": args.seeds, "restarts": args.restarts}
+    _write_report(args.out, t0, config=config, seed=0, metrics=record.as_dict())
     print(
         f"acc {record.acc_mean:.4f} ± {record.acc_std:.4f}, "
         f"nmi {record.nmi_mean:.4f} ± {record.nmi_std:.4f} over {args.seeds} seed(s)"
@@ -334,24 +326,13 @@ def _cmd_classify(args) -> int:
             f"--ratios must be three comma-separated fractions, got {args.ratios!r}"
         )
     split_set = evaluate.make_splits(labels, ratios, n_splits=args.n_splits, seed=args.seed)
-    accs = [
-        evaluate.linear_probe(y_hat, labels, split) for split in split_set.splits
-    ]
-    report = dataio.make_report(
-        config={"ratios": list(ratios), "n_splits": args.n_splits},
-        seed=args.seed,
-        metrics={
-            "accuracy": {
-                "per_split": accs,
-                "mean": float(np.mean(accs)),
-                "std": float(np.std(accs)),
-            }
-        },
-        wall_clock_seconds=time.perf_counter() - t0,
+    accs = [evaluate.linear_probe(y_hat, labels, split) for split in split_set.splits]
+    acc = {"per_split": accs, "mean": float(np.mean(accs)), "std": float(np.std(accs))}
+    _write_report(
+        args.out, t0, config={"ratios": list(ratios), "n_splits": args.n_splits},
+        seed=args.seed, metrics={"accuracy": acc},
     )
-    if args.out:
-        dataio.write_report(args.out, report)
-    print(f"probe accuracy {np.mean(accs):.4f} ± {np.std(accs):.4f} over {args.n_splits} splits")
+    print(f"probe accuracy {acc['mean']:.4f} ± {acc['std']:.4f} over {args.n_splits} splits")
     return 0
 
 
@@ -359,26 +340,16 @@ def _cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     _check_out_file(args.out)
     g, x, labels = dataio.load_dataset(args.data)
-    metrics = {
-        "n_nodes": g.n_nodes,
-        "n_edges": g.n_edges,
-    }
+    metrics = {"n_nodes": g.n_nodes, "n_edges": g.n_edges}
     if ((labels >= 0) & (g.degrees() > 0)).any():
         metrics["homophily_ratio"] = homophily_ratio(g, labels)
     if args.emb:
         y_hat = _load_embeddings(args.emb, g.n_nodes)
         a_tilde = normalize_with_self_loops(g)
-        metrics["dirichlet_energy"] = dirichlet_energy(
-            a_tilde, row_normalize(y_hat)
-        )
-    report = dataio.make_report(
-        config={"data": str(args.data), "emb": args.emb},
-        seed=0,
-        metrics=metrics,
-        wall_clock_seconds=time.perf_counter() - t0,
+        metrics["dirichlet_energy"] = dirichlet_energy(a_tilde, row_normalize(y_hat))
+    _write_report(
+        args.out, t0, config={"data": str(args.data), "emb": args.emb}, seed=0, metrics=metrics
     )
-    if args.out:
-        dataio.write_report(args.out, report)
     for key, val in metrics.items():
         print(f"{key}: {val}")
     return 0

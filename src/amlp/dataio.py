@@ -121,7 +121,8 @@ class RunConfig:
     """Flat bag of pipeline settings; the grid keys, whose declared type
     admits a list, may be lists, in which case the trainer runs the grid. The
     fields that AMLPConfig or ReconstructionConfig also declare take their
-    defaults from there."""
+    defaults from there. ``output`` is accepted and echoed in report.json,
+    but no code reads it: ``train --out`` names the run directory."""
 
     k: int | list = AMLPConfig.k
     lambda_: float | list = AMLPConfig.lambda_

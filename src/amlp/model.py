@@ -585,7 +585,9 @@ def exp1_train(
     Objective is L_rec alone, or L_rec + lambda * L_agg with the pre-defined
     aggregation loss ||A X W - X W||_F^2 over the raw self-loop-free adjacency.
     Returns (Dr, Yh) where Dr is measured against the self-loop normalized
-    adjacency of g.
+    adjacency of g. Of ``cfg`` it reads hidden_dim, learning_rate, epochs,
+    seed, eps_norm and early_stop; its k, lambda_ and use_agg_loss are inert,
+    since the arguments own lambda and the flag and no propagation runs.
 
     Mean, sum and weighted_sum are linear maps M, so agg(X W) = (M X) W:
     F = M X is computed once and the kernel runs with B = F, leaving the

@@ -83,6 +83,27 @@ def pair_score(x_i, x_j, a_i, a_j) -> float:
     return float(np.clip((cx * ca) ** 2, 0.0, 1.0))
 
 
+def _pair_scores(dot, sq, common, deg, out, den, pos) -> None:
+    """Write ``pair_score`` of pairs into ``out``, from their feature dot
+    products, float64 common-neighbour counts (overwritten), and endpoints'
+    squared feature norms ``sq`` and degrees ``deg`` as (first, second)
+    pairs, each operand broadcast to ``out``'s shape; ``den`` and ``pos`` are
+    float64 and bool scratch of that shape."""
+    np.multiply(sq[0], sq[1], out=den)
+    np.sqrt(den, out=den)
+    np.greater(den, 0.0, out=pos)
+    out.fill(0.0)
+    np.divide(dot, den, out=out, where=pos)
+    np.multiply(deg[0], deg[1], out=den)
+    np.sqrt(den, out=den)
+    np.greater(den, 0.0, out=pos)
+    # in place: where a degree is 0 the count is already 0
+    np.divide(common, den, out=common, where=pos)
+    np.multiply(out, common, out=out)
+    np.square(out, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -154,8 +175,6 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
     _BLOCK.
     """
     n = g.n_nodes
-    if n < 2:
-        return
     sq = np.einsum("ij,ij->i", x, x)
     deg = g.degrees().astype(np.float64)
     keys = _row_keys(g)
@@ -164,13 +183,13 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
     # A block's packed scores overwrite its own feature product. Once the
     # sub-blocks ending at local row r are packed, they fill fewer than r·N
     # slots (each row packs fewer than N), and the next sub-block reads dx
-    # from slot r·N on; a sub-block's own dx rows are read into cos_x before
+    # from slot r·N on; a sub-block's own dx rows are read into pscore before
     # its scores are packed.
     scores = dx.reshape(-1)
     # flat, so that each (rows, cols) sub-block view is C-contiguous, as
     # _two_hop_counts requires
     size = min(_SUB_BLOCK, height) * n
-    common, denom, cos_x = np.empty(size), np.empty(size), np.empty(size)
+    common, denom, pscore = np.empty(size), np.empty(size), np.empty(size)
     positive = np.empty(size, dtype=bool)
     for start in range(0, n - 1, _BLOCK):
         stop = min(start + _BLOCK, n)
@@ -180,27 +199,15 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
             s1 = min(s0 + _SUB_BLOCK, stop)
             shape = (s1 - s0, n - s0 - 1)
             cells = shape[0] * shape[1]
-            den = denom[:cells].reshape(shape)
-            pos = positive[:cells].reshape(shape)
-            cx = cos_x[:cells].reshape(shape)
-            np.multiply(sq[s0:s1, None], sq[None, s0 + 1 :], out=den)
-            np.sqrt(den, out=den)
-            np.greater(den, 0.0, out=pos)
-            cx.fill(0.0)
-            np.divide(dx[s0 - start : s1 - start, s0 + 1 :], den, out=cx, where=pos)
-            ca = common[:cells].reshape(shape)
+            den, pos, sc, ca = (b[:cells].reshape(shape) for b in (denom, positive, pscore, common))
             _two_hop_counts(g, keys, s0, s1, ca)
-            np.multiply(deg[s0:s1, None], deg[None, s0 + 1 :], out=den)
-            np.sqrt(den, out=den)
-            np.greater(den, 0.0, out=pos)
-            # in place: where a degree is 0 the count is already 0
-            np.divide(ca, den, out=ca, where=pos)
-            np.multiply(cx, ca, out=cx)
-            np.square(cx, out=cx)
-            np.clip(cx, 0.0, 1.0, out=cx)
+            _pair_scores(
+                dx[s0 - start : s1 - start, s0 + 1 :], (sq[s0:s1, None], sq[None, s0 + 1 :]),
+                ca, (deg[s0:s1, None], deg[None, s0 + 1 :]), sc, den, pos,
+            )
             for r in range(shape[0]):
                 w = shape[1] - r
-                scores[k : k + w] = cx[r, r:]
+                scores[k : k + w] = sc[r, r:]
                 k += w
         yield _block_pairs(n, start, stop), scores[:k]
 
@@ -307,8 +314,6 @@ def _two_hop_counts(
 def _score_edge_candidates(
     g: SparseGraph, x: np.ndarray, edges: np.ndarray
 ) -> np.ndarray:
-    if edges.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
     u, v = edges[:, 0], edges[:, 1]
     sq = np.einsum("ij,ij->i", x, x)
     deg = g.degrees().astype(np.float64)
@@ -316,7 +321,7 @@ def _score_edge_candidates(
     # once per call: fresh temporaries for every chunk page-faulted or not
     # depending on where the allocator had placed earlier arrays (0 to 18,000
     # faults, 0.2 to 0.3 s, per call at N=3000, d=1500)
-    rows = min(u.size, max(1, _GATHER_BYTES // (8 * max(1, x.shape[1]))))
+    rows = max(1, min(u.size, _GATHER_BYTES // (8 * max(1, x.shape[1]))))
     xu = np.empty((rows, x.shape[1]))
     xv = np.empty_like(xu)
     dot_x = np.empty(u.size, dtype=np.float64)
@@ -327,13 +332,10 @@ def _score_edge_candidates(
         np.take(x, u[i : i + m], axis=0, out=xu[:m], mode="clip")
         np.take(x, v[i : i + m], axis=0, out=xv[:m], mode="clip")
         dot_x[i : i + m] = np.einsum("ij,ij->i", xu[:m], xv[:m])
-    common = _common_neighbors(g, u, v)
-    denom_x = np.sqrt(sq[u] * sq[v])
-    denom_a = np.sqrt(deg[u] * deg[v])
-    score = np.zeros(u.size, dtype=np.float64)
-    ok = (denom_x > 0) & (denom_a > 0)
-    score[ok] = ((dot_x[ok] / denom_x[ok]) * (common[ok] / denom_a[ok])) ** 2
-    return np.clip(score, 0.0, 1.0)
+    common = _common_neighbors(g, u, v).astype(np.float64)
+    score, den, pos = np.empty(u.size), np.empty(u.size), np.empty(u.size, dtype=bool)
+    _pair_scores(dot_x, (sq[u], sq[v]), common, (deg[u], deg[v]), score, den, pos)
+    return score
 
 
 def _scored_pairs(

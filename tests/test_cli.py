@@ -896,3 +896,53 @@ def test_train_report_config_echo_and_grid_rows(sbm_dir, tmp_path):
         '"acc": "A", "final_loss": "L"}'
         for k in (1, 2) for lam in (0.1, 0.5) for seed in (0, 1)
     ) + "]"
+
+
+def _masked_report(path) -> str:
+    """The report at ``path`` as one-line JSON, with its wall clock and the
+    leaves of its metrics masked, after checking that the file is the
+    report's indented JSON."""
+    text = Path(path).read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
+
+    def mask(value):
+        return {k: mask(v) for k, v in value.items()} if isinstance(value, dict) else "M"
+
+    return json.dumps({**report, "metrics": mask(report["metrics"]), "wall_clock_seconds": "W"})
+
+
+def test_cluster_classify_diagnose_reports(sbm_dir, tmp_path, monkeypatch):
+    """The reports of cluster, classify and diagnose: the schema's keys in
+    order, each command's echo of its own flags, classify's --seed, and no
+    file at all without --out."""
+    emb = tmp_path / "emb.csv"
+    dataio.save_embeddings_csv(emb, np.random.default_rng(0).standard_normal((400, 3)))
+    data = ["--data", str(sbm_dir), "--emb", str(emb)]
+    cluster = data + ["--k", "3", "--seeds", "2", "--restarts", "2"]
+    classify = data + ["--ratios", "0.5,0.2,0.3", "--n-splits", "2", "--seed", "7"]
+    runs = [("cluster", cluster), ("classify", classify), ("diagnose", data)]
+    empty = tmp_path / "cwd"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+    before = sorted(tmp_path.rglob("*"))
+    for command, flags in runs:
+        assert main([command, *flags]) == 0
+    assert sorted(tmp_path.rglob("*")) == before
+    for command, flags in runs:
+        assert main([command, *flags, "--out", str(tmp_path / f"{command}.json")]) == 0
+    acc = '{"per_seed": "M", "mean": "M", "std": "M"}'
+    assert _masked_report(tmp_path / "cluster.json") == (
+        '{"config": {"k": 3, "seeds": 2, "restarts": 2}, "seed": 0, '
+        f'"metrics": {{"acc": {acc}, "nmi": {acc}}}, "wall_clock_seconds": "W"}}'
+    )
+    assert _masked_report(tmp_path / "classify.json") == (
+        '{"config": {"ratios": [0.5, 0.2, 0.3], "n_splits": 2}, "seed": 7, '
+        '"metrics": {"accuracy": {"per_split": "M", "mean": "M", "std": "M"}}, '
+        '"wall_clock_seconds": "W"}'
+    )
+    assert _masked_report(tmp_path / "diagnose.json") == (
+        f'{{"config": {{"data": {json.dumps(str(sbm_dir))}, "emb": {json.dumps(str(emb))}}}, '
+        '"seed": 0, "metrics": {"n_nodes": "M", "n_edges": "M", "homophily_ratio": "M", '
+        '"dirichlet_energy": "M"}, "wall_clock_seconds": "W"}'
+    )
