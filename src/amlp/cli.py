@@ -209,10 +209,8 @@ def _cmd_reconstruct(args) -> int:
     # sigmoid weights go in a sidecar edge_weights.tsv (u, v, weight; u < v)
     dataio.save_dataset(args.out, s, x, labels, name="reconstructed")
     if args.soft:
-        rows = np.repeat(np.arange(s.n_nodes), np.diff(s.indptr))
-        mask = rows < s.indices
         # float64 table: %d prints the integral endpoints exactly
-        table = np.column_stack([rows[mask], s.indices[mask], s.values[mask]])
+        table = np.column_stack(s.edges())
         with open(os.path.join(args.out, "edge_weights.tsv"), "w") as f:
             dataio.write_rows(f, "%d\t%d\t%.9g\n", table)
     _write_report(
@@ -404,6 +402,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        if args.out == "":  # every command has --out; none can write to ""
+            raise ValidationError("--out '': empty path")
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -109,11 +109,20 @@ class SparseGraph:
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
 
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), np.diff(self.indptr))
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Unordered edges (u, v, weight) with u < v, sorted by (u, v); the
+        weights are None for a binary graph."""
+        rows = self.rows()
+        mask = rows < self.indices
+        return rows[mask], self.indices[mask], None if self.values is None else self.values[mask]
+
     def edge_array(self) -> np.ndarray:
         """Unordered edges as an (m, 2) array with u < v, lexicographically sorted."""
-        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
-        mask = rows < self.indices
-        return np.column_stack([rows[mask], self.indices[mask]])
+        return np.column_stack(self.edges()[:2])
 
     def validate(self) -> None:
         """Raise ValidationError if any structural invariant is broken, or a
@@ -127,7 +136,7 @@ class SparseGraph:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.n_nodes:
                 raise ValidationError("column index out of range")
-        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+        rows = self.rows()
         on_diagonal = rows[rows == self.indices]
         if self.self_loops:
             if np.unique(on_diagonal).size != self.n_nodes:
@@ -161,29 +170,37 @@ def _freeze(*arrays: np.ndarray | None) -> None:
             a = a.base
 
 
-def _csr_from_directed_pairs(
-    n_nodes: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray | None = None
+def graph_from_edges(
+    n_nodes: int, u: np.ndarray, v: np.ndarray, values: np.ndarray | None = None
 ) -> SparseGraph:
-    """Build a SparseGraph from directed pairs that already contain both
-    orientations of every edge (no duplicates, no self-loops) and come sorted
-    by (row, col), which makes ``cols`` the CSR indices as they stand;
-    ``values``, if given, holds one weight per pair."""
+    """The symmetric SparseGraph of the unordered pairs (u[i], v[i]), with
+    weight values[i] on both orientations if given. Self-loops are dropped;
+    of a pair listed more than once, in either orientation, the first listing
+    is kept. Assumes indices already validated.
+
+    The unique (low, high) pairs come sorted. Then row r's (high, low)
+    entries hold its columns below r in increasing order and its (low, high)
+    entries those above it, so a stable sort by row of [(high, low);
+    (low, high)] sorts by (row, col) without comparing columns.
+    """
+    u, v = (np.asarray(a, dtype=np.int64) for a in (u, v))
+    keep = u != v
+    ids = np.minimum(u, v) * np.int64(n_nodes) + np.maximum(u, v)
+    # np.unique keeps the first listing of each id
+    ids, first = np.unique(ids[keep], return_index=True)
+    low, high = np.divmod(ids, n_nodes)
+    del ids
+    rows = np.concatenate([high, low])
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
-    return SparseGraph(n_nodes, indptr, cols.astype(np.int64), values)
-
-
-def graph_from_edges(n_nodes: int, u: np.ndarray, v: np.ndarray) -> SparseGraph:
-    """Build a SparseGraph from unordered edge endpoints (deduplicated,
-    symmetrized, self-loops dropped). Assumes indices already validated."""
-    keep = u != v
-    u, v = u[keep], v[keep]
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    pair_ids = rows * np.int64(n_nodes) + cols
-    # np.unique returns the first indices in sorted (row, col) order
-    _, first = np.unique(pair_ids, return_index=True)
-    return _csr_from_directed_pairs(n_nodes, rows[first], cols[first])
+    order = np.argsort(rows, kind="stable")
+    del rows
+    cols = np.concatenate([low, high])
+    del low, high
+    if values is not None:
+        values = np.asarray(values)[keep][first]
+        values = np.concatenate([values, values])[order]
+    return SparseGraph(n_nodes, indptr, cols[order], values)
 
 
 def build_graph(edge_list, n_nodes: int) -> SparseGraph:
@@ -265,7 +282,7 @@ def _normalize_with_self_loops(g: SparseGraph) -> SparseGraph:
     g's sorted row after the neighbors below it, so the rows stay sorted."""
     n = g.n_nodes
     counts = np.diff(g.indptr)
-    rows = np.repeat(np.arange(n), counts)
+    rows = g.rows()
     below = np.bincount(rows[g.indices < rows], minlength=n)
     del rows  # one nnz-sized array fewer while A~ is built
     indices = np.insert(
@@ -292,7 +309,7 @@ def normalize_no_self_loops(g: SparseGraph) -> SparseGraph:
 
 
 def _normalize_no_self_loops(g: SparseGraph) -> SparseGraph:
-    rows = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+    rows = g.rows()
     strength = np.bincount(rows, g.values, g.n_nodes)
     inv_sqrt = np.zeros(g.n_nodes, dtype=np.float64)
     nz = strength > 0
@@ -574,7 +591,7 @@ def homophily_ratio(g: SparseGraph, labels: np.ndarray) -> float:
     eligible = (labels >= 0) & (deg > 0)
     if not eligible.any():
         raise ValidationError("no labeled node with degree >= 1")
-    rows = np.repeat(np.arange(g.n_nodes), deg)
+    rows = g.rows()
     same = labels[rows] == labels[g.indices]
     same &= labels[rows] >= 0
     counts = np.bincount(rows[same], minlength=g.n_nodes)

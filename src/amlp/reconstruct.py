@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SparseGraph, _csr_from_directed_pairs, check_features
+from .graph import SparseGraph, check_features, graph_from_edges
 
 CANDIDATE_POLICIES = ("original_edges", "all_pairs")
 MODES = ("hard", "soft")
@@ -216,8 +216,7 @@ def _row_keys(g: SparseGraph) -> np.ndarray:
     """The CSR's entries as keys ``row * N + col``, sorted as they are stored:
     one np.searchsorted finds an entry, or the first column of a row past a
     given one."""
-    n = g.n_nodes
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr)) * n + g.indices
+    return g.rows() * g.n_nodes + g.indices
 
 
 def _chunked_ranges(
@@ -374,35 +373,21 @@ def _scored_pairs(
     return u, v, w, stats
 
 
-def _graph_from_sorted_pairs(
-    n_nodes: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None = None
-) -> SparseGraph:
-    """The symmetric SparseGraph of unordered pairs (u[i], v[i]), with weight
-    w[i] on both orientations if given.
-
-    Requires the pairs unique, with u < v and sorted by (u, v), as the
-    candidate loop yields them. Then a row's (v, u) entries hold its columns
-    below the diagonal in increasing order and its (u, v) entries those above
-    it, so a stable sort by row of [(v, u); (u, v)] sorts by (row, col)
-    without comparing columns.
-    """
-    rows = np.concatenate([v, u])
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    cols = np.concatenate([u, v])[order]
-    values = None if w is None else np.concatenate([w, w])[order]
-    return _csr_from_directed_pairs(n_nodes, rows, cols, values)
+def _reconstruct(
+    g: SparseGraph, x: np.ndarray, cfg: ReconstructionConfig, mode: str
+) -> tuple[SparseGraph, ReconstructionStats]:
+    if cfg.mode != mode:
+        raise ValidationError(f"reconstruct_{mode} requires cfg.mode == {mode!r}")
+    x = check_features(x, g.n_nodes)
+    u, v, w, stats = _scored_pairs(g, x, cfg)
+    return graph_from_edges(g.n_nodes, u, v, w), stats
 
 
 def reconstruct_hard(
     g: SparseGraph, x: np.ndarray, cfg: ReconstructionConfig
 ) -> tuple[SparseGraph, ReconstructionStats]:
     """Refined graph S: candidate pairs with score >= epsilon survive."""
-    if cfg.mode != "hard":
-        raise ValidationError("reconstruct_hard requires cfg.mode == 'hard'")
-    x = check_features(x, g.n_nodes)
-    u, v, _, stats = _scored_pairs(g, x, cfg)
-    return _graph_from_sorted_pairs(g.n_nodes, u, v), stats
+    return _reconstruct(g, x, cfg, "hard")
 
 
 def reconstruct_soft(
@@ -414,11 +399,7 @@ def reconstruct_soft(
     to the hard 0/1 decisions (exactly 0.5 at score == epsilon). Stats count
     a candidate as kept when its score clears epsilon, i.e. weight >= 0.5.
     """
-    if cfg.mode != "soft":
-        raise ValidationError("reconstruct_soft requires cfg.mode == 'soft'")
-    x = check_features(x, g.n_nodes)
-    u, v, w, stats = _scored_pairs(g, x, cfg)
-    return _graph_from_sorted_pairs(g.n_nodes, u, v, w), stats
+    return _reconstruct(g, x, cfg, "soft")
 
 
 def reconstruct(g: SparseGraph, x: np.ndarray, cfg: ReconstructionConfig):

@@ -766,9 +766,9 @@ def test_file_errors_exit_1(sbm_dir, tmp_path, capsys, case):
 @pytest.mark.parametrize(
     "command, bad",
     [(command, bad) for command in ("exp1", "cluster", "classify", "diagnose")
-     for bad in ("missing-dir", "is-dir", "below-file")]
+     for bad in ("missing-dir", "is-dir", "below-file", "empty")]
     + [(command, bad) for command in ("reconstruct", "sbm", "prep", "train")
-       for bad in ("is-file", "below-file")],
+       for bad in ("is-file", "below-file", "empty")],
 )
 def test_unusable_out_path_refused_before_any_work(sbm_dir, tmp_path, capsys, monkeypatch,
                                                    command, bad):
@@ -776,8 +776,13 @@ def test_unusable_out_path_refused_before_any_work(sbm_dir, tmp_path, capsys, mo
     the data is read, so nothing is generated, parsed, loaded, trained,
     reconstructed or evaluated. reconstruct, sbm, prep and train write a
     directory, creating missing parents, so only a file in the way stops
-    them."""
+    them. An empty path is refused by every command, and nothing is written
+    to the working directory."""
     from amlp import cli, synth
+
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
 
     calls = []
 
@@ -797,6 +802,7 @@ def test_unusable_out_path_refused_before_any_work(sbm_dir, tmp_path, capsys, mo
         "is-dir": tmp_path,
         "is-file": taken,
         "below-file": taken / "out",
+        "empty": "",
     }[bad]
     emb = str(tmp_path / "emb.csv")
     argv = {
@@ -812,8 +818,9 @@ def test_unusable_out_path_refused_before_any_work(sbm_dir, tmp_path, capsys, mo
         "train": ["train", "--data", str(sbm_dir), "--epochs", "2"],
     }[command]
     assert main(argv + ["--out", str(out)]) == 1
-    _assert_one_error_line(capsys, f"--out {out}")
+    _assert_one_error_line(capsys, f"--out {out}" if out else "--out '': empty path")
     assert calls == []
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["train", "exp1"])

@@ -23,7 +23,6 @@ from amlp.graph import (
     AGGREGATORS,
     MaxAggregator,
     SparseGraph,
-    _csr_from_directed_pairs,
     build_graph,
     graph_from_edges,
     normalize_no_self_loops,
@@ -183,11 +182,8 @@ def _built_graphs(tmp_path):
     built = {
         "build_graph": g,
         "graph_from_edges": graph_from_edges(4, np.array([0, 1, 2, 2]), np.array([1, 2, 2, 0])),
-        "_csr_from_directed_pairs": _csr_from_directed_pairs(
-            3, np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])
-        ),
-        "_csr_from_directed_pairs values": _csr_from_directed_pairs(
-            2, np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5])
+        "graph_from_edges values": graph_from_edges(
+            3, np.array([0, 1, 2]), np.array([1, 2, 1]), np.array([0.5, 0.25, 0.75])
         ),
         "generate_sbm": generate_sbm(homophilic_preset(seed=3, n_nodes=60))[0],
     }

@@ -6,7 +6,7 @@ import pytest
 
 from amlp import reconstruct
 from amlp.errors import ValidationError
-from amlp.graph import build_graph, graph_from_edges
+from amlp.graph import SparseGraph, build_graph, graph_from_edges
 from amlp.reconstruct import (
     ReconstructionConfig,
     ReconstructionStats,
@@ -497,12 +497,7 @@ def reference_soft(g, cfg, blocks):
     u = np.concatenate(us) if us else np.zeros(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.zeros(0, dtype=np.int64)
     w = np.concatenate(ws) if ws else np.zeros(0, dtype=np.float64)
-    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.lexsort((cols, rows))
-    wg = reconstruct._csr_from_directed_pairs(
-        g.n_nodes, rows[order], cols[order], np.concatenate([w, w])[order]
-    )
-    return wg, reference_stats(cfg, score_blocks)
+    return graph_from_edges(g.n_nodes, u, v, w), reference_stats(cfg, score_blocks)
 
 
 def all_pairs_instance(n, seed):
@@ -653,21 +648,109 @@ ASSEMBLY_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", ASSEMBLY_CASES)
-def test_sorted_pairs_assembly_matches_general_assembly(case):
-    n, u, v = ASSEMBLY_CASES[case]
-    got = reconstruct._graph_from_sorted_pairs(n, u, v)
-    want = graph_from_edges(n, u, v)
-    assert got.values is None and want.values is None
+def csr_from_sorted_directed_pairs(n, rows, cols, values=None):
+    """The SparseGraph whose entries are the directed pairs (rows[i],
+    cols[i]), given sorted by (row, col) with both orientations of each edge."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SparseGraph(n, indptr, cols.astype(np.int64), values)
+
+
+def sorted_pairs_graph(n, u, v, w=None):
+    """Reference assembly of unique pairs u < v sorted by (u, v), as the
+    candidate loop yields them: a row's (v, u) entries hold its columns below
+    the diagonal in increasing order and its (u, v) entries those above it,
+    so a stable sort by row of [(v, u); (u, v)] sorts by (row, col)."""
+    rows = np.concatenate([v, u])
+    order = np.argsort(rows, kind="stable")
+    values = None if w is None else np.concatenate([w, w])[order]
+    return csr_from_sorted_directed_pairs(n, rows[order], np.concatenate([u, v])[order], values)
+
+
+def directed_unique_graph(n, u, v):
+    """Reference assembly of any unweighted pairs: both orientations,
+    self-loops dropped, deduplicated and sorted by np.unique of the directed
+    (row, col) ids."""
+    keep = u != v
+    rows = np.concatenate([u[keep], v[keep]])
+    cols = np.concatenate([v[keep], u[keep]])
+    _, first = np.unique(rows * np.int64(n) + cols, return_index=True)
+    return csr_from_sorted_directed_pairs(n, rows[first], cols[first])
+
+
+def assert_same_graph(got, want):
+    assert got.n_nodes == want.n_nodes
     for field in ("indptr", "indices"):
         assert_same_array(getattr(got, field), getattr(want, field))
+    assert (got.values is None) == (want.values is None)
+    if want.values is not None:
+        assert_same_array(got.values, want.values)
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_sorted_pairs_assembly_matches_general_assembly(case):
+    """On unique sorted pairs, graph_from_edges gives the bytes of both
+    reference assemblies, with weights and without."""
+    n, u, v = ASSEMBLY_CASES[case]
+    got = graph_from_edges(n, u, v)
+    assert_same_graph(got, sorted_pairs_graph(n, u, v))
+    assert_same_graph(got, directed_unique_graph(n, u, v))
 
     w = np.random.default_rng(u.size).random(u.size)
-    got = reconstruct._graph_from_sorted_pairs(n, u, v, w)
-    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.lexsort((cols, rows))
-    want = reconstruct._csr_from_directed_pairs(
-        n, rows[order], cols[order], np.concatenate([w, w])[order]
-    )
-    for field in ("indptr", "indices", "values"):
-        assert_same_array(getattr(got, field), getattr(want, field))
+    assert_same_graph(graph_from_edges(n, u, v, w), sorted_pairs_graph(n, u, v, w))
+
+
+def scrambled(n, u, v, w, seed):
+    """The pairs (u, v) with weights w, shuffled, a random half reversed,
+    some listed again (either way round, with other weights) and self-loops
+    added, together with the unique sorted pairs u < v that remain and the
+    weight each keeps: that of its first listing."""
+    rng = np.random.default_rng(seed)
+    again = rng.integers(0, max(u.size, 1), u.size // 2 + 1) if u.size else np.zeros(0, int)
+    loops = rng.integers(0, n, 3) if n else np.zeros(0, int)
+    su = np.concatenate([u, u[again], loops])
+    sv = np.concatenate([v, v[again], loops])
+    sw = rng.random(su.size)
+    sw[: u.size] = w
+    perm = rng.permutation(su.size)
+    su, sv, sw = su[perm], sv[perm], sw[perm]
+    flip = rng.random(su.size) < 0.5
+    su, sv = np.where(flip, sv, su), np.where(flip, su, sv)
+    first = {}
+    for a, b, x in zip(su.tolist(), sv.tolist(), sw.tolist()):
+        if a != b:
+            first.setdefault((min(a, b), max(a, b)), x)
+    kept = sorted(first)
+    ku = np.array([a for a, _ in kept], dtype=np.int64)
+    kv = np.array([b for _, b in kept], dtype=np.int64)
+    return (su, sv, sw), (ku, kv, np.array([first[k] for k in kept], dtype=np.float64))
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_graph_from_edges_keeps_the_first_listing_of_each_pair(case):
+    """Shuffled, reversed and repeated pairs and self-loops build the graph
+    of the unique pairs, each weighted as first listed."""
+    n, u, v = ASSEMBLY_CASES[case]
+    w = np.random.default_rng(1).random(u.size)
+    (su, sv, sw), (ku, kv, kw) = scrambled(n, u, v, w, seed=u.size)
+    got = graph_from_edges(n, su, sv)
+    assert_same_graph(got, sorted_pairs_graph(n, ku, kv))
+    assert_same_graph(got, directed_unique_graph(n, su, sv))
+    assert_same_graph(graph_from_edges(n, su, sv, sw), sorted_pairs_graph(n, ku, kv, kw))
+
+
+@pytest.mark.parametrize(
+    "policy, mode", [("all_pairs", "hard"), ("original_edges", "soft"), ("all_pairs", "soft")]
+)
+def test_reconstruction_assembles_its_pairs_like_the_reference(policy, mode):
+    """The refined graph is the reference assembly of the candidate loop's
+    pairs, on the homophilic preset."""
+    from amlp.synth import generate_dataset, homophilic_preset
+
+    g, x, _ = generate_dataset(homophilic_preset(seed=0))
+    cfg = ReconstructionConfig(candidate_policy=policy, mode=mode)
+    u, v, w, _ = reconstruct._scored_pairs(g, x, cfg)
+    want = sorted_pairs_graph(g.n_nodes, u, v, w)
+    assert_same_graph(graph_from_edges(g.n_nodes, u, v, w), want)
+    assert_same_graph(reconstruct.reconstruct(g, x, cfg)[0], want)
+    assert_same_graph(graph_from_edges(g.n_nodes, u, v), directed_unique_graph(g.n_nodes, u, v))
