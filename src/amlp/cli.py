@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: prep, sbm, reconstruct, train, cluster, classify, diagnose, exp1.
-Exit codes: 0 success, 1 validation/usage/file error, 2 numerical failure.
+Exit codes: 0 success, 1 validation/usage/file error or an array size the
+allocator refuses, 2 numerical failure.
 
 The environment variable AMLP_THREADS caps the worker count of the numeric
 backends; it must be applied before numpy is first imported, which is why this
@@ -32,7 +33,6 @@ from . import dataio, evaluate, synth
 from .errors import NumericalError, ValidationError
 from .graph import (
     AGGREGATORS,
-    build_graph,
     dirichlet_energy,
     homophily_ratio,
     normalize_with_self_loops,
@@ -146,14 +146,6 @@ def _check_out_dir(path) -> None:
         raise ValidationError(f"--out {path}: {existing} is not a directory")
 
 
-def _load_embeddings(path, n_nodes: int) -> np.ndarray:
-    """The embeddings CSV at ``path``, which must hold one row per node."""
-    y_hat = dataio.load_embeddings_csv(path)
-    if y_hat.shape[0] != n_nodes:
-        raise ValidationError(f"{path}: {y_hat.shape[0]} rows, dataset has {n_nodes} nodes")
-    return y_hat
-
-
 def _write_report(path, t0: float, **report) -> None:
     """Write ``make_report(**report)``, timed from a command's start ``t0``, to
     ``path``; write nothing without a path (no ``--out``)."""
@@ -164,18 +156,9 @@ def _write_report(path, t0: float, **report) -> None:
 
 def _cmd_prep(args) -> int:
     _check_out_dir(args.out)
-    edges = dataio.parse_int_lines(args.edges, 2)
-    x = dataio.load_float_csv(args.features)
-    labels = dataio.parse_int_lines(args.labels, 1).ravel()
-    n = args.n_nodes if args.n_nodes is not None else labels.size
-    try:
-        g = build_graph(edges, n)
-    except ValidationError as e:
-        raise ValidationError(f"{args.edges}: {e}") from e
-    if x.shape[0] != n:
-        raise ValidationError(f"{args.features}: {x.shape[0]} rows, expected {n}")
-    if labels.size != n:
-        raise ValidationError(f"{args.labels}: {labels.size} labels, expected {n}")
+    labels = dataio.read_labels(args.labels, args.n_nodes)
+    g = dataio.read_edges(args.edges, labels.size)
+    x = dataio.read_features_csv(args.features, labels.size)
     dataio.save_dataset(args.out, g, x, labels, name=args.name)
     print(f"wrote dataset to {args.out}")
     return 0
@@ -290,7 +273,7 @@ def _cmd_cluster(args) -> int:
     _check_counts(seeds=args.seeds, restarts=args.restarts)
     _check_out_file(args.out)
     meta, labels = dataio.load_labels(args.data)
-    y_hat = _load_embeddings(args.emb, labels.size)
+    y_hat = dataio.load_embeddings_csv(args.emb, labels.size)
     k = args.k if args.k is not None else int(meta["num_classes"])
     if k < 1:
         raise ValidationError("cluster count must be >= 1 (set --k or meta num_classes)")
@@ -314,7 +297,7 @@ def _cmd_classify(args) -> int:
     _check_counts(n_splits=args.n_splits)
     _check_out_file(args.out)
     _, labels = dataio.load_labels(args.data)
-    y_hat = _load_embeddings(args.emb, labels.size)
+    y_hat = dataio.load_embeddings_csv(args.emb, labels.size)
     try:
         ratios = tuple(float(r) for r in args.ratios.split(","))
     except ValueError:
@@ -342,7 +325,7 @@ def _cmd_diagnose(args) -> int:
     if ((labels >= 0) & (g.degrees() > 0)).any():
         metrics["homophily_ratio"] = homophily_ratio(g, labels)
     if args.emb:
-        y_hat = _load_embeddings(args.emb, g.n_nodes)
+        y_hat = dataio.load_embeddings_csv(args.emb, g.n_nodes)
         a_tilde = normalize_with_self_loops(g)
         metrics["dirichlet_energy"] = dirichlet_energy(a_tilde, row_normalize(y_hat))
     _write_report(
@@ -407,6 +390,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy's names the size; a bare one says nothing
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

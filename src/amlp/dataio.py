@@ -10,12 +10,16 @@ A dataset directory contains:
     labels.csv     one integer per line, -1 = unlabeled
 
 Features are stored at single precision; 9 significant decimal digits
-round-trip float32 exactly, so save -> load -> save is byte-stable.
+round-trip float32 exactly, so save -> load -> save is byte-stable, and
+save_dataset refuses what load_dataset would: a label below -1 or a feature
+beyond the float32 range.
 
 Every file is read by one reader per kind: _lines (numbered lines of UTF-8
 text), load_float_csv (float matrices; malformed, ragged and non-finite rows
-are refused at their line) and _read_json_object (JSON objects, whose keys
-_read_typed or _read_config then checks).
+are refused at their line) and _read_json_object (JSON objects, whose values
+_check_config_value checks). load_dataset and ``amlp prep`` read each part
+with one reader that names its file in any refusal: read_labels (integers
+>= -1), read_edges (as build_graph) and read_features_csv (float32 at rest).
 """
 
 from __future__ import annotations
@@ -46,18 +50,21 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 # an integer field as np.loadtxt reads one: int() also takes digit-grouping
 # underscores and non-ASCII digits
 _INT_FIELD = re.compile(r"[+-]?[0-9]+")
+# the declared type of a JSON integer >= 0, such as a node count
+_Count = typing.NewType("_Count", int)
 
 _META_TYPES = {
     "name": str,
-    "num_nodes": int,
-    "num_features": int,
-    "num_classes": int,
+    "num_nodes": _Count,
+    "num_features": _Count,
+    "num_classes": _Count,
     "features_file": str,
 }
 
-_CHECKPOINT_TYPES = {"d": int, "c": int, "config": dict, "weights_file": str}
+_CHECKPOINT_TYPES = {"d": _Count, "c": _Count, "config": dict, "weights_file": str}
 
 _TYPE_NAMES = {
+    _Count: "an integer >= 0",
     int: "an integer",
     float: "a number",
     bool: "true or false",
@@ -73,6 +80,8 @@ def _is_json_type(value, t) -> bool:
     declared."""
     if isinstance(value, bool):
         return t is bool
+    if t is _Count:
+        return isinstance(value, int) and value >= 0
     if t is float:
         return isinstance(value, float) or (
             isinstance(value, int) and abs(value) <= sys.float_info.max
@@ -216,7 +225,10 @@ def save_dataset(
     """Write a dataset directory (see module docstring for the layout)."""
     if features_file not in ("features.csv", "features.f32"):
         raise ValidationError("features_file must be features.csv or features.f32")
-    x = check_features(x, graph.n_nodes)
+    x32 = _float32(check_features(x, graph.n_nodes))
+    bad = ~np.isfinite(x32).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"feature row {int(bad.argmax()) + 1}: beyond the float32 range")
     labels = check_labels(labels, graph.n_nodes)
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
     path = Path(path)
@@ -224,14 +236,13 @@ def save_dataset(
     meta = {
         "name": name,
         "num_nodes": graph.n_nodes,
-        "num_features": int(x.shape[1]),
+        "num_features": int(x32.shape[1]),
         "num_classes": num_classes,
         "features_file": features_file,
     }
     (path / META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
     with open(path / "edges.tsv", "w") as f:
         write_rows(f, "%d\t%d\n", graph.edge_array())
-    x32 = x.astype(np.float32)
     if features_file == "features.csv":
         with open(path / "features.csv", "w") as f:
             write_rows(f, _row_format(FLOAT_FMT, x32.shape[1]), x32)
@@ -362,15 +373,49 @@ def load_float_csv(path) -> np.ndarray:
     return x
 
 
-def _float32_at_rest(path, x: np.ndarray) -> np.ndarray:
-    """The finite float64 ``x`` read from the file at ``path``, rounded to
-    float32, the precision of features and embeddings at rest, and promoted
+def _float32(x: np.ndarray) -> np.ndarray:
+    """``x`` rounded to float32, the precision of features and embeddings at
+    rest; a value beyond its range becomes an infinity, without a warning."""
+    with np.errstate(over="ignore"):
+        return x.astype(np.float32)
+
+
+def read_features_csv(path, n_nodes: int | None = None, n_features: int | None = None):
+    """The float CSV at ``path``, ``n_nodes`` rows of ``n_features`` values
+    where given, as load_float_csv reads it, rounded to float32 and promoted
     back: the 9-digit text identifies the float32 value. A value beyond the
     float32 range is refused at its line."""
-    with np.errstate(over="ignore"):
-        x32 = x.astype(np.float32)
+    x = load_float_csv(path)
+    if n_nodes is not None and x.shape[0] != n_nodes:
+        raise ValidationError(f"{path}: {x.shape[0]} rows, dataset has {n_nodes} nodes")
+    if n_features is not None and x.shape[1] != n_features:
+        raise ValidationError(f"{path}: {x.shape[1]} columns, expected {n_features}")
+    x32 = _float32(x)
     _refuse_non_finite(path, x32, "non-finite value (beyond the float32 range)")
     return x32.astype(np.float64)
+
+
+def read_labels(path, n_nodes: int | None = None) -> np.ndarray:
+    """The labels file at ``path``: one integer >= -1 a line, -1 meaning
+    unlabeled, and ``n_nodes`` of them where given. The count is checked
+    first, so that it bounds a node count before anything is sized by it."""
+    labels = parse_int_lines(path, 1).ravel()
+    if n_nodes is not None and labels.size != n_nodes:
+        raise ValidationError(f"{path}: {labels.size} labels, expected {n_nodes}")
+    try:
+        return check_labels(labels)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from e
+
+
+def read_edges(path, n_nodes: int) -> SparseGraph:
+    """The graph on ``n_nodes`` nodes of the edge list at ``path``: one
+    whitespace-separated pair of node ids a line, as build_graph takes them."""
+    edges = parse_int_lines(path, 2)
+    try:
+        return build_graph(edges, n_nodes)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from e
 
 
 def load_labels(path, meta: dict | None = None):
@@ -383,13 +428,7 @@ def load_labels(path, meta: dict | None = None):
     path = Path(path)
     if meta is None:
         meta = _read_meta(path / META_FILE)
-    n = meta["num_nodes"]
-    # the label count bounds num_nodes before anything is sized by it
-    labels = parse_int_lines(path / "labels.csv", 1).ravel()
-    if labels.size != n:
-        raise ValidationError(
-            f"{path / 'labels.csv'}: {labels.size} labels, expected {n}"
-        )
+    labels = read_labels(path / "labels.csv", meta["num_nodes"])
     if (labels >= 0).any() and labels.max() >= max(meta["num_classes"], 1):
         raise ValidationError(
             f"{path / 'labels.csv'}: label {labels.max()} exceeds num_classes "
@@ -407,22 +446,11 @@ def load_dataset(path, meta: dict | None = None):
     """
     path = Path(path)
     meta, labels = load_labels(path, meta)
-    n = meta["num_nodes"]
-    d = meta["num_features"]
-    edges = parse_int_lines(path / "edges.tsv", 2)
-    try:
-        graph = build_graph(edges, n)
-    except ValidationError as e:
-        raise ValidationError(f"{path / 'edges.tsv'}: {e}") from e
+    n, d = meta["num_nodes"], meta["num_features"]
+    graph = read_edges(path / "edges.tsv", n)
     feat_file = meta["features_file"]
     if feat_file == "features.csv":
-        x = load_float_csv(path / "features.csv")
-        if x.shape != (n, d):
-            raise ValidationError(
-                f"{path / 'features.csv'}: feature shape {x.shape} does not match "
-                f"meta ({n}, {d})"
-            )
-        x = _float32_at_rest(path / "features.csv", x)
+        x = read_features_csv(path / "features.csv", n, d)
     elif feat_file == "features.f32":
         raw = (path / "features.f32").read_bytes()
         if len(raw) != 4 * n * d:
@@ -463,16 +491,10 @@ def _require_keys(path: Path, raw: dict, keys, where: str = "") -> None:
 
 def _read_typed(path: Path, raw: dict, types: dict) -> dict:
     """``raw``, read from ``path``, with every key of ``types`` present and
-    of its type there; an int is a JSON integer >= 0 (not a bool, float or
-    string)."""
+    of its type there."""
     _require_keys(path, raw, types)
     for key, t in types.items():
-        value = raw[key]
-        if not _is_json_type(value, t) or (t is int and value < 0):
-            expected = "an integer >= 0" if t is int else _TYPE_NAMES[t]
-            raise ValidationError(
-                f"{path}: key {key!r} must be {expected}, got {json.dumps(value)}"
-            )
+        _check_config_value(path, key, raw[key], t)
     return raw
 
 
@@ -499,10 +521,11 @@ def save_embeddings_csv(path, y_hat: np.ndarray) -> None:
         write_rows(f, _row_format(FLOAT_FMT, y32.shape[1]), y32)
 
 
-def load_embeddings_csv(path) -> np.ndarray:
-    """N x c embeddings, float32 at rest: a row load_float_csv refuses, or a
-    value beyond the float32 range, is refused at its line."""
-    return _float32_at_rest(path, load_float_csv(path))
+def load_embeddings_csv(path, n_nodes: int | None = None) -> np.ndarray:
+    """N x c embeddings, ``n_nodes`` rows where given, read as a features
+    CSV is: float32 at rest, a malformed row or a value beyond the float32
+    range refused at its line."""
+    return read_features_csv(path, n_nodes)
 
 
 def save_checkpoint(dir_path, model: AMLPModel) -> None:

@@ -366,6 +366,73 @@ def test_prep_reports_bad_line(tmp_path, capsys):
     assert "edges.txt:2" in capsys.readouterr().err
 
 
+def test_prep_refuses_features_beyond_float32_at_their_line(tmp_path, capsys):
+    """A finite feature that float32 cannot hold is refused at its line, as
+    load_dataset would refuse the inf it became, and nothing is written."""
+    (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+    feats = tmp_path / "feats.csv"
+    feats.write_text("1.0,2.0\n1e39,4.0\n5.0,6.0\n")
+    (tmp_path / "labels.csv").write_text("0\n1\n-1\n")
+    out = tmp_path / "prepped"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["prep", "--edges", str(tmp_path / "edges.txt"), "--features", str(feats),
+                     "--labels", str(tmp_path / "labels.csv"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {feats}:2: non-finite value (beyond the float32 range)\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cluster", "classify", "diagnose"])
+def test_label_below_minus_one_refused_at_labels_csv(sbm_dir, tmp_path, capsys, monkeypatch,
+                                                    command):
+    """Labels are integers >= -1; a -5 in labels.csv ends every command that
+    reads labels in one line naming the file, before any training or
+    evaluation."""
+    from amlp import cli, evaluate
+
+    data = tmp_path / "data"
+    g, x, labels = load_dataset(sbm_dir)
+    save_dataset(data, g, x, labels)
+    lines = (data / "labels.csv").read_text().splitlines()
+    lines[2] = "-5"
+    (data / "labels.csv").write_text("\n".join(lines) + "\n")
+    emb = tmp_path / "emb.csv"
+    dataio.save_embeddings_csv(emb, np.random.default_rng(0).standard_normal((400, 4)))
+    calls = []
+    for module, name in [(cli, "train"), (evaluate, "kmeans"), (evaluate, "make_splits"),
+                         (cli, "homophily_ratio")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+    out = tmp_path / "run"
+    argv = {
+        "train": ["--out", str(out), "--epochs", "2"],
+        "cluster": ["--emb", str(emb)],
+        "classify": ["--emb", str(emb), "--n-splits", "2"],
+        "diagnose": ["--emb", str(emb)],
+    }[command]
+    assert main([command, "--data", str(data), *argv]) == 1
+    _assert_one_error_line(capsys, f"error: {data / 'labels.csv'}: ", "-1")
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["exp1", "train"])
+def test_unallocatable_width_exits_1_with_one_line(sbm_dir, tmp_path, capsys, command):
+    """A hidden width whose arrays the allocator refuses at once ends in one
+    error line, not numpy's MemoryError traceback. 10^12 columns of 400
+    float64 rows are petabytes, so no host grants them."""
+    cfg = tmp_path / "wide.json"
+    cfg.write_text('{"hidden_dim": 1000000000000}')
+    argv = {
+        "exp1": ["--hidden-dim", "1000000000000", "--epochs", "2", "--aggregator", "mean",
+                 "--with-agg-loss", "false", "--out", str(tmp_path / "e.csv")],
+        "train": ["--config", str(cfg), "--out", str(tmp_path / "run")],
+    }[command]
+    assert main([command, "--data", str(sbm_dir), *argv]) == 1
+    _assert_one_error_line(capsys, "Unable to allocate")
+
+
 def test_byte_identical_reruns(tmp_path):
     """Same config and seed twice -> byte-identical embeddings CSV."""
     data = tmp_path / "data"
@@ -793,7 +860,8 @@ def test_unusable_out_path_refused_before_any_work(sbm_dir, tmp_path, capsys, mo
         monkeypatch.setattr(cli, name, spy(name))
     monkeypatch.setattr(synth, "generate_dataset", spy("generate_dataset"))
     for name in ("load_dataset", "load_meta", "load_labels", "load_embeddings_csv",
-                 "parse_int_lines", "load_float_csv"):
+                 "parse_int_lines", "load_float_csv", "read_labels", "read_edges",
+                 "read_features_csv"):
         monkeypatch.setattr(dataio, name, spy(name))
     taken = tmp_path / "taken"
     taken.write_text("")

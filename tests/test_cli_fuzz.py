@@ -79,7 +79,9 @@ COMMANDS = {
     },
     "diagnose": {"--data": DATA, "--emb": EMB, "--out": OUT_FILE},
     "exp1": {
-        "--data": DATA, "--out": OUT_FILE, "--epochs": COUNTS, "--hidden-dim": COUNTS,
+        "--data": DATA, "--out": OUT_FILE, "--epochs": COUNTS,
+        # 10^12 columns: an array size the allocator refuses at once
+        "--hidden-dim": (COUNTS[0], BAD_COUNTS + ["1000000000000"]),
         "--aggregator": (["mean", "max", "all"], ["x"]),
         "--with-agg-loss": (["true", "false", "both"], ["x"]),
         "--lambda": FRACTIONS, "--seeds": COUNTS, "--learning-rate": POSITIVE,

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,21 @@ def test_float32_range_is_checked_for_features_and_embeddings(tmp_path):
     (tmp_path / "d" / "features.csv").write_text("1.5,-2\n3.5e38,3\n")
     with pytest.raises(ValidationError, match="features.csv:2: non-finite value"):
         load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("features_file", ["features.csv", "features.f32"])
+def test_save_refuses_features_beyond_float32_before_writing(tmp_path, features_file):
+    """A finite float64 feature that float32 cannot hold would be written as
+    inf, which load_dataset refuses; save_dataset refuses it at its row and
+    creates no directory."""
+    g, x, labels = tiny_dataset()
+    x[1, 0] = 1e39
+    out = tmp_path / "new" / "d"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="row 2: .*beyond the float32 range"):
+            save_dataset(out, g, x, labels, features_file=features_file)
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("name", ["meta.json", "labels.csv", "edges.tsv", "features.csv"])

@@ -1,13 +1,15 @@
-"""Byte-identity of the commands that write graphs, against a committed manifest.
+"""Byte-identity of every command, against a committed manifest.
 
-``sbm`` (homophilic preset, seed 0), ``prep`` from the files it wrote, and
-``reconstruct`` in hard, ``--soft`` and ``--policy all_pairs`` form each run
-as a child process with AMLP_THREADS=1. The sha256 of each one's stdout and
-of every file it writes must equal ``tests/golden/manifest.json``, with each
-report's ``wall_clock_seconds`` masked. The manifest also records the Python,
-numpy, scipy and BLAS versions it was made with; a failure names any that
-differ here, since a different BLAS may round the all-pairs feature product
-differently.
+``sbm`` (homophilic preset, seed 0), ``prep`` from the files it wrote,
+``reconstruct`` in hard, ``--soft`` and ``--policy all_pairs`` form, ``train``
+for a few epochs, ``cluster``, ``classify`` and ``diagnose`` on its
+embeddings, and a small ``exp1`` each run as a child process with
+AMLP_THREADS=1. The sha256 of each one's stdout and of every file it writes
+must equal ``tests/golden/manifest.json``, with each report's
+``wall_clock_seconds`` masked. The manifest also records the Python, numpy,
+scipy and BLAS versions and the AMLP_THREADS it was made with; a failure
+names any that differ here, since a different BLAS may round the all-pairs
+feature product and the training GEMMs differently.
 
 After a change that is meant to alter these outputs, regenerate the manifest
 from the repository root with
@@ -37,7 +39,17 @@ RUNS = [
     ("reconstruct-soft", ["reconstruct", "--data", "sbm", "--out", "soft", "--soft"]),
     ("reconstruct-all-pairs", ["reconstruct", "--data", "sbm", "--out", "all-pairs",
                                "--policy", "all_pairs"]),
+    ("train", ["train", "--data", "sbm", "--out", "train", "--epochs", "5"]),
+    ("cluster", ["cluster", "--data", "sbm", "--emb", "train/embeddings.csv",
+                 "--out", "cluster.json"]),
+    ("classify", ["classify", "--data", "sbm", "--emb", "train/embeddings.csv",
+                  "--n-splits", "2", "--out", "classify.json"]),
+    ("diagnose", ["diagnose", "--data", "sbm", "--emb", "train/embeddings.csv",
+                  "--out", "diagnose.json"]),
+    ("exp1", ["exp1", "--data", "sbm", "--epochs", "3", "--hidden-dim", "8",
+              "--out", "exp1.csv"]),
 ]
+THREADS = "1"
 
 _WALL_CLOCK = re.compile(rb'"wall_clock_seconds": [^,\n}]+')
 
@@ -56,6 +68,7 @@ def provenance() -> dict:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "blas": blas,
+        "AMLP_THREADS": THREADS,
     }
 
 
@@ -65,8 +78,9 @@ def _sha256(data: bytes) -> str:
 
 def run_all(workdir: Path) -> dict:
     """{"<run> stdout" or "<run> <file>": sha256} of RUNS, executed in order
-    in the empty directory ``workdir``."""
-    env = dict(os.environ, AMLP_THREADS="1")
+    in the empty directory ``workdir``; a run's --out is a directory of
+    files or one file."""
+    env = dict(os.environ, AMLP_THREADS=THREADS)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
     hashes = {}
     for name, argv in RUNS:
@@ -76,7 +90,7 @@ def run_all(workdir: Path) -> dict:
         assert proc.returncode == 0, (name, proc.stderr.decode())
         hashes[f"{name} stdout"] = _sha256(proc.stdout)
         out = workdir / argv[argv.index("--out") + 1]
-        for path in sorted(out.iterdir()):
+        for path in sorted(out.iterdir()) if out.is_dir() else [out]:
             hashes[f"{name} {path.name}"] = _sha256(path.read_bytes())
     return hashes
 
