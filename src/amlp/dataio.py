@@ -10,9 +10,9 @@ A dataset directory contains:
     labels.csv     one integer per line, -1 = unlabeled
 
 Features are stored at single precision; 9 significant decimal digits
-round-trip float32 exactly, so save -> load -> save is byte-stable, and
-save_dataset refuses what load_dataset would: a label below -1 or a feature
-beyond the float32 range.
+round-trip float32 exactly, so save -> load -> save is byte-stable, and each
+writer refuses before writing what its reader would: a label below -1, a NaN,
+an infinity, or a feature or embedding beyond the float32 range.
 
 Every file is read by one reader per kind: _lines (numbered lines of UTF-8
 text), load_float_csv (float matrices; malformed, ragged and non-finite rows
@@ -226,9 +226,7 @@ def save_dataset(
     if features_file not in ("features.csv", "features.f32"):
         raise ValidationError("features_file must be features.csv or features.f32")
     x32 = _float32(check_features(x, graph.n_nodes))
-    bad = ~np.isfinite(x32).all(axis=1)
-    if bad.any():
-        raise ValidationError(f"feature row {int(bad.argmax()) + 1}: beyond the float32 range")
+    _refuse_unwritable(x32, "feature row {}: beyond the float32 range")
     labels = check_labels(labels, graph.n_nodes)
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
     path = Path(path)
@@ -374,10 +372,21 @@ def load_float_csv(path) -> np.ndarray:
 
 
 def _float32(x: np.ndarray) -> np.ndarray:
-    """``x`` rounded to float32, the precision of features and embeddings at
-    rest; a value beyond its range becomes an infinity, without a warning."""
+    """``x`` at float32, the precision of features and embeddings at rest (no
+    copy if it is); a value beyond its range becomes inf, without a warning."""
     with np.errstate(over="ignore"):
-        return x.astype(np.float32)
+        return np.asarray(x, dtype=np.float32)
+
+
+def _refuse_unwritable(x: np.ndarray, message: str) -> None:
+    """Refuse, as ``message`` formatted with its 1-based index, the first row
+    of the 2-D ``x``, as a writer would store it, that holds a NaN or an
+    infinity, which the file's reader would refuse. A row is checked by its
+    extremes, so no array of x's shape is made."""
+    hi, lo = x.max(axis=1, initial=0), x.min(axis=1, initial=0)
+    bad = ~(np.isfinite(hi) & np.isfinite(lo))
+    if bad.any():
+        raise ValidationError(message.format(int(bad.argmax()) + 1))
 
 
 def read_features_csv(path, n_nodes: int | None = None, n_features: int | None = None):
@@ -516,7 +525,8 @@ def _read_meta(path: Path) -> dict:
 
 def save_embeddings_csv(path, y_hat: np.ndarray) -> None:
     """N x c CSV at 9 significant digits (float32 at rest, like features)."""
-    y32 = np.asarray(y_hat, dtype=np.float32)
+    y32 = _float32(y_hat)
+    _refuse_unwritable(y32, "embedding row {}: NaN, infinity or beyond the float32 range")
     with open(path, "w") as f:
         write_rows(f, _row_format(FLOAT_FMT, y32.shape[1]), y32)
 
@@ -534,6 +544,7 @@ def save_checkpoint(dir_path, model: AMLPModel) -> None:
     Weights use 17 significant digits so a reload restores the exact float64
     matrix.
     """
+    _refuse_unwritable(model.W, "weight row {}: non-finite value")
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
     d, c = model.W.shape

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SparseGraph, check_labels, row_normalize
+from .graph import SparseGraph, check_labels, common_neighbors, cosine, row_normalize
 from .model import AdamState, _adam_scratch, adam_step
 
 KMEANS_RESTARTS = 10
@@ -27,7 +27,6 @@ class ClusterResult:
     assignments: np.ndarray
     centroids: np.ndarray
     inertia: float
-    restarts_used: int
 
 
 @dataclass
@@ -35,7 +34,6 @@ class SplitSet:
     """Disjoint (train, val, test) index arrays over the labeled nodes."""
 
     splits: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ratios: tuple[float, float, float]
 
 
 @dataclass
@@ -147,11 +145,8 @@ def _cluster_means(x: np.ndarray, labels: np.ndarray, costs: np.ndarray, out: np
 
 
 def _lloyd(
-    x: np.ndarray,
-    centroids: np.ndarray,
-    max_iter: int,
-    x_sq: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    x: np.ndarray, centroids: np.ndarray, max_iter: int, x_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations for a stack of restarts, each until its assignment
     reaches a fixpoint.
 
@@ -160,16 +155,12 @@ def _lloyd(
     product per iteration, and one (A*k x N)(N x c) product of the one-hot
     assignments with x, whose sums / counts are the next centroids. A restart
     that empties a cluster, reaches its fixpoint or ``max_iter`` takes
-    ``_cluster_means`` instead, so it drops out with exact means. Returns
-    (assignments R x N, centroids, inertia_history), one history list per
-    restart with one entry per iteration, from that iteration's assignment.
+    ``_cluster_means`` instead, so it drops out with exact means. ``x_sq``
+    holds the squared row norms of x. Returns (assignments R x N, centroids).
     """
-    if x_sq is None:
-        x_sq = np.einsum("ij,ij->i", x, x)
     restarts, k, c = centroids.shape
     n = x.shape[0]
     assign = np.empty((restarts, n), dtype=np.intp)
-    history: list[list[float]] = [[] for _ in range(restarts)]
     active = list(range(restarts))
     for it in range(max_iter):
         new_assign, costs = _nearest(_sq_dists(x, x_sq, centroids[active]))
@@ -179,7 +170,6 @@ def _lloyd(
         del onehot  # so it never meets the next iteration's distance block
         still = []
         for new, point_costs, total, count, r in zip(new_assign, costs, sums, counts, active):
-            history[r].append(float(point_costs.sum()))
             if it == max_iter - 1 or not count.all() or (it > 0 and np.array_equal(assign[r], new)):
                 _cluster_means(x, new, point_costs, centroids[r])
             else:
@@ -190,7 +180,7 @@ def _lloyd(
         active = still
         if not active:
             break
-    return assign, centroids, history
+    return assign, centroids
 
 
 def kmeans(
@@ -230,12 +220,12 @@ def kmeans(
     group = max(1, x.shape[1] // k)
     best: ClusterResult | None = None
     for start in range(0, restarts, group):
-        assign, centroids, _ = _lloyd(x, inits[start : start + group], max_iter, x_sq)
+        assign, centroids = _lloyd(x, inits[start : start + group], max_iter, x_sq)
         for labels, cents in zip(assign, centroids):
             diffs = x - cents[labels]
             inertia = float(np.einsum("ij,ij->", diffs, diffs))
             if best is None or inertia < best.inertia:
-                best = ClusterResult(labels.copy(), cents.copy(), inertia, restarts)
+                best = ClusterResult(labels.copy(), cents.copy(), inertia)
     return best
 
 
@@ -422,7 +412,7 @@ def make_splits(
                 f"{labeled.size} labeled nodes empty"
             )
         splits.append(split)
-    return SplitSet(splits=splits, ratios=tuple(float(r) for r in ratios_arr))
+    return SplitSet(splits=splits)
 
 
 def _balance_global(per_class_counts, global_target, ratios):
@@ -575,7 +565,9 @@ def high_order_dissimilarity(
     row-normalized feature and adjacency rows); the second compares their
     interaction patterns with every third node m: the sum over m of
     |Xh_i . Xh_m - Xh_j . Xh_m| + |Ah_i . Ah_m - Ah_j . Ah_m|. Zero-norm rows
-    contribute zero, matching the row-normalization convention.
+    contribute zero, matching the row-normalization convention. Ah_i . Ah_m
+    is the cosine of g's adjacency rows that reconstruction scores, weights
+    aside, and ||Ah_i - Ah_j||^2 = Ah_i . Ah_i + Ah_j . Ah_j - 2 Ah_i . Ah_j.
     """
     x = np.asarray(x, dtype=np.float64)
     n = g.n_nodes
@@ -585,18 +577,14 @@ def high_order_dissimilarity(
         raise ValidationError("feature rows do not match graph size")
     if i == j:
         return 0.0, 0.0
-    import scipy.sparse as sp
-
     xh = row_normalize(x)
     deg = g.degrees().astype(np.float64)
-    inv = np.zeros(n)
-    inv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    ah = sp.diags(inv) @ g.to_scipy()
-    ah_i = np.asarray(ah[i].todense()).ravel()
-    ah_j = np.asarray(ah[j].todense()).ravel()
-    m_term = float(np.sum((xh[i] - xh[j]) ** 2) + np.sum((ah_i - ah_j) ** 2))
+    # the adjacency cosines of i (row 0) and of j (row 1) with every node
+    common = common_neighbors(g, np.repeat([i, j], n), np.tile(np.arange(n), 2)).reshape(2, n)
+    ca = cosine(common, deg[[i, j], None], deg, np.empty((2, n)), np.empty((2, n), bool))
+    m_term = float(np.sum((xh[i] - xh[j]) ** 2) + (ca[0, i] + ca[1, j] - 2.0 * ca[0, j]))
     x_diff = np.abs(xh @ xh[i] - xh @ xh[j])
-    a_diff = np.abs(np.asarray(ah @ ah_i).ravel() - np.asarray(ah @ ah_j).ravel())
+    a_diff = np.abs(ca[0] - ca[1])
     mask = np.ones(n, dtype=bool)
     mask[[i, j]] = False
     n_term = float(x_diff[mask].sum() + a_diff[mask].sum())

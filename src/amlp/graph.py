@@ -1,4 +1,4 @@
-"""Sparse graph storage, adjacency normalizations, propagation and aggregation.
+"""Sparse graph storage, normalizations, propagation, aggregation, similarity.
 
 Graphs, weighted graphs and normalized adjacencies are one CSR type,
 ``SparseGraph``, symmetric in structure and values. A graph read from edges
@@ -7,13 +7,16 @@ is binary and self-loop-free; soft reconstruction adds weights; the
 (D+I)^{-1/2}(A+I)(D+I)^{-1/2} from the self-loop-free D^{-1/2}SD^{-1/2} used
 after graph reconstruction. Either normalization has all its eigenvalues in
 [-1, 1] (up to roundoff).
+
+Only this module reads the CSR layout. common_neighbors, two_hop_counts and
+cosine give reconstruction and the high-order diagnostic their pair similarity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -32,6 +35,8 @@ DEFAULT_EPS_NORM = 1e-12
 
 # bytes of a column block of _propagate_into's k hops (the CSR's, if more)
 _HOP_BYTES = 1 << 20
+# CSR positions visited per chunk of common_neighbors and two_hop_counts
+_LOOKUP_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -527,6 +532,96 @@ def _max_aggregator_layout(g: SparseGraph) -> tuple:
     return active, row_starts, row_rank, slots, hubs
 
 
+def _chunked_ranges(
+    start: np.ndarray, size: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Cut the positions of the ranges start[i] .. start[i] + size[i] - 1,
+    i = 0..size.size-1, taken in order, into chunks of _LOOKUP_CHUNK
+    positions, the last one fewer, splitting any range that crosses a cut.
+    Yield (lo, hi, chunk_start, chunk_size) per chunk: it holds the part
+    chunk_start[j] .. chunk_start[j] + chunk_size[j] - 1 of range lo + j,
+    j = 0..hi-lo-1. It holds no array of a chunk's size, so a caller that
+    drops its chunk's arrays before asking for the next one holds one chunk
+    at a time."""
+    end = np.cumsum(size)
+    begin = end - size
+    total = int(end[-1]) if end.size else 0
+    for a in range(0, total, _LOOKUP_CHUNK):
+        b = min(a + _LOOKUP_CHUNK, total)
+        # the ranges that end past a and begin before b
+        lo = int(np.searchsorted(end, a, side="right"))
+        hi = int(np.searchsorted(begin, b, side="left"))
+        skip = np.maximum(a - begin[lo:hi], 0)
+        yield lo, hi, start[lo:hi] + skip, np.minimum(b - begin[lo:hi], size[lo:hi]) - skip
+
+
+def _range_positions(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The positions start[i] .. start[i] + size[i] - 1 of every range, in order."""
+    # each range's start, less the positions listed before it
+    pos = np.repeat(start - (np.cumsum(size) - size), size)
+    pos += np.arange(pos.size)
+    return pos
+
+
+def common_neighbors(g: SparseGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Common-neighbour count of each pair (u[i], v[i]), i.e. (A·A)[u, v] of
+    g's structure, without forming A·A (the masked product of Azad, Buluç &
+    Gilbert, 2015).
+
+    Each neighbour w of the lower-degree endpoint is looked up in the other
+    endpoint's row by one binary search over the CSR's entries as keys
+    ``row * N + col``, sorted as stored: Σ min(d_u, d_v) lookups, in chunks
+    of at most _LOOKUP_CHUNK, which split a hub's row, so that memory stays
+    O(m + chunk).
+    """
+    n = g.n_nodes
+    deg = g.degrees()
+    counts = np.zeros(u.size, dtype=np.int64)
+    swap = deg[u] > deg[v]
+    s = np.where(swap, v, u)
+    t = np.where(swap, u, v)
+    keys = g.rows() * n + g.indices
+    for lo, hi, first, sz in _chunked_ranges(g.indptr[s], deg[s]):
+        query = np.repeat(t[lo:hi] * n, sz)
+        query += g.indices[_range_positions(first, sz)]
+        hit = keys.take(np.searchsorted(keys, query), mode="clip") == query
+        del query
+        # a pair split over chunks adds up its parts
+        counts[lo:hi] += np.bincount(
+            np.repeat(np.arange(hi - lo), sz)[hit], minlength=hi - lo
+        )
+        del hit  # the next chunk's arrays are built without this one's
+    return counts
+
+
+def two_hop_counts(g: SparseGraph, s0: int, s1: int, out: np.ndarray) -> None:
+    """Write (A·A)[s0:s1, s0+1:], the common-neighbour counts of rows
+    s0..s1-1 with the columns right of s0, into the C-contiguous ``out``.
+
+    Gustavson's row-by-row product (ACM TOMS, 1978) into a dense
+    accumulator: each neighbour w of row i adds one to (i, j) for every j in
+    w's row past s0. By symmetry, w's columns up to s0 are the rows up to s0
+    that list w, so one count of those rows' entries finds where that part
+    starts. The additions run in chunks of at most _LOOKUP_CHUNK, one
+    chunk's arrays at a time, so that memory stays O(N + chunk) besides the
+    rows' neighbour lists. The counts are integers, so they are exact.
+    """
+    flat = out.reshape(-1)
+    flat.fill(0.0)
+    mid = g.indices[g.indptr[s0] : g.indptr[s1]]
+    start = g.indptr[mid] + np.bincount(g.indices[: g.indptr[s0 + 1]], minlength=g.n_nodes)[mid]
+    size = g.indptr[mid + 1] - start
+    # one per neighbour w of a row i: the flat cell of (i, j) less j
+    base = np.repeat(
+        np.arange(s1 - s0) * out.shape[1] - (s0 + 1), np.diff(g.indptr[s0 : s1 + 1])
+    )
+    for lo, hi, first, sz in _chunked_ranges(start, size):
+        cell = np.repeat(base[lo:hi], sz)
+        cell += g.indices[_range_positions(first, sz)]
+        np.add.at(flat, cell, 1.0)
+        del cell  # the next chunk's arrays are built without this one's
+
+
 def row_normalize(m: np.ndarray, eps_norm: float = DEFAULT_EPS_NORM) -> np.ndarray:
     """Divide each row by its Euclidean norm; rows with norm < eps_norm become zero."""
     m = np.asarray(m, dtype=np.float64)
@@ -559,6 +654,19 @@ def _row_normalize_into(
     norms[zero] = 1.0
     np.divide(m, norms[:, None], out=out)
     out[zero] = 0.0
+
+
+def cosine(dot, sq_a, sq_b, out: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Write the cosines dot / sqrt(sq_a * sq_b) of vector pairs, from their
+    dot products and squared norms broadcast to ``out``'s shape, into ``out``
+    (not ``dot``) and return it: 0 where the norms' product is 0, 1 exactly
+    for equal vectors. ``pos`` is bool scratch of ``out``'s shape."""
+    np.multiply(sq_a, sq_b, out=out)
+    np.sqrt(out, out=out)
+    np.greater(out, 0.0, out=pos)
+    # where the product is 0, out already holds that 0
+    np.divide(dot, out, out=out, where=pos)
+    return out
 
 
 def dirichlet_energy(a_tilde: SparseGraph, y_hat: np.ndarray) -> float:

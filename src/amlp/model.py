@@ -159,10 +159,10 @@ class TrainReport:
     final_dirichlet: float
     epochs_run: int
     early_stopped: bool
-    recon_stats: ReconstructionStats | None = None
+    recon_stats: ReconstructionStats
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "epochs_run": self.epochs_run,
             "early_stopped": self.early_stopped,
             "wall_clock_seconds": self.wall_clock_seconds,
@@ -172,10 +172,8 @@ class TrainReport:
                 "rec": self.losses_rec.tolist(),
                 "total": self.losses_total.tolist(),
             },
+            "reconstruction": self.recon_stats.as_dict(),
         }
-        if self.recon_stats is not None:
-            d["reconstruction"] = self.recon_stats.as_dict()
-        return d
 
 
 def init_weights(d: int, c: int, seed: int) -> np.ndarray:

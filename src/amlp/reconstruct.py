@@ -16,7 +16,14 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SparseGraph, check_features, graph_from_edges
+from .graph import (
+    SparseGraph,
+    check_features,
+    common_neighbors,
+    cosine,
+    graph_from_edges,
+    two_hop_counts,
+)
 
 CANDIDATE_POLICIES = ("original_edges", "all_pairs")
 MODES = ("hard", "soft")
@@ -25,8 +32,6 @@ DEFAULT_ALL_PAIRS_CAP = 20_000
 _BLOCK = 512
 # rows per sub-block of the all-pairs loop, whose buffers hold _SUB_BLOCK x N
 _SUB_BLOCK = 64
-# CSR positions visited per chunk of _common_neighbors and _two_hop_counts
-_LOOKUP_CHUNK = 1 << 16
 # bytes in each of the two edge-endpoint feature buffers of _score_edge_candidates
 _GATHER_BYTES = 1 << 20
 
@@ -84,22 +89,12 @@ def pair_score(x_i, x_j, a_i, a_j) -> float:
 
 
 def _pair_scores(dot, sq, common, deg, out, den, pos) -> None:
-    """Write ``pair_score`` of pairs into ``out``, from their feature dot
-    products, float64 common-neighbour counts (overwritten), and endpoints'
-    squared feature norms ``sq`` and degrees ``deg`` as (first, second)
-    pairs, each operand broadcast to ``out``'s shape; ``den`` and ``pos`` are
-    float64 and bool scratch of that shape."""
-    np.multiply(sq[0], sq[1], out=den)
-    np.sqrt(den, out=den)
-    np.greater(den, 0.0, out=pos)
-    out.fill(0.0)
-    np.divide(dot, den, out=out, where=pos)
-    np.multiply(deg[0], deg[1], out=den)
-    np.sqrt(den, out=den)
-    np.greater(den, 0.0, out=pos)
-    # in place: where a degree is 0 the count is already 0
-    np.divide(common, den, out=common, where=pos)
-    np.multiply(out, common, out=out)
+    """Write ``pair_score`` of pairs into ``out`` from their feature dot
+    products and common-neighbour counts, and as (first, second) pairs their
+    endpoints' squared feature norms ``sq`` and degrees ``deg``, all
+    broadcast to ``out``'s shape; ``den`` and ``pos`` are scratch of it."""
+    cosine(dot, sq[0], sq[1], out, pos)
+    np.multiply(out, cosine(common, deg[0], deg[1], den, pos), out=out)
     np.square(out, out=out)
     np.clip(out, 0.0, 1.0, out=out)
 
@@ -127,9 +122,8 @@ def _iter_candidate_scores(
     consumer reads it, and calls ``pairs``, before asking for the next block.
     """
     if cfg.candidate_policy == "original_edges":
-        edges = g.edge_array()
-        u, v = edges[:, 0], edges[:, 1]
-        scores = _score_edge_candidates(g, x, edges)
+        u, v = g.edges()[:2]
+        scores = _score_edge_candidates(g, x, u, v)
         yield (lambda mask: (u, v) if mask is None else (u[mask], v[mask])), scores
         return
     if g.n_nodes > cfg.all_pairs_cap:
@@ -163,21 +157,19 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
 
     The dense buffers, O(_BLOCK·N), are allocated once per call; a sub-block's
     common-neighbour counts are written into one of them by
-    ``_two_hop_counts``, which allocates O(N + _LOOKUP_CHUNK) besides the
-    sub-block's neighbour lists and the O(nnz) keys made once per call. The
-    feature product of a block is computed at full width: BLAS rounding
-    depends on the operand shape, and the full width keeps every score equal
-    to one computed from ``x[block] @ x.T`` (a sub-block product
-    ``x[s0:s1] @ x.T`` rounds differently). Every other step runs in
-    sub-blocks of _SUB_BLOCK rows on the columns right of the sub-block's
-    first row, so the pair work is N(N-1)/2 plus O(N·_SUB_BLOCK). The sum of
-    each block's scores enters ``mean_score``, so its last bits depend on
-    _BLOCK.
+    ``two_hop_counts``, which allocates O(N + one lookup chunk) besides the
+    sub-block's neighbour lists. The feature product of a block is computed
+    at full width: BLAS rounding depends on the operand shape, and the full
+    width keeps every score equal to one computed from ``x[block] @ x.T`` (a
+    sub-block product ``x[s0:s1] @ x.T`` rounds differently). Every other
+    step runs in sub-blocks of _SUB_BLOCK rows on the columns right of the
+    sub-block's first row, so the pair work is N(N-1)/2 plus
+    O(N·_SUB_BLOCK). The sum of each block's scores enters ``mean_score``,
+    so its last bits depend on _BLOCK.
     """
     n = g.n_nodes
     sq = np.einsum("ij,ij->i", x, x)
     deg = g.degrees().astype(np.float64)
-    keys = _row_keys(g)
     height = min(_BLOCK, n)
     dx = np.empty((height, n))
     # A block's packed scores overwrite its own feature product. Once the
@@ -187,7 +179,7 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
     # its scores are packed.
     scores = dx.reshape(-1)
     # flat, so that each (rows, cols) sub-block view is C-contiguous, as
-    # _two_hop_counts requires
+    # two_hop_counts requires
     size = min(_SUB_BLOCK, height) * n
     common, denom, pscore = np.empty(size), np.empty(size), np.empty(size)
     positive = np.empty(size, dtype=bool)
@@ -200,7 +192,7 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
             shape = (s1 - s0, n - s0 - 1)
             cells = shape[0] * shape[1]
             den, pos, sc, ca = (b[:cells].reshape(shape) for b in (denom, positive, pscore, common))
-            _two_hop_counts(g, keys, s0, s1, ca)
+            two_hop_counts(g, s0, s1, ca)
             _pair_scores(
                 dx[s0 - start : s1 - start, s0 + 1 :], (sq[s0:s1, None], sq[None, s0 + 1 :]),
                 ca, (deg[s0:s1, None], deg[None, s0 + 1 :]), sc, den, pos,
@@ -212,108 +204,9 @@ def _iter_all_pairs(g: SparseGraph, x: np.ndarray) -> Iterator[tuple[Pairs, np.n
         yield _block_pairs(n, start, stop), scores[:k]
 
 
-def _row_keys(g: SparseGraph) -> np.ndarray:
-    """The CSR's entries as keys ``row * N + col``, sorted as they are stored:
-    one np.searchsorted finds an entry, or the first column of a row past a
-    given one."""
-    return g.rows() * g.n_nodes + g.indices
-
-
-def _chunked_ranges(
-    start: np.ndarray, size: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Cut the positions of the ranges start[i] .. start[i] + size[i] - 1,
-    i = 0..size.size-1, taken in order, into chunks of _LOOKUP_CHUNK
-    positions, the last one fewer, splitting any range that crosses a cut.
-    Yield (lo, hi, chunk_start, chunk_size) per chunk: it holds the part
-    chunk_start[j] .. chunk_start[j] + chunk_size[j] - 1 of range lo + j,
-    j = 0..hi-lo-1. It holds no array of a chunk's size, so a caller that
-    drops its chunk's arrays before asking for the next one holds one chunk
-    at a time."""
-    end = np.cumsum(size)
-    begin = end - size
-    total = int(end[-1]) if end.size else 0
-    for a in range(0, total, _LOOKUP_CHUNK):
-        b = min(a + _LOOKUP_CHUNK, total)
-        # the ranges that end past a and begin before b
-        lo = int(np.searchsorted(end, a, side="right"))
-        hi = int(np.searchsorted(begin, b, side="left"))
-        skip = np.maximum(a - begin[lo:hi], 0)
-        yield lo, hi, start[lo:hi] + skip, np.minimum(b - begin[lo:hi], size[lo:hi]) - skip
-
-
-def _range_positions(start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The positions start[i] .. start[i] + size[i] - 1 of every range, in order."""
-    # each range's start, less the positions listed before it
-    pos = np.repeat(start - (np.cumsum(size) - size), size)
-    pos += np.arange(pos.size)
-    return pos
-
-
-def _common_neighbors(g: SparseGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Common-neighbour count of each pair (u[i], v[i]), i.e. (A·A)[u, v],
-    without forming A·A (the masked product of Azad, Buluç & Gilbert, 2015).
-
-    Each neighbour w of the lower-degree endpoint is looked up in the other
-    endpoint's row by one binary search over ``_row_keys``: Σ min(d_u, d_v)
-    lookups, done in chunks of at most _LOOKUP_CHUNK, which split a hub's
-    row, so that memory stays O(m + chunk).
-    """
-    n = g.n_nodes
-    deg = g.degrees()
-    counts = np.zeros(u.size, dtype=np.int64)
-    swap = deg[u] > deg[v]
-    s = np.where(swap, v, u)
-    t = np.where(swap, u, v)
-    keys = _row_keys(g)
-    for lo, hi, first, sz in _chunked_ranges(g.indptr[s], deg[s]):
-        query = np.repeat(t[lo:hi] * n, sz)
-        query += g.indices[_range_positions(first, sz)]
-        hit = keys.take(np.searchsorted(keys, query), mode="clip") == query
-        del query
-        # a pair split over chunks adds up its parts
-        counts[lo:hi] += np.bincount(
-            np.repeat(np.arange(hi - lo), sz)[hit], minlength=hi - lo
-        )
-        del hit  # the next chunk's arrays are built without this one's
-    return counts
-
-
-def _two_hop_counts(
-    g: SparseGraph, keys: np.ndarray, s0: int, s1: int, out: np.ndarray
-) -> None:
-    """Write (A·A)[s0:s1, s0+1:], the common-neighbour counts of rows
-    s0..s1-1 with the columns right of s0, into the C-contiguous ``out``.
-
-    Gustavson's row-by-row product (ACM TOMS, 1978) into a dense
-    accumulator: each neighbour w of row i adds one to (i, j) for every j in
-    w's row past s0, whose start one binary search over ``keys``
-    (``_row_keys(g)``) finds. The additions run in chunks of at most
-    _LOOKUP_CHUNK, one chunk's arrays at a time, so that memory stays
-    O(N + chunk) besides the rows' neighbour lists. The counts are integers,
-    so they are exact.
-    """
-    n = g.n_nodes
-    flat = out.reshape(-1)
-    flat.fill(0.0)
-    mid = g.indices[g.indptr[s0] : g.indptr[s1]]
-    # one per neighbour w of a row i: the flat cell of (i, j) less j
-    base = np.repeat(
-        np.arange(s1 - s0) * out.shape[1] - (s0 + 1), np.diff(g.indptr[s0 : s1 + 1])
-    )
-    start = np.searchsorted(keys, mid * n + s0, side="right")
-    size = g.indptr[mid + 1] - start
-    for lo, hi, first, sz in _chunked_ranges(start, size):
-        cell = np.repeat(base[lo:hi], sz)
-        cell += g.indices[_range_positions(first, sz)]
-        np.add.at(flat, cell, 1.0)
-        del cell  # the next chunk's arrays are built without this one's
-
-
 def _score_edge_candidates(
-    g: SparseGraph, x: np.ndarray, edges: np.ndarray
+    g: SparseGraph, x: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    u, v = edges[:, 0], edges[:, 1]
     sq = np.einsum("ij,ij->i", x, x)
     deg = g.degrees().astype(np.float64)
     # the x[u]/x[v] rows are gathered chunk by chunk into two buffers made
@@ -331,7 +224,7 @@ def _score_edge_candidates(
         np.take(x, u[i : i + m], axis=0, out=xu[:m], mode="clip")
         np.take(x, v[i : i + m], axis=0, out=xv[:m], mode="clip")
         dot_x[i : i + m] = np.einsum("ij,ij->i", xu[:m], xv[:m])
-    common = _common_neighbors(g, u, v).astype(np.float64)
+    common = common_neighbors(g, u, v)
     score, den, pos = np.empty(u.size), np.empty(u.size), np.empty(u.size, dtype=bool)
     _pair_scores(dot_x, (sq[u], sq[v]), common, (deg[u], deg[v]), score, den, pos)
     return score

@@ -297,6 +297,36 @@ def test_save_refuses_features_beyond_float32_before_writing(tmp_path, features_
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize(
+    "value, named",
+    [(1e39, "row 2: .*beyond the float32 range"), (np.nan, "row 2: NaN")],
+)
+def test_save_embeddings_refuses_what_load_refuses_before_writing(tmp_path, value, named):
+    """An embedding that float32 cannot hold would be written as inf or nan,
+    which load_embeddings_csv refuses; save_embeddings_csv refuses it at its
+    row and creates no file."""
+    y = np.ones((3, 2))
+    y[1, 1] = value
+    out = tmp_path / "emb.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^embedding {named}"):
+            save_embeddings_csv(out, y)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_save_checkpoint_refuses_non_finite_weights_before_writing(tmp_path, value):
+    """A weight load_checkpoint would refuse is refused at its row, and no
+    checkpoint directory is created."""
+    w = np.ones((3, 2))
+    w[1, 0] = value
+    out = tmp_path / "ckpt"
+    with pytest.raises(ValidationError, match="^weight row 2: non-finite value"):
+        save_checkpoint(out, AMLPModel(W=w, config=AMLPConfig(hidden_dim=2)))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["meta.json", "labels.csv", "edges.tsv", "features.csv"])
 def test_dataset_files_that_are_not_utf8_are_refused_at_their_line(tmp_path, name):
     g, x, labels = tiny_dataset()

@@ -12,6 +12,7 @@ from amlp.evaluate import (
     MetricsRecord,
     _lloyd,
     _max_matching_total,
+    _nearest,
     _softmax,
     _sq_dists,
     high_order_dissimilarity,
@@ -84,12 +85,18 @@ def test_kmeans_deterministic():
 
 
 def test_kmeans_lloyd_inertia_nonincreasing():
+    # the cost of each iteration's assignment: iteration t + 1 assigns to the
+    # centroids that Lloyd returns after t iterations
     rng = np.random.default_rng(5)
     for trial in range(5):
         x = rng.standard_normal((50, 4))
+        x_sq = np.einsum("ij,ij->i", x, x)
         init = x[rng.choice(50, size=3, replace=False)].copy()
-        _, _, (history,) = _lloyd(x, init[None], max_iter=100)
-        assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+        costs = []
+        for t in range(30):
+            cents = init if t == 0 else _lloyd(x, init[None].copy(), t, x_sq)[1][0]
+            costs.append(float(_nearest(_sq_dists(x, x_sq, cents[None]))[1].sum()))
+        assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
 
 def test_kmeans_rejects_k_over_n():
@@ -175,7 +182,7 @@ def _reference_kmeans(x, k, seed, restarts, max_iter=300):
         diffs = x - centroids[assign]
         inertia = float(np.einsum("ij,ij->", diffs, diffs))
         if best is None or inertia < best.inertia:
-            best = ClusterResult(assign, centroids, inertia, restarts)
+            best = ClusterResult(assign, centroids, inertia)
     return best
 
 
@@ -259,13 +266,16 @@ def test_kmeans_mixed_group_takes_both_paths(monkeypatch):
     one-hot product's sums / counts, which never reach _cluster_means."""
     x, k, restarts, max_iter = next(case[1:] for case in _KMEANS_CASES if case[0] == "mixed_group")
     counts = {"groups": 0, "iterations": 0, "exact": 0, "seizing": 0}
-    lloyd, cluster_means = evaluate._lloyd, evaluate._cluster_means
+    lloyd, nearest, cluster_means = evaluate._lloyd, evaluate._nearest, evaluate._cluster_means
 
     def counted_lloyd(*args):
-        assign, centroids, history = lloyd(*args)
         counts["groups"] += 1
-        counts["iterations"] += sum(len(h) for h in history)
-        return assign, centroids, history
+        return lloyd(*args)
+
+    def counted_nearest(d2):
+        # one assignment per active restart, once per iteration
+        counts["iterations"] += d2.shape[0]
+        return nearest(d2)
 
     def counted_cluster_means(x, labels, costs, out):
         counts["exact"] += 1
@@ -273,6 +283,7 @@ def test_kmeans_mixed_group_takes_both_paths(monkeypatch):
         cluster_means(x, labels, costs, out)
 
     monkeypatch.setattr(evaluate, "_lloyd", counted_lloyd)
+    monkeypatch.setattr(evaluate, "_nearest", counted_nearest)
     monkeypatch.setattr(evaluate, "_cluster_means", counted_cluster_means)
     got = kmeans(x, k, seed=5, restarts=restarts, max_iter=max_iter)
     assert counts["groups"] == 1

@@ -6,7 +6,11 @@ for a few epochs, ``cluster``, ``classify`` and ``diagnose`` on its
 embeddings, and a small ``exp1`` each run as a child process with
 AMLP_THREADS=1. The sha256 of each one's stdout and of every file it writes
 must equal ``tests/golden/manifest.json``, with each report's
-``wall_clock_seconds`` masked. The manifest also records the Python, numpy,
+``wall_clock_seconds`` masked. So must the sha256 of the arrays of library
+calls that these commands do not reach at preset scale, made in one more
+child process with AMLP_THREADS=1: a hidden-form ``train()`` and
+``exp1_train`` for each aggregator, with and without L_agg
+(``in_process_hashes``). The manifest also records the Python, numpy,
 scipy and BLAS versions and the AMLP_THREADS it was made with; a failure
 names any that differ here, since a different BLAS may round the all-pairs
 feature product and the training GEMMs differently.
@@ -76,10 +80,54 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(_WALL_CLOCK.sub(b'"wall_clock_seconds": null', data)).hexdigest()
 
 
+def _array_sha256(a) -> str:
+    import numpy as np
+
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+def in_process_hashes() -> dict:
+    """{"<case> <array>": sha256} of library calls on a 60-node,
+    300-feature SBM whose soft reconstruction keeps few enough entries for
+    train() to run the hidden form: that train()'s W, Yh and three loss
+    series, and each aggregator's exp1_train Dr and Yh with and without
+    L_agg. To be called in a fresh process: importing amlp.cli first applies
+    AMLP_THREADS before numpy loads, as in a command's process."""
+    import amlp.cli  # noqa: F401
+    import numpy as np
+
+    from amlp import synth
+    from amlp.graph import AGGREGATORS
+    from amlp.model import AMLPConfig, _propagates_hidden, exp1_train, train
+    from amlp.reconstruct import ReconstructionConfig, reconstruct
+
+    spec = synth.SbmSpec(n_nodes=60, n_classes=3, p_in=0.3, p_out=0.02,
+                         feature_dim=300, noise_sigma=0.8, seed=0)
+    g, x, _ = synth.generate_dataset(spec)
+    cfg, recon = AMLPConfig(hidden_dim=16, epochs=20, seed=3), ReconstructionConfig(mode="soft")
+    assert _propagates_hidden(*x.shape, cfg.k, reconstruct(g, x, recon)[0].indices.size)
+    model, y_hat, report = train(g, x, cfg, recon)
+    arrays = {
+        "train-hidden W": model.W,
+        "train-hidden Yh": y_hat,
+        "train-hidden losses_agg": report.losses_agg,
+        "train-hidden losses_rec": report.losses_rec,
+        "train-hidden losses_total": report.losses_total,
+    }
+    cfg = AMLPConfig(hidden_dim=8, epochs=10, seed=1)
+    for agg in AGGREGATORS:
+        for flag in (False, True):
+            dr, y_hat = exp1_train(g, x, agg, flag, cfg=cfg)
+            name = f"exp1_train-{agg}-{'with' if flag else 'without'}-agg-loss"
+            arrays[f"{name} Dr"] = np.array([dr])
+            arrays[f"{name} Yh"] = y_hat
+    return {key: _array_sha256(a) for key, a in arrays.items()}
+
+
 def run_all(workdir: Path) -> dict:
     """{"<run> stdout" or "<run> <file>": sha256} of RUNS, executed in order
-    in the empty directory ``workdir``; a run's --out is a directory of
-    files or one file."""
+    in the empty directory ``workdir`` (a run's --out is a directory of files
+    or one file), and then ``in_process_hashes`` from a child process."""
     env = dict(os.environ, AMLP_THREADS=THREADS)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
     hashes = {}
@@ -92,6 +140,11 @@ def run_all(workdir: Path) -> dict:
         out = workdir / argv[argv.index("--out") + 1]
         for path in sorted(out.iterdir()) if out.is_dir() else [out]:
             hashes[f"{name} {path.name}"] = _sha256(path.read_bytes())
+    proc = subprocess.run(
+        [sys.executable, __file__, "--in-process"], cwd=workdir, env=env, capture_output=True
+    )
+    assert proc.returncode == 0, ("in-process", proc.stderr.decode())
+    hashes.update(json.loads(proc.stdout))
     return hashes
 
 
@@ -117,6 +170,9 @@ def test_outputs_match_the_manifest(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    if sys.argv[1:] == ["--in-process"]:
+        print(json.dumps(in_process_hashes()))
+        sys.exit()
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --write")
     with tempfile.TemporaryDirectory() as tmp:

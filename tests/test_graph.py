@@ -853,3 +853,27 @@ def test_homophily_ratio_of_weighted_graph_is_structural(soft_preset):
     want = homophily_ratio(replace(s, values=None), labels)
     assert homophily_ratio(s, labels) == want
     assert 0.0 < want < 1.0
+
+
+# ---------------------------------------------------------------------------
+# ownership of the CSR layout
+# ---------------------------------------------------------------------------
+
+
+def test_only_graph_reads_the_csr_layout():
+    """graph.py alone knows the CSR layout: no other module of the package
+    reads an attribute named ``indptr``."""
+    import ast
+    from pathlib import Path
+
+    import amlp
+
+    readers = sorted(
+        path.name
+        for path in Path(amlp.__file__).parent.glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "indptr"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        )
+    )
+    assert readers == ["graph.py"]

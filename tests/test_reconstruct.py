@@ -4,13 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from amlp import reconstruct
+from amlp import graph, reconstruct
 from amlp.errors import ValidationError
-from amlp.graph import SparseGraph, build_graph, graph_from_edges
+from amlp.graph import SparseGraph, build_graph, common_neighbors, graph_from_edges
 from amlp.reconstruct import (
     ReconstructionConfig,
     ReconstructionStats,
-    _common_neighbors,
     _score_edge_candidates,
     pair_score,
     reconstruct_hard,
@@ -268,7 +267,7 @@ def test_common_neighbors_match_square_on_edges():
     graphs.append(build_graph([(0, 1), (1, 2), (0, 2), (2, 3), (5, 7)], 50))
     for g in graphs:
         e = g.edge_array()
-        got = _common_neighbors(g, e[:, 0], e[:, 1])
+        got = common_neighbors(g, e[:, 0], e[:, 1])
         assert got.dtype == np.int64
         assert np.array_equal(got, square_oracle(g, e[:, 0], e[:, 1]))
 
@@ -277,51 +276,51 @@ def test_common_neighbors_match_square_on_any_pairs():
     # non-edges, self-pairs and isolated endpoints, in both orders
     g = hub_instance(4)
     u, v = np.nonzero(np.ones((120, 120), dtype=bool))
-    assert np.array_equal(_common_neighbors(g, u, v), square_oracle(g, u, v))
+    assert np.array_equal(common_neighbors(g, u, v), square_oracle(g, u, v))
     empty = build_graph([], 6)
     u, v = np.nonzero(np.ones((6, 6), dtype=bool))
-    assert np.array_equal(_common_neighbors(empty, u, v), np.zeros(36, dtype=np.int64))
+    assert np.array_equal(common_neighbors(empty, u, v), np.zeros(36, dtype=np.int64))
     none = np.zeros(0, dtype=np.int64)
-    assert _common_neighbors(g, none, none).size == 0
+    assert common_neighbors(g, none, none).size == 0
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 50])
 def test_common_neighbors_chunking(monkeypatch, chunk):
     # chunks far smaller than one hub's row, so an edge straddles many
-    monkeypatch.setattr(reconstruct, "_LOOKUP_CHUNK", chunk)
+    monkeypatch.setattr(graph, "_LOOKUP_CHUNK", chunk)
     g = hub_instance(5)
     e = g.edge_array()
     assert np.array_equal(
-        _common_neighbors(g, e[:, 0], e[:, 1]), square_oracle(g, e[:, 0], e[:, 1])
+        common_neighbors(g, e[:, 0], e[:, 1]), square_oracle(g, e[:, 0], e[:, 1])
     )
 
 
 def test_chunks_split_long_ranges(monkeypatch):
     """With chunks of 4 positions, the 9-entry rows of two adjacent hubs,
     which share 8 leaves, are split over several chunks, and every chunk but
-    the last holds exactly 4 positions, in _common_neighbors and in
-    _two_hop_counts alike. The counts are A·A's."""
+    the last holds exactly 4 positions, in common_neighbors and in
+    two_hop_counts alike. The counts are A·A's."""
     chunks = []
-    chunked = reconstruct._chunked_ranges
+    chunked = graph._chunked_ranges
 
     def spy(start, size):
         for lo, hi, first, sz in chunked(start, size):
             chunks.append(int(sz.sum()))
             yield lo, hi, first, sz
 
-    monkeypatch.setattr(reconstruct, "_LOOKUP_CHUNK", 4)
-    monkeypatch.setattr(reconstruct, "_chunked_ranges", spy)
+    monkeypatch.setattr(graph, "_LOOKUP_CHUNK", 4)
+    monkeypatch.setattr(graph, "_chunked_ranges", spy)
     g = build_graph([(0, 1)] + [(hub, w) for hub in (0, 1) for w in range(2, 10)], 10)
     # Σ min(d_u, d_v) = 9 + 2 + 9 lookups: hub 0's row, a leaf's, hub 1's
     u, v = np.array([0, 2, 1]), np.array([1, 3, 0])
-    assert np.array_equal(_common_neighbors(g, u, v), [8, 2, 8])
+    assert np.array_equal(common_neighbors(g, u, v), [8, 2, 8])
     assert chunks == [4, 4, 4, 4, 4]
     chunks.clear()
     # two-hop walks from rows 0 and 1 to columns right of node 0: through
     # the other hub 8 and 9, through the leaves 8 each
-    n, keys = g.n_nodes, reconstruct._row_keys(g)
+    n = g.n_nodes
     out = np.full((2, n - 1), np.nan)
-    reconstruct._two_hop_counts(g, keys, 0, 2, out)
+    graph.two_hop_counts(g, 0, 2, out)
     a = g.to_dense()
     assert (out == (a @ a)[0:2, 1:]).all()
     assert chunks == [4] * 8 + [1]
@@ -332,10 +331,10 @@ def test_edge_scoring_gather_chunking(monkeypatch, rows):
     # buffers of a few rows give the same dots as one gather of every edge
     g = hub_instance(5)
     x = np.random.default_rng(5).standard_normal((g.n_nodes, 7))
-    edges = g.edge_array()
-    want = _score_edge_candidates(g, x, edges)
+    u, v = g.edges()[:2]
+    want = _score_edge_candidates(g, x, u, v)
     monkeypatch.setattr(reconstruct, "_GATHER_BYTES", 8 * 7 * rows)
-    assert np.array_equal(_score_edge_candidates(g, x, edges), want)
+    assert np.array_equal(_score_edge_candidates(g, x, u, v), want)
 
 
 def test_edge_scoring_memory_on_large_star(traced_peak):
@@ -343,11 +342,11 @@ def test_edge_scoring_memory_on_large_star(traced_peak):
     leaves = 20_000
     g = star(leaves)
     x = np.random.default_rng(0).standard_normal((leaves + 1, 2))
-    edges = g.edge_array()
-    scores, peak = traced_peak(lambda: _score_edge_candidates(g, x, edges))
+    u, v = g.edges()[:2]
+    scores, peak = traced_peak(lambda: _score_edge_candidates(g, x, u, v))
     # the hub and every leaf share no neighbour, so every score is 0
     assert np.array_equal(scores, np.zeros(leaves))
-    assert peak < 8 * (32 * edges.shape[0] + 12 * reconstruct._LOOKUP_CHUNK)
+    assert peak < 8 * (32 * u.size + 12 * graph._LOOKUP_CHUNK)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +376,9 @@ def dense_square(name):
 @pytest.mark.parametrize("sub_block", [1, 3, 64])
 @pytest.mark.parametrize("name", TWO_HOP_GRAPHS)
 def test_two_hop_counts_match_dense_square(monkeypatch, name, sub_block, chunk):
-    monkeypatch.setattr(reconstruct, "_LOOKUP_CHUNK", chunk)
+    monkeypatch.setattr(graph, "_LOOKUP_CHUNK", chunk)
     g, square = TWO_HOP_GRAPHS[name], dense_square(name)
-    n, keys = g.n_nodes, reconstruct._row_keys(g)
+    n = g.n_nodes
     s0s = range(0, n, sub_block)
     if name == "star" and chunk < 50:
         # chunks of 1 or 3 positions split each leaf's reach through the hub,
@@ -394,7 +393,7 @@ def test_two_hop_counts_match_dense_square(monkeypatch, name, sub_block, chunk):
         s1 = min(s0 + sub_block, n)
         # garbage in the buffer, which the count must overwrite
         out = np.full((s1 - s0, n - s0 - 1), np.nan)
-        reconstruct._two_hop_counts(g, keys, s0, s1, out)
+        graph.two_hop_counts(g, s0, s1, out)
         assert (out == square[s0:s1, s0 + 1 :]).all(), (s0, s1)
 
 
@@ -403,15 +402,15 @@ def test_two_hop_counts_memory_is_a_chunk(traced_peak):
     # every row reaches all leaves through the hub: their sparse product
     # alone would hold 64 x 20,000 entries
     g = star(20_000)
-    n, keys = g.n_nodes, reconstruct._row_keys(g)
+    n = g.n_nodes
     for s0 in (0, 1):
         s1 = s0 + reconstruct._SUB_BLOCK
         out = np.empty((s1 - s0, n - s0 - 1))
-        _, peak = traced_peak(lambda: reconstruct._two_hop_counts(g, keys, s0, s1, out))
+        _, peak = traced_peak(lambda: graph.two_hop_counts(g, s0, s1, out))
         nnz_rows = int(g.indptr[s1] - g.indptr[s0])
         # the rows' neighbour lists, and the three arrays of one chunk, which
         # holds at most _LOOKUP_CHUNK positions
-        assert peak < 8 * (5 * nnz_rows + 3 * reconstruct._LOOKUP_CHUNK) + (1 << 16)
+        assert peak < 8 * (5 * nnz_rows + 3 * graph._LOOKUP_CHUNK) + (1 << 16)
         assert peak < out.nbytes / 2
         # two leaves share the hub, and the hub shares nothing with a leaf
         hub = int(s0 == 0)
@@ -424,12 +423,12 @@ def test_common_neighbors_memory_is_a_chunk(traced_peak):
     g = star(20_000)
     n = g.n_nodes
     hub = np.zeros(reconstruct._SUB_BLOCK, dtype=np.int64)
-    counts, peak = traced_peak(lambda: _common_neighbors(g, hub, hub))
+    counts, peak = traced_peak(lambda: common_neighbors(g, hub, hub))
     assert (counts == n - 1).all()
     # the degrees and keys, a few arrays per pair, and the three arrays of
     # one chunk, which holds at most _LOOKUP_CHUNK lookups
     pairs = hub.size
-    assert peak < 8 * (n + g.indices.size + 8 * pairs + 3 * reconstruct._LOOKUP_CHUNK) + (1 << 16)
+    assert peak < 8 * (n + g.indices.size + 8 * pairs + 3 * graph._LOOKUP_CHUNK) + (1 << 16)
 
 
 # ---------------------------------------------------------------------------
